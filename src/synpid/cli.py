@@ -19,7 +19,7 @@ from . import eca
 from .distributions import count_samples, embed_history, VariableSpec
 from .dynamics import DynamicsConfig, active_info_storage, transfer_entropy
 from .experiments import ExperimentConfig, export_local_profiles, run_or_demo, run_table1
-from .lattice import build_lattice
+from .lattice import MAX_SOURCES, build_lattice
 from .pid import decomposition_report, modified_information
 
 TABLE1_RULES = (18, 22, 30, 54, 110)
@@ -225,6 +225,10 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"k must be >= 1, got {k}")
     if dest_name in source_names or len(set(source_names)) != len(source_names):
         raise ValueError("destination and sources must name distinct columns")
+    if 1 + len(source_names) > MAX_SOURCES:
+        raise ValueError(
+            f"{len(source_names)} sources plus the history give r={1 + len(source_names)}, "
+            f"over the lattice limit of {MAX_SOURCES}")
     columns = _read_csv_columns(path)
     for name in (dest_name, *source_names):
         if name not in columns:

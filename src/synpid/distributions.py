@@ -1,4 +1,4 @@
-"""Sparse joint distributions over small discrete alphabets.
+"""Joint distributions over small discrete alphabets, held in sorted arrays.
 
 Estimation is plug-in maximum likelihood throughout: probabilities are raw
 count ratios with no bias correction, smoothing, or shrinkage. That choice is
@@ -7,15 +7,15 @@ unobserved configurations simply drop out of sums, but asking for the local
 value of a configuration that was never counted is an error rather than
 -inf. All logarithms are base 2 and all returned quantities are in bits.
 
-A distribution stores a sparse mapping from sample tuples to counts. Counts
-are integers on every empirical path; analytically constructed distributions
+A distribution is two read-only arrays: its distinct sample tuples as an
+(n, nvars) matrix sorted by packed code, and their weights. Counts are
+integers on every empirical path; analytically constructed distributions
 (exact gate tables, tilted families) may carry real-valued weights instead,
 with the same invariant that the stored total equals the sum of counts.
-
-Heavy reductions (average mutual information, grouped marginals) run over
-key-sorted numpy arrays, so results do not depend on dict insertion order,
-merge order, or thread scheduling. That is what makes repeated runs
-byte-identical.
+``counts`` and ``marginal_counts`` are read-only mapping views. Every
+reduction goes through one memoized group-by in code order, so nothing
+derived can go stale and results do not depend on insertion order, merge
+order, or thread scheduling. That is what makes repeated runs byte-identical.
 
 History embedding packs the k most recent values of a series into one
 symbol with the most recent value in the lowest digit:
@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,44 +66,111 @@ def _radix_multipliers(arities: Sequence[int]) -> list[int]:
     return mults
 
 
+class Marginal(Mapping):
+    """Read-only {sample tuple: count} view over two read-only arrays.
+
+    Built from the sorted, distinct packed codes of the tuples (first column
+    in the lowest digit) and their counts. ``symbols`` holds the tuples as
+    an (m, ncols) matrix in code order (decoded unless given) and ``weights``
+    their counts. ``index`` finds many tuples with one binary search.
+    """
+
+    def __init__(self, arities: Sequence[int], codes: np.ndarray, weights: np.ndarray,
+                 symbols: np.ndarray | None = None):
+        self.arities = np.array(arities, dtype=np.int64)
+        self._mults = np.array(_radix_multipliers(arities), dtype=np.int64)
+        self._codes, self.weights = codes, weights
+        self.symbols = codes[:, None] // self._mults % self.arities if symbols is None else symbols
+        for arr in (self.arities, self.symbols, weights):
+            arr.flags.writeable = False
+
+    def group(self, positions: Sequence[int]) -> tuple["Marginal", np.ndarray]:
+        """These counts summed onto the columns at ``positions`` (ascending),
+        and the position of each of this view's rows in the result."""
+        positions = list(positions)
+        return _grouped(self.arities[positions].tolist(), self.symbols[:, positions],
+                        self.weights)
+
+    def index(self, rows) -> np.ndarray:
+        """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if not len(self._codes):
+            return np.full(len(rows), -1)
+        codes = rows @ self._mults
+        pos = np.searchsorted(self._codes, codes).clip(max=len(self._codes) - 1)
+        hit = ((rows >= 0) & (rows < self.arities)).all(axis=1) & (self._codes[pos] == codes)
+        return np.where(hit, pos, -1)
+
+    def __getitem__(self, key):
+        pos = self.index([key])[0] if np.shape(key) == self.arities.shape else -1
+        if pos < 0:
+            raise KeyError(key)
+        return self.weights[pos].item()
+
+    def __iter__(self):
+        return map(tuple, self.symbols.tolist())
+
+    def __len__(self):
+        return len(self.weights)
+
+
+def _grouped(arities, rows: np.ndarray, weights: np.ndarray) -> tuple[Marginal, np.ndarray]:
+    """Weights summed over equal rows, in packed-code order, keeping their
+    dtype, and the position of each row's group."""
+    codes = rows @ np.array(_radix_multipliers(arities), dtype=np.int64)
+    ucodes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    sums = np.bincount(inverse, weights=weights).astype(weights.dtype, copy=False)
+    return Marginal(arities, ucodes, sums, rows[first]), inverse
+
+
 class JointDistribution:
-    """Sparse plug-in joint distribution.
+    """Immutable plug-in joint distribution.
 
     ``counts`` maps sample tuples (one symbol per variable, in variable
-    order) to nonnegative counts. Treat instances as immutable once built;
-    derived caches assume it.
+    order) to nonnegative counts. ``total`` is their sum, taken in the
+    caller's order.
     """
 
     def __init__(self, variables: Sequence[VariableSpec],
-                 counts: Mapping[tuple, float] | None = None,
-                 validate: bool = True):
-        self.variables = tuple(variables)
-        if not self.variables:
-            raise ValueError("a distribution needs at least one variable")
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names: {names}")
-        self.counts: dict[tuple, float] = dict(counts) if counts else {}
-        if validate:
-            self._validate_counts()
-        self.total = float(sum(self.counts.values()))
-        self._arrays_cache = None
-        self._group_cache: dict[tuple, np.ndarray] = {}
-        self._marginal_cache: dict[tuple, dict] = {}
-        self.cache: dict = {}
-
-    def _validate_counts(self):
-        nv = len(self.variables)
-        for key, c in self.counts.items():
-            if len(key) != nv:
-                raise ValueError(f"sample tuple {key!r} has wrong length, expected {nv}")
-            for v, spec in zip(key, self.variables):
+                 counts: Mapping[tuple, float] | None = None):
+        variables = tuple(variables)
+        counts = dict(counts) if counts else {}
+        for key, c in counts.items():
+            if len(key) != len(variables):
+                raise ValueError(
+                    f"sample tuple {key!r} has wrong length, expected {len(variables)}")
+            for v, spec in zip(key, variables):
                 if not isinstance(v, (int, np.integer)) or not 0 <= v < spec.arity:
                     raise ValueError(
                         f"symbol {v!r} out of range for variable {spec.name!r} "
                         f"(arity {spec.arity})")
             if not (isinstance(c, (int, float, np.integer, np.floating)) and c >= 0):
                 raise ValueError(f"count for {key!r} must be nonnegative, got {c!r}")
+        integral = all(isinstance(c, (int, np.integer)) for c in counts.values())
+        view, _ = _grouped(
+            [v.arity for v in variables],
+            np.array(list(counts), dtype=np.int64).reshape(len(counts), len(variables)),
+            np.array(list(counts.values()), dtype=np.int64 if integral else np.float64))
+        self._setup(variables, view, float(sum(counts.values())))
+
+    @classmethod
+    def _from_counts(cls, variables, counts: Marginal, total: float) -> "JointDistribution":
+        """Build from a view of already checked counts over ``variables``."""
+        dist = cls.__new__(cls)
+        dist._setup(tuple(variables), counts, total)
+        return dist
+
+    def _setup(self, variables, counts: Marginal, total: float):
+        if not variables:
+            raise ValueError("a distribution needs at least one variable")
+        names = [v.name for v in variables]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names: {names}")
+        self.__dict__.update(variables=variables, total=total, counts=counts,
+                             _marginals={tuple(range(len(variables))): counts})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("JointDistribution is immutable")
 
     # -- basic introspection ------------------------------------------------
 
@@ -121,56 +189,21 @@ class JointDistribution:
             raise ValueError(f"expected exactly one {role!r} variable, found {len(hits)}")
         return hits[0]
 
-    # -- array backing ------------------------------------------------------
+    # -- marginals ----------------------------------------------------------
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sample tuples as a key-sorted (n, nvars) int64 matrix plus counts."""
-        if self._arrays_cache is None:
-            if not self.counts:
-                raise ValueError("empty distribution")
-            keys = np.array(list(self.counts.keys()), dtype=np.int64)
-            vals = np.array(list(self.counts.values()), dtype=np.float64)
-            mults = _radix_multipliers([v.arity for v in self.variables])
-            codes = keys @ np.array(mults, dtype=np.int64)
-            order = np.argsort(codes, kind="stable")
-            self._arrays_cache = (keys[order], vals[order])
-        return self._arrays_cache
+    def marginal_counts(self, cols: Iterable[int]) -> Marginal:
+        """Read-only counts marginalized onto ``cols`` (ascending index order).
 
-    def _group_counts(self, cols: tuple[int, ...]) -> np.ndarray:
-        """Per-row count of each row's group when grouped by ``cols``."""
-        cols = tuple(sorted(cols))
-        if cols not in self._group_cache:
-            keys, vals = self._arrays()
-            if not cols:
-                per_row = np.full(len(vals), self.total)
-            else:
-                mults = _radix_multipliers([self.variables[c].arity for c in cols])
-                codes = keys[:, cols] @ np.array(mults, dtype=np.int64)
-                _, inverse = np.unique(codes, return_inverse=True)
-                sums = np.bincount(inverse, weights=vals)
-                per_row = sums[inverse]
-            self._group_cache[cols] = per_row
-        return self._group_cache[cols]
-
-    def marginal_counts(self, cols: Iterable[int]) -> dict[tuple, float]:
-        """Counts marginalized onto ``cols`` (ascending index order)."""
+        Memoized per column set; the empty set maps () to the total.
+        """
         cols = tuple(sorted(cols))
         for c in cols:
             if not 0 <= c < len(self.variables):
                 raise ValueError(f"variable index {c} out of range")
-        if cols not in self._marginal_cache:
-            keys, vals = self._arrays()
-            if not cols:
-                table = {(): self.total}
-            else:
-                sub = keys[:, cols]
-                mults = _radix_multipliers([self.variables[c].arity for c in cols])
-                codes = sub @ np.array(mults, dtype=np.int64)
-                _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-                sums = np.bincount(inverse, weights=vals)
-                table = dict(zip(map(tuple, sub[first].tolist()), sums.tolist()))
-            self._marginal_cache[cols] = table
-        return self._marginal_cache[cols]
+        if cols not in self._marginals:
+            self._marginals[cols] = (self.counts.group(cols)[0] if cols else Marginal(
+                (), np.zeros(1, dtype=np.int64), np.array([self.total])))
+        return self._marginals[cols]
 
     def probability(self, assignment: Mapping[int, int]) -> float:
         """Marginal probability of a partial assignment {index: symbol}."""
@@ -183,7 +216,7 @@ class JointDistribution:
     # -- persistence --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        items = sorted(self.counts.items())
+        items = sorted(zip(self.counts, self.counts.weights.tolist()))
         return {
             "format": _SNAPSHOT_FORMAT,
             "version": _SNAPSHOT_VERSION,
@@ -191,7 +224,7 @@ class JointDistribution:
                 {"name": v.name, "arity": v.arity, "role": v.role}
                 for v in self.variables
             ],
-            "counts": [[list(map(int, k)), c] for k, c in items],
+            "counts": [[list(k), c] for k, c in items],
             "total": self.total,
         }
 
@@ -209,7 +242,7 @@ class JointDistribution:
             if key in counts:
                 raise ValueError(f"duplicate sample tuple {key} in snapshot")
             counts[key] = c
-        dist = cls(variables, counts, validate=True)
+        dist = cls(variables, counts)
         stored = doc.get("total")
         if stored is None or not math.isclose(stored, dist.total, rel_tol=1e-9, abs_tol=1e-9):
             raise ValueError(f"snapshot total {stored!r} does not match counts sum {dist.total}")
@@ -267,7 +300,7 @@ def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistributi
     variables = tuple(variables)
     arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples)
     if arr.size == 0:
-        return JointDistribution(variables, {}, validate=False)
+        return JointDistribution(variables, {})
     if arr.ndim != 2 or arr.shape[1] != len(variables):
         raise ValueError(
             f"samples must have one column per variable ({len(variables)}), "
@@ -284,15 +317,8 @@ def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistributi
     mults = np.array(_radix_multipliers([v.arity for v in variables]), dtype=np.int64)
     codes = arr @ mults
     ucodes, ucounts = np.unique(codes, return_counts=True)
-    keys = np.empty((len(ucodes), len(variables)), dtype=np.int64)
-    rem = ucodes.copy()
-    for i, v in enumerate(variables):
-        keys[:, i] = rem % v.arity
-        rem //= v.arity
-    counts = dict(zip(map(tuple, keys.tolist()), ucounts.tolist()))
-    dist = JointDistribution(variables, counts, validate=False)
-    dist._arrays_cache = (keys, ucounts.astype(np.float64))
-    return dist
+    counts = Marginal([v.arity for v in variables], ucodes, ucounts.astype(np.int64))
+    return JointDistribution._from_counts(variables, counts, float(ucounts.sum()))
 
 
 def merge(a: JointDistribution, b: JointDistribution) -> JointDistribution:
@@ -301,21 +327,38 @@ def merge(a: JointDistribution, b: JointDistribution) -> JointDistribution:
         raise ValueError(
             f"cannot merge distributions over different variables: "
             f"{[v.name for v in a.variables]} vs {[v.name for v in b.variables]}")
-    counts = dict(a.counts)
-    for k, c in b.counts.items():
-        counts[k] = counts.get(k, 0) + c
-    return JointDistribution(a.variables, counts, validate=False)
+    counts, _ = _grouped([v.arity for v in a.variables],
+                         np.concatenate([a.counts.symbols, b.counts.symbols]),
+                         np.concatenate([a.counts.weights, b.counts.weights]))
+    return JointDistribution._from_counts(a.variables, counts, a.total + b.total)
 
 
 # -- information measures ---------------------------------------------------
 
-def _canonical_cols(dist, cols, label):
-    out = tuple(int(c) for c in cols)
-    for c in out:
+def _mi_columns(dist, xs, ys, cond):
+    """(xs, ys, cond) as index tuples of a nonempty distribution, all distinct."""
+    xs, ys, cond = (tuple(int(c) for c in cols) for cols in (xs, ys, cond))
+    for c in xs + ys + cond:
         if not 0 <= c < len(dist.variables):
-            raise ValueError(f"{label} index {c} out of range")
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate {label} indices: {out}")
+            raise ValueError(f"variable index {c} out of range")
+    if not xs or not ys:
+        raise ValueError("x and y variable sets must be nonempty")
+    if len(set(xs + ys + cond)) != len(xs + ys + cond):
+        raise ValueError(
+            f"x, y, and cond must be disjoint sets of distinct indices, got {xs}, {ys}, {cond}")
+    if dist.total == 0:
+        raise ValueError("empty distribution")
+    return xs, ys, cond
+
+
+def _mi_counts(dist, obs, xs, ys, cond):
+    """Counts of (xyc, xc, yc, c) at each row of an (m, nvars) matrix; 0 if unobserved."""
+    out = []
+    for cols in (xs + ys + cond, xs + cond, ys + cond, cond):
+        cols = tuple(sorted(cols))
+        marginal = dist.marginal_counts(cols)
+        pos = marginal.index(obs[:, cols])
+        out.append(np.where(pos >= 0, marginal.weights[pos], 0.0))
     return out
 
 
@@ -326,54 +369,32 @@ def avg_mi(dist: JointDistribution, xs, ys, cond=()) -> float:
     unconditioned case passes an empty cond. Plug-in averages are always
     nonnegative up to float rounding.
     """
-    xs = _canonical_cols(dist, xs, "x")
-    ys = _canonical_cols(dist, ys, "y")
-    cond = _canonical_cols(dist, cond, "cond")
-    if not xs or not ys:
-        raise ValueError("x and y variable sets must be nonempty")
-    if set(xs) & set(ys) or set(xs) & set(cond) or set(ys) & set(cond):
-        raise ValueError("x, y, and cond variable sets must be disjoint")
-    if dist.total == 0:
-        raise ValueError("empty distribution")
-    g_xyc = dist._group_counts(xs + ys + cond)
-    g_xc = dist._group_counts(xs + cond)
-    g_yc = dist._group_counts(ys + cond)
-    g_c = dist._group_counts(cond)
-    _, vals = dist._arrays()
+    xs, ys, cond = _mi_columns(dist, xs, ys, cond)
+    g_xyc, g_xc, g_yc, g_c = _mi_counts(dist, dist.counts.symbols, xs, ys, cond)
     ratios = (g_xyc * g_c) / (g_xc * g_yc)
-    return float(np.dot(vals, np.log2(ratios)) / dist.total)
-
-
-def _assignment_counts(dist, assignment: Mapping[int, int]) -> float:
-    cols = tuple(sorted(assignment))
-    if not cols:
-        return dist.total
-    key = tuple(int(assignment[c]) for c in cols)
-    c = dist.marginal_counts(cols).get(key, 0.0)
-    if c <= 0:
-        names = {dist.variables[i].name: assignment[i] for i in cols}
-        raise ValueError(f"configuration {names} has zero probability")
-    return c
+    return float(np.dot(dist.counts.weights, np.log2(ratios)) / dist.total)
 
 
 def local_mi(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int],
-             cond: Mapping[int, int] | None = None) -> float:
+             cond: Mapping[int, int] | None = None):
     """Local mutual information log2 p(x|y,cond) - log2 p(x|cond) in bits.
 
     Arguments are assignments {variable index: symbol}. May be negative; a
-    configuration with zero probability is an error, not -inf.
+    configuration with zero probability is an error, not -inf. Symbols may
+    also be equal-shaped integer arrays, such as columns of an observation
+    matrix; the result is then an array of local values, one per element.
     """
     cond = dict(cond) if cond else {}
     x, y = dict(x), dict(y)
-    if not x or not y:
-        raise ValueError("x and y assignments must be nonempty")
-    keys = [set(x), set(y), set(cond)]
-    if keys[0] & keys[1] or keys[0] & keys[2] or keys[1] & keys[2]:
-        raise ValueError("x, y, and cond assignments must be disjoint")
-    if dist.total == 0:
-        raise ValueError("empty distribution")
-    c_xyc = _assignment_counts(dist, {**x, **y, **cond})
-    c_xc = _assignment_counts(dist, {**x, **cond})
-    c_yc = _assignment_counts(dist, {**y, **cond})
-    c_c = _assignment_counts(dist, cond)
-    return math.log2(c_xyc * c_c) - math.log2(c_xc * c_yc)
+    xs, ys, cs = _mi_columns(dist, x, y, cond)
+    assignment = {**x, **y, **cond}
+    symbols = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in assignment.values()))
+    obs = np.zeros((symbols[0].size, len(dist.variables)), dtype=np.int64)
+    obs[:, list(assignment)] = np.stack([s.ravel() for s in symbols], axis=1)
+    c_xyc, c_xc, c_yc, c_c = _mi_counts(dist, obs, xs, ys, cs)
+    missing = np.flatnonzero(c_xyc <= 0)
+    if missing.size:
+        names = {dist.variables[i].name: int(obs[missing[0], i]) for i in sorted(assignment)}
+        raise ValueError(f"configuration {names} has zero probability")
+    values = (np.log2(c_xyc * c_c) - np.log2(c_xc * c_yc)).reshape(symbols[0].shape)
+    return float(values) if values.ndim == 0 else values

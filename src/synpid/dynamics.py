@@ -130,8 +130,8 @@ def active_info_storage(dist: JointDistribution, config: DynamicsConfig) -> floa
     return avg_mi(dist, (xi,), (hi,))
 
 
-def local_ais(dist: JointDistribution, history: int, next_value: int) -> float:
-    """Local storage at one (history, next) configuration; may be negative."""
+def local_ais(dist: JointDistribution, history, next_value):
+    """Local storage at one (history, next) configuration; arrays give arrays."""
     xi = dist.index_of_role("destination-next")
     hi = dist.index_of_role("destination-history")
     return local_mi(dist, {xi: next_value}, {hi: history})
@@ -164,29 +164,35 @@ def transfer_entropy(dist: JointDistribution, config: DynamicsConfig,
     return avg_mi(dist, (xi,), (si,), (hi,) + ci)
 
 
+def _observations(dist: JointDistribution, observation) -> np.ndarray:
+    obs = np.asarray(observation, dtype=np.int64)
+    if obs.ndim not in (1, 2) or obs.shape[-1] != len(dist.variables):
+        raise ValueError(
+            f"observation must cover all {len(dist.variables)} variables, got {observation}")
+    return obs
+
+
 def local_te(dist: JointDistribution, config: DynamicsConfig, source: str,
-             conditionals, observation) -> float:
-    """Local transfer entropy at one full observation tuple."""
+             conditionals, observation):
+    """Local transfer entropy at one observation tuple, or per row of a matrix."""
     xi, hi = _indices(dist, config)
     si, ci = _source_indices(dist, config, source, conditionals)
-    obs = tuple(int(v) for v in observation)
-    if len(obs) != len(dist.variables):
-        raise ValueError(
-            f"observation must cover all {len(dist.variables)} variables, got {obs}")
-    cond = {hi: obs[hi], **{c: obs[c] for c in ci}}
-    return local_mi(dist, {xi: obs[xi]}, {si: obs[si]}, cond)
+    obs = _observations(dist, observation)
+    cond = {hi: obs[..., hi], **{c: obs[..., c] for c in ci}}
+    return local_mi(dist, {xi: obs[..., xi]}, {si: obs[..., si]}, cond)
 
 
-def local_separable(dist: JointDistribution, config: DynamicsConfig, observation) -> float:
+def local_separable(dist: JointDistribution, config: DynamicsConfig, observation):
     """Local storage plus every apparent local transfer at one observation.
 
     The summands overlap, so this is a heuristic locator of nontrivial
     information processing rather than a measure in its own right; strongly
-    negative values are still diagnostic of modification-like events.
+    negative values are still diagnostic of modification-like events. An
+    (m, nvars) observation matrix gives one value per row.
     """
-    obs = tuple(int(v) for v in observation)
+    obs = _observations(dist, observation)
     xi, hi = _indices(dist, config)
-    total = local_mi(dist, {xi: obs[xi]}, {hi: obs[hi]})
+    total = local_mi(dist, {xi: obs[..., xi]}, {hi: obs[..., hi]})
     for s in config.sources:
         total += local_te(dist, config, s, (), obs)
     return total
@@ -226,26 +232,16 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid, config: DynamicsConfig
     if measure not in allowed:
         raise ValueError(f"unknown measure {measure!r}, expected one of {allowed}")
     samples = ca_samples(grid, config.k, offsets)
-    steps, width = grid.cells.shape
-    start = config.k
-    samples = samples.reshape(steps - start, width, -1)
     xi, hi = _indices(dist, config)
-    values = np.full((steps, width), np.nan)
     if measure == "local_ais":
-        def site(obs):
-            return local_mi(dist, {xi: obs[xi]}, {hi: obs[hi]})
+        local = local_mi(dist, {xi: samples[:, xi]}, {hi: samples[:, hi]})
     elif measure == "local_separable":
-        def site(obs):
-            return local_separable(dist, config, obs)
+        local = local_separable(dist, config, samples)
     else:
-        source = measure[len("local_te_"):]
-        def site(obs):
-            return local_te(dist, config, source, (), obs)
-    for ti in range(samples.shape[0]):
-        row = samples[ti]
-        for c in range(width):
-            values[start + ti, c] = site(tuple(row[c]))
-    return LocalProfile(measure, config.k, start, values)
+        local = local_te(dist, config, measure[len("local_te_"):], (), samples)
+    values = np.full(grid.cells.shape, np.nan)
+    values[config.k:] = local.reshape(-1, grid.cells.shape[1])
+    return LocalProfile(measure, config.k, config.k, values)
 
 
 def write_profile_csv(prof: LocalProfile, path) -> None:

@@ -41,6 +41,8 @@ class ExperimentConfig:
             raise ValueError("need at least one rule")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.width < 3:
+            raise ValueError(f"width must be at least 3, got {self.width}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.steps <= self.k:

@@ -15,6 +15,10 @@ from itertools import combinations
 
 Subset = frozenset
 
+#: Largest r the pairwise order below can build in reasonable time; r = 5
+#: has 7,579 nodes and would take minutes.
+MAX_SOURCES = 4
+
 
 def subset_label(s) -> str:
     return "{" + ",".join(str(i) for i in sorted(s)) + "}"
@@ -139,6 +143,8 @@ class RedundancyLattice:
 @lru_cache(maxsize=None)
 def build_lattice(r: int) -> RedundancyLattice:
     """Enumerate, order, and reduce the lattice for r sources."""
+    if r > MAX_SOURCES:
+        raise ValueError(f"r={r} sources exceeds the lattice limit of {MAX_SOURCES}")
     raw = enumerate_antichains(r)
     n = len(raw)
     strictly_below = []

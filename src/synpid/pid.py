@@ -30,6 +30,7 @@ source weights. ``discontinuity_scan`` exists to surface the second point.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ from .lattice import Antichain, RedundancyLattice, build_lattice, subset_label
 
 #: Specific-information gaps at or below this are treated as ties.
 TIE_TOLERANCE = 1e-12
+
+# Specinfo tables and partial terms per distribution. Distributions are
+# immutable, so entries never go stale; they are dropped with the distribution.
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _destination(dist: JointDistribution) -> int:
@@ -67,35 +72,31 @@ def _normalize_subsets(node) -> tuple[frozenset, ...]:
     return subsets
 
 
-def _destination_counts(dist: JointDistribution):
+def _node_tables(dist: JointDistribution, node):
+    """Specinfo tables of the node's subsets (one row each) and destination counts."""
+    tables = np.vstack([_specinfo_table(dist, s) for s in _normalize_subsets(node)])
     xi = _destination(dist)
-    arity = dist.variables[xi].arity
-    out = np.zeros(arity)
-    for (x,), c in dist.marginal_counts((xi,)).items():
-        out[x] = c
-    return out
+    c_x = np.zeros(dist.variables[xi].arity)
+    marginal = dist.marginal_counts((xi,))
+    c_x[marginal.symbols[:, 0]] = marginal.weights
+    return tables, c_x
 
 
 def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
     """Specific information per destination outcome; NaN where unobserved."""
+    memo = _MEMO.setdefault(dist, {})
     key = ("specinfo", subset)
-    if key in dist.cache:
-        return dist.cache[key]
+    if key in memo:
+        return memo[key]
     xi = _destination(dist)
     cols = _source_columns(dist, subset)
     arity = dist.variables[xi].arity
-    keys, vals = dist._arrays()
-    mults = [1]
-    for c in cols:
-        mults.append(mults[-1] * dist.variables[c].arity)
-    codes = keys[:, xi] + arity * (keys[:, cols] @ np.array(mults[:-1], dtype=np.int64))
-    ucodes, inverse = np.unique(codes, return_inverse=True)
-    c_xa = np.bincount(inverse, weights=vals)
-    x_of = ucodes % arity
-    a_code = ucodes // arity
-    _, a_inv = np.unique(a_code, return_inverse=True)
-    a_sums = np.bincount(a_inv, weights=c_xa)
-    c_a = a_sums[a_inv]
+    xa = dist.marginal_counts((xi,) + cols)
+    j = sorted((xi,) + cols).index(xi)
+    x_of = xa.symbols[:, j]
+    a, a_of = xa.group([i for i in range(len(cols) + 1) if i != j])
+    c_xa = xa.weights
+    c_a = a.weights[a_of]
     c_x = np.bincount(x_of, weights=c_xa, minlength=arity)
     live = c_xa > 0
     table = np.full(arity, np.nan)
@@ -104,7 +105,7 @@ def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
     terms = (c_xa[live] / c_x[x_of[live]]) * (
         np.log2(c_xa[live] / c_a[live]) - np.log2(c_x[x_of[live]] / dist.total))
     np.add.at(table, x_of[live], terms)
-    dist.cache[key] = table
+    memo[key] = table
     return table
 
 
@@ -133,9 +134,7 @@ def i_min(dist: JointDistribution, node) -> float:
     collection need not be an antichain, which lets callers probe
     monotonicity directly).
     """
-    subsets = _normalize_subsets(node)
-    tables = np.vstack([_specinfo_table(dist, s) for s in subsets])
-    c_x = _destination_counts(dist)
+    tables, c_x = _node_tables(dist, node)
     observed = c_x > 0
     mins = np.min(tables[:, observed], axis=0)
     return float(np.dot(c_x[observed] / dist.total, mins))
@@ -157,9 +156,7 @@ def argmin_table(dist: JointDistribution, node) -> dict[int, ArgminChoice]:
     Ties within TIE_TOLERANCE resolve to the lowest subset index in the
     node's canonical order and are reported, not hidden.
     """
-    subsets = _normalize_subsets(node)
-    tables = np.vstack([_specinfo_table(dist, s) for s in subsets])
-    c_x = _destination_counts(dist)
+    tables, c_x = _node_tables(dist, node)
     out = {}
     for x in range(len(c_x)):
         if c_x[x] <= 0:
@@ -196,11 +193,12 @@ def partial_terms(dist: JointDistribution, lattice: RedundancyLattice) -> Redund
     """Mobius inversion of node values down the lattice.
 
     Returns a copy of the lattice carrying i_cap (cumulative) and i_partial
-    (per-node) values; results are cached on the distribution.
+    (per-node) values; results are memoized per distribution.
     """
+    memo = _MEMO.setdefault(dist, {})
     key = ("partial-terms", lattice.r)
-    if key in dist.cache:
-        return dist.cache[key]
+    if key in memo:
+        return memo[key]
     _destination(dist)
     n_sources = len(dist.variables) - 1
     if lattice.r != n_sources:
@@ -213,7 +211,7 @@ def partial_terms(dist: JointDistribution, lattice: RedundancyLattice) -> Redund
         ipart[i] = icap[i] - math.fsum(ipart[j] for j in lattice.below[i])
     valued = lattice.with_values(
         dict(zip(lattice.nodes, icap)), dict(zip(lattice.nodes, ipart)))
-    dist.cache[key] = valued
+    memo[key] = valued
     return valued
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -199,6 +200,18 @@ def test_or_demo_flip_and_tie(tmp_path):
     assert tied["any_tie"]
 
 
+def test_or_demo_report_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the --out report for each tilt; no other test pins these bytes.
+    for flag, digest in (
+        ("--delta=1e-6", "2eb8be7e523a3a7c259c2049331d4e32fe433356b100b0983f2c06d03927fcbe"),
+        ("--delta=-1e-6", "23497019a80ef79aee6774787127ed82a5ed97c41cfae1682afd5be7885593bb"),
+    ):
+        out = tmp_path / "or.json"
+        assert main(["or-demo", flag, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, flag
+    capsys.readouterr()
+
+
 def test_or_demo_default_delta(capsys):
     assert main(["or-demo"]) == 0
     assert "delta=1e-06" in capsys.readouterr().out
@@ -312,6 +325,26 @@ def test_analyze_rejects_degenerate_inputs(tmp_path, capsys):
     assert main(["analyze", "--input", str(tmp_path / "text.csv"),
                  "--destination", "d", "--sources", "u"]) == 1
     assert "non-integer" in capsys.readouterr().err
+
+
+def test_table1_rejects_narrow_width(capsys):
+    assert main(["table1", "--width", "2"]) == 1
+    assert "width must be at least 3, got 2" in capsys.readouterr().err
+
+
+def test_five_sources_fail_fast(tmp_path):
+    # r = 5 has 7,579 antichains; ordering them would take minutes.
+    path = tmp_path / "r5.csv"
+    rng = np.random.default_rng(3)
+    write_csv(path, {name: list(rng.integers(0, 2, 12)) for name in "abcde"})
+    for argv in (["lattice", "--sources", "5"],
+                 ["analyze", "--input", str(path), "--destination", "e",
+                  "--sources", "a,b,c,d"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "synpid.cli", *argv],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "lattice limit of 4" in proc.stderr, argv
 
 
 # -- lattice -----------------------------------------------------------------

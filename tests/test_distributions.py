@@ -217,6 +217,52 @@ def test_marginal_counts_sum_to_total():
         assert sum(dist.marginal_counts(cols).values()) == pytest.approx(dist.total)
 
 
+# -- immutability -----------------------------------------------------------
+
+def test_counts_cannot_be_assigned():
+    dist = or_dist()
+    with pytest.raises(TypeError):
+        dist.counts[(0, 0, 0)] = 1
+    with pytest.raises(TypeError):
+        dist.marginal_counts((0,))[(1,)] = 1
+
+
+def test_backing_arrays_are_read_only():
+    dist = count_samples((VariableSpec("a", 2), VariableSpec("b", 2)),
+                         [(0, 0), (1, 1), (1, 1)])
+    arrays = (dist.counts.symbols, dist.counts.weights,
+              dist.marginal_counts((1,)).symbols, dist.marginal_counts((1,)).weights)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5
+
+
+def test_distribution_cannot_drift_from_its_marginals():
+    dist = or_dist()
+    marginal = dist.marginal_counts((0, 1))
+    mi = avg_mi(dist, (0,), (1,))
+    with pytest.raises(TypeError):
+        dist.counts[(0, 0, 0)] = 100
+    for name, value in (("total", 99.0), ("counts", {}), ("variables", ())):
+        with pytest.raises(AttributeError):
+            setattr(dist, name, value)
+    assert dist.counts == {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1}
+    assert dist.marginal_counts((1, 0)) is marginal
+    assert dict(marginal) == {(0, 0): 1, (1, 0): 1, (1, 1): 2}
+    assert avg_mi(dist, (0,), (1,)) == mi
+
+
+def test_counted_distributions_keep_integer_counts():
+    v = (VariableSpec("a", 2), VariableSpec("b", 3))
+    counted = count_samples(v, [(0, 1), (0, 1), (1, 2)])
+    merged = merge(counted, counted)
+    for dist in (counted, merged, JointDistribution(v, {(0, 1): 2, (1, 2): 1})):
+        values = [c for _, c in dist.to_json_dict()["counts"]]
+        assert all(type(c) is int for c in values), values
+    assert '"counts": [[[0, 1], 4], [[1, 2], 2]]' in json.dumps(merged.to_json_dict())
+
+
 # -- snapshots --------------------------------------------------------------
 
 def test_snapshot_round_trip():

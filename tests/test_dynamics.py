@@ -4,10 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pid_oracle
-from support import to_prob_table
-from synpid.distributions import JointDistribution, VariableSpec, avg_mi, merge
+from support import random_distribution, to_prob_table
+from synpid.distributions import JointDistribution, VariableSpec, avg_mi, local_mi, merge
 from synpid.dynamics import (
     DynamicsConfig, active_info_storage, ca_distribution, ca_samples,
     ca_variables, local_ais, local_separable, local_te, profile,
@@ -217,6 +218,49 @@ def test_local_te_validates_observation():
         local_te(dist, CFG1, "left", (), (1, 0, 0, 0))  # copy forbids next != left
 
 
+def loop_local_mi(dist, obs, xs, ys, cond=()):
+    """Reference local MI per row, from sums over the counts mapping."""
+    def count(row, cols):
+        return sum(c for key, c in dist.counts.items()
+                   if all(key[i] == row[i] for i in cols))
+    return np.array([
+        math.log2(count(row, xs + ys + cond) * count(row, cond))
+        - math.log2(count(row, xs + cond) * count(row, ys + cond))
+        for row in obs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_matrix_local_values_match_dict_loop(seed):
+    rng = np.random.default_rng(seed)
+    # All arities 2, so the layout reads as (next, hist, left, right) at k=1.
+    dist = JointDistribution(ca_variables(1),
+                             random_distribution(rng, r=3, max_arity=2).counts)
+    rows = np.array(list(dist.counts))
+    obs = rows[rng.integers(0, len(rows), size=2 * len(rows))]
+    close = dict(rtol=0, atol=1e-12)
+
+    np.testing.assert_allclose(
+        local_mi(dist, {0: obs[:, 0]}, {1: obs[:, 1], 2: obs[:, 2]}),
+        loop_local_mi(dist, obs, (0,), (1, 2)), **close)
+    np.testing.assert_allclose(
+        local_mi(dist, {0: obs[:, 0]}, {2: obs[:, 2]}, {1: obs[:, 1], 3: obs[:, 3]}),
+        loop_local_mi(dist, obs, (0,), (2,), (1, 3)), **close)
+    te_left = loop_local_mi(dist, obs, (0,), (2,), (1,))
+    te_right = loop_local_mi(dist, obs, (0,), (3,), (1,))
+    np.testing.assert_allclose(local_te(dist, CFG1, "left", (), obs), te_left, **close)
+    np.testing.assert_allclose(local_te(dist, CFG1, "right", ("left",), obs),
+                               loop_local_mi(dist, obs, (0,), (3,), (1, 2)), **close)
+    np.testing.assert_allclose(
+        local_separable(dist, CFG1, obs),
+        loop_local_mi(dist, obs, (0,), (1,)) + te_left + te_right, **close)
+    # storage first, then each transfer in source order, bit for bit
+    in_order = (local_ais(dist, obs[:, 1], obs[:, 0])
+                + local_te(dist, CFG1, "left", (), obs)
+                + local_te(dist, CFG1, "right", (), obs))
+    assert np.array_equal(local_separable(dist, CFG1, obs), in_order)
+
+
 # -- spacetime profiles -----------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -253,6 +297,23 @@ def test_profile_separable_is_elementwise_sum(profiled):
              for m in ("local_ais", "local_te_left", "local_te_right")]
     sep = profile(dist, grid, cfg, "local_separable").defined_values()
     assert np.allclose(sep, parts[0] + parts[1] + parts[2], atol=1e-12)
+
+
+def test_profile_equals_per_site_scalar_calls(profiled):
+    grid, dist, cfg = profiled
+    width = grid.cells.shape[1]
+    scalar = {
+        "local_ais": lambda o: local_ais(dist, o[1], o[0]),
+        "local_te_left": lambda o: local_te(dist, cfg, "left", (), o),
+        "local_te_right": lambda o: local_te(dist, cfg, "right", (), o),
+        "local_separable": lambda o: local_separable(dist, cfg, o),
+    }
+    for measure, site in scalar.items():
+        expect = np.full(grid.cells.shape, np.nan)
+        for i, row in enumerate(ca_samples(grid, cfg.k)):
+            expect[cfg.k + i // width, i % width] = site(tuple(int(v) for v in row))
+        got = profile(dist, grid, cfg, measure).values
+        assert np.array_equal(got, expect, equal_nan=True), measure
 
 
 def test_profile_measure_names(profiled):

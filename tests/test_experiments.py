@@ -22,6 +22,8 @@ def test_experiment_config_validation():
         ExperimentConfig(rules=(30,), steps=16, k=16)
     with pytest.raises(ValueError, match="k must be"):
         ExperimentConfig(rules=(30,), k=0)
+    with pytest.raises(ValueError, match="width must be at least 3, got 2"):
+        ExperimentConfig(rules=(30,), width=2)
     cfg = ExperimentConfig(rules=(30, 110), runs=4, base_seed=100, steps=20, k=2)
     assert cfg.seeds() == (100, 101, 102, 103)
 
@@ -70,6 +72,8 @@ def test_or_distribution_is_exact():
     assert dist.counts[(1, 0, 1)] == 0.25 + 1e-6
     assert dist.counts[(1, 1, 0)] == 0.25 - 1e-6
     assert dist.total == pytest.approx(1.0, abs=1e-15)
+    # summed in the order the table lists its rows, not in sorted-key order
+    assert dist.total == 0.25 + (0.25 + 1e-6) + (0.25 - 1e-6) + 0.25
     with pytest.raises(ValueError, match="0.25"):
         or_distribution(0.25)
     with pytest.raises(ValueError, match="0.25"):

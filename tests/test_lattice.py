@@ -158,3 +158,9 @@ def test_build_lattice_is_cached():
     assert build_lattice(3) is build_lattice(3)
     with pytest.raises(ValueError):
         build_lattice(0)
+
+
+def test_build_lattice_refuses_more_than_four_sources():
+    assert len(build_lattice(4).nodes) == 166
+    with pytest.raises(ValueError, match="lattice limit of 4"):
+        build_lattice(5)
