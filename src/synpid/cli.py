@@ -148,8 +148,7 @@ def cmd_ca_run(args) -> int:
 def cmd_table1(args) -> int:
     s = Settings(args)
     config = _experiment_config(s, s.rules(TABLE1_RULES))
-    threads = s.get("threads")
-    report = run_table1(config, threads=int(threads) if threads else None)
+    report = run_table1(config)
     print(report.format_text())
     out = s.get("out")
     if out:
@@ -175,9 +174,7 @@ def cmd_profile(args) -> int:
     rule = int(s.require("rule"))
     config = _experiment_config(s, (rule,))
     measures = s.names("measures", PROFILE_MEASURES)
-    threads = s.get("threads")
-    written = export_local_profiles(rule, config, measures, str(s.require("out")),
-                                    threads=int(threads) if threads else None)
+    written = export_local_profiles(rule, config, measures, str(s.require("out")))
     for m in measures:
         print(f"{m}: {written[m]['csv']}, {written[m]['pgm']}")
     return 0
@@ -351,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_type_positive)
     p.add_argument("--steps", type=_type_positive)
     p.add_argument("--k", type=_type_positive)
-    p.add_argument("--threads", type=_type_positive)
+    p.add_argument("--threads", type=_type_positive,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_table1)
 
@@ -372,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_type_positive)
     p.add_argument("--steps", type=_type_positive)
     p.add_argument("--k", type=_type_positive)
-    p.add_argument("--threads", type=_type_positive)
+    p.add_argument("--threads", type=_type_positive,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_profile)
 

@@ -14,8 +14,8 @@ integers on every empirical path; analytically constructed distributions
 with the same invariant that the stored total equals the sum of counts.
 ``counts`` and ``marginal_counts`` are read-only mapping views. Every
 reduction goes through one memoized group-by in code order, so nothing
-derived can go stale and results do not depend on insertion order, merge
-order, or thread scheduling. That is what makes repeated runs byte-identical.
+derived can go stale and results do not depend on insertion order or merge
+order. That is what makes repeated runs byte-identical.
 
 History embedding packs the k most recent values of a series into one
 symbol with the most recent value in the lowest digit:
@@ -81,8 +81,11 @@ class Marginal(Mapping):
         self._mults = np.array(_radix_multipliers(arities), dtype=np.int64)
         self._codes, self.weights = codes, weights
         self.symbols = codes[:, None] // self._mults % self.arities if symbols is None else symbols
-        for arr in (self.arities, self.symbols, weights):
+        for arr in (self.arities, self._mults, codes, self.symbols, weights):
             arr.flags.writeable = False
+
+    def __reduce__(self):
+        return Marginal, (self.arities.tolist(), self._codes, self.weights, self.symbols)
 
     def group(self, positions: Sequence[int]) -> tuple["Marginal", np.ndarray]:
         """These counts summed onto the columns at ``positions`` (ascending),
@@ -315,7 +318,11 @@ def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistributi
                 f"symbol out of range for variable {v.name!r} (arity {v.arity}): "
                 f"saw values in [{col.min()}, {col.max()}]")
     mults = np.array(_radix_multipliers([v.arity for v in variables]), dtype=np.int64)
-    codes = arr @ mults
+    return _count_codes(variables, arr @ mults)
+
+
+def _count_codes(variables: tuple[VariableSpec, ...], codes: np.ndarray) -> JointDistribution:
+    """Tally samples already packed into codes (first variable in the lowest digit)."""
     ucodes, ucounts = np.unique(codes, return_counts=True)
     counts = Marginal([v.arity for v in variables], ucodes, ucounts.astype(np.int64))
     return JointDistribution._from_counts(variables, counts, float(ucounts.sum()))

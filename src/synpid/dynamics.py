@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    JointDistribution, VariableSpec, avg_mi, count_samples, local_mi,
+    JointDistribution, VariableSpec, _count_codes, _radix_multipliers, avg_mi, local_mi,
 )
 from .eca import SpacetimeGrid
 
@@ -67,11 +67,33 @@ def _offset_name(offset: int) -> str:
 
 def ca_variables(k: int, offsets=(-1, 1)) -> tuple[VariableSpec, ...]:
     """Variable layout for ring-automaton samples: next, hist, then sources."""
+    if k < 1:
+        raise ValueError(f"history length k must be >= 1, got {k}")
     return (
         VariableSpec("next", 2, "destination-next"),
         VariableSpec("hist", 2 ** k, "destination-history"),
         *(VariableSpec(_offset_name(o), 2, "source") for o in offsets),
     )
+
+
+def _columns(grid: SpacetimeGrid, k: int, offsets, start: int | None) -> list[np.ndarray]:
+    """The (next, hist, sources...) values of every destination site of one
+    grid, one (times, width) int64 array per variable."""
+    if k < 1:
+        raise ValueError(f"history length k must be >= 1, got {k}")
+    cells = grid.cells.astype(np.int64)
+    steps = len(cells)
+    if start is None:
+        start = k
+    if start < k:
+        raise ValueError(f"start={start} would need history before time 0 (k={k})")
+    if start >= steps:
+        raise ValueError(f"grid with {steps} steps has no destinations at start={start}")
+    if cells.min() < 0 or cells.max() > 1:
+        raise ValueError(f"grid cells must be bits, saw values in [{cells.min()}, {cells.max()}]")
+    hist = sum(cells[start - 1 - j:steps - 1 - j] << j for j in range(k))
+    prev = cells[start - 1:steps - 1]
+    return [cells[start:], hist, *(np.roll(prev, -o, axis=1) for o in offsets)]
 
 
 def ca_samples(grid: SpacetimeGrid, k: int, offsets=(-1, 1),
@@ -82,35 +104,26 @@ def ca_samples(grid: SpacetimeGrid, k: int, offsets=(-1, 1),
     exactly the rows with an incomplete history window. Rows are emitted in
     (time, cell) order.
     """
-    if k < 1:
-        raise ValueError(f"history length k must be >= 1, got {k}")
-    cells = grid.cells.astype(np.int64)
-    steps, width = cells.shape
-    if start is None:
-        start = k
-    if start < k:
-        raise ValueError(f"start={start} would need history before time 0 (k={k})")
-    if start >= steps:
-        raise ValueError(f"grid with {steps} steps has no destinations at start={start}")
-    ts = np.arange(start, steps)
-    columns = [cells[ts]]
-    hist = np.zeros((len(ts), width), dtype=np.int64)
-    for j in range(k):
-        hist += cells[ts - 1 - j] << j
-    columns.append(hist)
-    for o in offsets:
-        columns.append(np.roll(cells[ts - 1], -o, axis=1))
+    columns = _columns(grid, k, offsets, start)
     return np.stack(columns, axis=-1).reshape(-1, len(columns))
 
 
 def ca_distribution(grids, k: int, offsets=(-1, 1),
                     start: int | None = None) -> JointDistribution:
-    """Pool every cell of every grid into one plug-in distribution."""
+    """Pool every cell of every grid into one plug-in distribution.
+
+    Equal to ``count_samples`` over the concatenated ``ca_samples`` of the
+    grids, without building the sample matrix.
+    """
     grids = list(grids)
     if not grids:
         raise ValueError("need at least one grid")
-    samples = np.concatenate([ca_samples(g, k, offsets, start) for g in grids])
-    return count_samples(ca_variables(k, offsets), samples)
+    variables = ca_variables(k, offsets)
+    mults = _radix_multipliers([v.arity for v in variables])
+    # Unnamed, the per-grid codes are freed before counting copies and sorts them.
+    return _count_codes(variables, np.concatenate(
+        [sum(col * m for col, m in zip(_columns(g, k, offsets, start), mults)).ravel()
+         for g in grids]))
 
 
 def _indices(dist: JointDistribution, config: DynamicsConfig):

@@ -79,39 +79,39 @@ class SpacetimeGrid:
         return bool(np.array_equal(self.cells, again.cells))
 
 
-def _step(row: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    codes = 4 * np.roll(row, 1) + 2 * row + np.roll(row, -1)
-    return lut[codes]
-
-
 def run(rule: RuleTable | int, width: int, steps: int, seed: int) -> SpacetimeGrid:
     """Simulate ``steps`` rows of a width-cell ring from a seeded random row.
 
     ``rule`` may be a RuleTable or a bare rule number. Row 0 is the random
     initial condition; rows 1..steps-1 are synchronous updates.
     """
-    if isinstance(rule, (int, np.integer)) and not isinstance(rule, bool):
+    return run_batch(rule, width, steps, seed, 1)[0]
+
+
+def run_batch(rule: RuleTable | int, width: int, steps: int,
+              base_seed: int, runs: int) -> list[SpacetimeGrid]:
+    """Repeat runs with the fixed seed policy: run i uses base_seed + i.
+
+    All runs advance together, one vectorized update per time step.
+    """
+    if not isinstance(rule, RuleTable):
         rule = decode_rule(rule)
     if width < 3:
         raise ValueError(f"width must be at least 3, got {width}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    lut = rule.as_lut()
-    rng = np.random.default_rng(seed)
-    cells = np.empty((steps, width), dtype=np.uint8)
-    cells[0] = rng.integers(0, 2, size=width, dtype=np.uint8)
-    for t in range(1, steps):
-        cells[t] = _step(cells[t - 1], lut)
-    cells.setflags(write=False)
-    return SpacetimeGrid(rule.rule_number, width, steps, int(seed), cells)
-
-
-def run_batch(rule: RuleTable | int, width: int, steps: int,
-              base_seed: int, runs: int) -> list[SpacetimeGrid]:
-    """Repeat runs with the fixed seed policy: run i uses base_seed + i."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    return [run(rule, width, steps, base_seed + i) for i in range(runs)]
+    lut = rule.as_lut()
+    cells = np.empty((runs, steps, width), dtype=np.uint8)
+    cells[:, 0] = [np.random.default_rng(base_seed + i).integers(0, 2, size=width, dtype=np.uint8)
+                   for i in range(runs)]
+    for t in range(1, steps):
+        row = cells[:, t - 1]
+        cells[:, t] = lut[(np.roll(row, 1, axis=1) << 2) | (row << 1) | np.roll(row, -1, axis=1)]
+    cells.setflags(write=False)
+    return [SpacetimeGrid(rule.rule_number, width, steps, int(base_seed + i), cells[i])
+            for i in range(runs)]
 
 
 def write_pgm(grid: SpacetimeGrid, path) -> None:

@@ -9,15 +9,12 @@ serialize with sorted keys and no timestamps.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import eca
-from .distributions import JointDistribution, VariableSpec, count_samples
+from .distributions import JointDistribution, VariableSpec
 from .dynamics import (
-    DynamicsConfig, ca_samples, ca_variables, profile, profile_measures,
+    DynamicsConfig, ca_distribution, profile, profile_measures,
     write_profile_csv, write_profile_pgm,
 )
 from .lattice import Antichain
@@ -61,26 +58,6 @@ class ExperimentConfig:
             "k": self.k,
             "base_seed": self.base_seed,
         }
-
-
-def _pooled_distributions(rule, config, threads):
-    """Simulate the batch and pool samples at k=config.k and k=1."""
-
-    def worker(i):
-        grid = eca.run(rule, config.width, config.steps, config.base_seed + i)
-        return ca_samples(grid, config.k), ca_samples(grid, 1)
-
-    workers = threads or os.cpu_count() or 1
-    if workers > 1 and config.runs > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, range(config.runs)))
-    else:
-        parts = [worker(i) for i in range(config.runs)]
-    dist_k = count_samples(ca_variables(config.k),
-                           np.concatenate([p[0] for p in parts]))
-    dist_1 = count_samples(ca_variables(1),
-                           np.concatenate([p[1] for p in parts]))
-    return dist_k, dist_1
 
 
 @dataclass(frozen=True)
@@ -141,10 +118,12 @@ def run_table1(config: ExperimentConfig, threads: int | None = None) -> TableRep
     For each rule: pool config.runs grids, decompose I(next; hist, left,
     right) at k=config.k into partial terms grouped by smallest subset
     size, and report the modified information at both k=config.k and k=1.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     results = []
     for rule in config.rules:
-        dist_k, dist_1 = _pooled_distributions(rule, config, threads)
+        grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
+        dist_k, dist_1 = ca_distribution(grids, config.k), ca_distribution(grids, 1)
         dec_k = modified_information(dist_k, config.k)
         dec_1 = modified_information(dist_1, 1)
         r = dec_k.lattice.r
@@ -269,7 +248,8 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
 
     Probabilities are pooled over the whole batch; the displayed grid is the
     batch's first run, so every site's configuration has been counted.
-    Returns {measure: {"csv": path, "pgm": path}}.
+    Returns {measure: {"csv": path, "pgm": path}}. ``threads`` is accepted
+    for compatibility and has no effect.
     """
     dyncfg = DynamicsConfig(k=config.k)
     allowed = profile_measures(dyncfg)
@@ -279,12 +259,12 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
             raise ValueError(f"unknown measure {m!r}, expected one of {allowed}")
     if not measures:
         raise ValueError("need at least one measure")
-    dist_k, _ = _pooled_distributions(rule, config, threads)
-    display = eca.run(rule, config.width, config.steps, config.base_seed)
+    grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
+    dist_k = ca_distribution(grids, config.k)
     os.makedirs(out_dir, exist_ok=True)
     written = {}
     for m in measures:
-        prof = profile(dist_k, display, dyncfg, m)
+        prof = profile(dist_k, grids[0], dyncfg, m)
         csv_path = os.path.join(out_dir, f"rule{rule}_{m}.csv")
         pgm_path = os.path.join(out_dir, f"rule{rule}_{m}.pgm")
         write_profile_csv(prof, csv_path)

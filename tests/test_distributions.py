@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -230,12 +231,17 @@ def test_counts_cannot_be_assigned():
 def test_backing_arrays_are_read_only():
     dist = count_samples((VariableSpec("a", 2), VariableSpec("b", 2)),
                          [(0, 0), (1, 1), (1, 1)])
-    arrays = (dist.counts.symbols, dist.counts.weights,
-              dist.marginal_counts((1,)).symbols, dist.marginal_counts((1,)).weights)
-    for arr in arrays:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 5
+    dist.marginal_counts((1,))
+    exact = or_dist()
+    copies = [pickle.loads(pickle.dumps(d)) for d in (dist, exact)]
+    assert copies[0].counts == dist.counts and copies[1].counts == exact.counts
+    assert copies[0].total == dist.total and copies[1].total == exact.total
+    for d in (dist, exact, *copies):
+        for view in (d.counts, d.marginal_counts((1,))):
+            for arr in (view.symbols, view.weights, view._codes, view._mults, view.arities):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 5
 
 
 def test_distribution_cannot_drift_from_its_marginals():

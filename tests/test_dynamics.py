@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 import pid_oracle
 from support import random_distribution, to_prob_table
-from synpid.distributions import JointDistribution, VariableSpec, avg_mi, local_mi, merge
+from synpid.distributions import (
+    JointDistribution, VariableSpec, avg_mi, count_samples, local_mi, merge,
+)
 from synpid.dynamics import (
     DynamicsConfig, active_info_storage, ca_distribution, ca_samples,
     ca_variables, local_ais, local_separable, local_te, profile,
     profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
-from synpid.eca import run
+from synpid.eca import SpacetimeGrid, run
 
 
 def analytic_dist(next_of, k=1):
@@ -81,6 +83,49 @@ def test_ca_distribution_pools_runs():
     assert pooled.total == 2 * 6 * 6
     with pytest.raises(ValueError, match="at least one grid"):
         ca_distribution([], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ca_distribution_equals_counted_samples(data):
+    k = data.draw(st.integers(1, 6), label="k")
+    offsets = data.draw(st.sampled_from([(-1, 1), (1, -1), (-2, 1, 3), (2,), ()]),
+                        label="offsets")
+    start = data.draw(st.one_of(st.none(), st.integers(k, k + 3)), label="start")
+    grids = [run(data.draw(st.integers(0, 255)), data.draw(st.integers(3, 12)),
+                 data.draw(st.integers((start or k) + 1, (start or k) + 8)),
+                 data.draw(st.integers(0, 2 ** 32 - 1)))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    fast = ca_distribution(grids, k, offsets, start)
+    ref = count_samples(ca_variables(k, offsets),
+                        np.concatenate([ca_samples(g, k, offsets, start) for g in grids]))
+    assert fast.variables == ref.variables
+    assert np.array_equal(fast.counts._codes, ref.counts._codes)
+    assert np.array_equal(fast.counts.symbols, ref.counts.symbols)
+    assert np.array_equal(fast.counts.weights, ref.counts.weights)
+    assert fast.counts.weights.dtype == ref.counts.weights.dtype == np.int64
+    assert type(fast.total) is type(ref.total) is float
+    assert fast.total == ref.total
+
+
+def test_ca_distribution_keeps_the_radix_guard():
+    grid = run(54, 5, 64, seed=0)
+    # (next, hist, left, right) spans 2 ** (k + 3) states: k=58 packs, k=59 does not.
+    ref = count_samples(ca_variables(58), ca_samples(grid, 58))
+    assert ca_distribution([grid], 58).counts == ref.counts
+    for build in (lambda: ca_distribution([grid], 59),
+                  lambda: count_samples(ca_variables(59), ca_samples(grid, 59))):
+        with pytest.raises(ValueError, match="too large to pack into 64-bit codes"):
+            build()
+
+
+def test_ca_distribution_rejects_non_binary_cells():
+    cells = np.array([[0, 1, 2], [1, 0, 1], [0, 0, 1]], dtype=np.uint8)
+    grid = SpacetimeGrid(54, 3, 3, 0, cells)
+    with pytest.raises(ValueError, match=r"must be bits, saw values in \[0, 2\]"):
+        ca_distribution([grid], 1)
+    with pytest.raises(ValueError, match=r"must be bits, saw values in \[0, 2\]"):
+        ca_samples(grid, 1)
 
 
 # -- averaged measures ------------------------------------------------------

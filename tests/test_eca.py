@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from synpid.eca import (
     decode_rule, encode_rule, run, run_batch, write_csv, write_pgm,
@@ -26,10 +26,19 @@ def test_encode_inverts_decode(n):
     assert encode_rule(decode_rule(n)) == n
 
 
-@pytest.mark.parametrize("bad", [-1, 256, 1000, 2.5, "110", None])
+BAD_RULES = [-1, 256, 1000, 2.5, "110", None]
+
+
+@pytest.mark.parametrize("bad", BAD_RULES)
 def test_decode_rejects_bad_rule_numbers(bad):
     with pytest.raises(ValueError):
         decode_rule(bad)
+
+
+@pytest.mark.parametrize("bad", BAD_RULES + [True])
+def test_run_rejects_bad_rule_numbers(bad):
+    with pytest.raises(ValueError, match="rule number"):
+        run(bad, 10, 5, 0)
 
 
 def test_run_validates_geometry():
@@ -80,11 +89,22 @@ def test_update_matches_independent_resimulation(rule):
         assert rows[t] == _oracle_step(rows[t - 1], rule), f"mismatch at step {t}"
 
 
-def test_batch_follows_seed_policy():
-    batch = run_batch(30, 20, 10, base_seed=100, runs=3)
+@settings(max_examples=60, deadline=None)
+@given(rule=st.integers(0, 255), width=st.integers(3, 24), steps=st.integers(1, 16),
+       runs=st.integers(1, 4), base_seed=st.integers(0, 2 ** 63))
+def test_batch_follows_seed_policy(rule, width, steps, runs, base_seed):
+    batch = run_batch(rule, width, steps, base_seed, runs)
+    assert len(batch) == runs
     for i, grid in enumerate(batch):
-        assert grid.seed == 100 + i
-        assert np.array_equal(grid.cells, run(30, 20, 10, 100 + i).cells)
+        assert (grid.rule_number, grid.width, grid.steps, grid.seed) == (
+            rule, width, steps, base_seed + i)
+        assert grid.cells.dtype == np.uint8 and not grid.cells.flags.writeable
+        assert np.array_equal(grid.cells, run(rule, width, steps, base_seed + i).cells)
+        rows = grid.cells.tolist()
+        first = np.random.default_rng(base_seed + i).integers(0, 2, size=width, dtype=np.uint8)
+        assert rows[0] == first.tolist()
+        for t in range(1, steps):
+            assert rows[t] == _oracle_step(rows[t - 1], rule)
 
 
 def test_pgm_export(tmp_path):

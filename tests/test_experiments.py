@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from synpid.dynamics import DynamicsConfig, ca_distribution, profile, write_profile_csv
+from synpid.eca import run, run_batch
 from synpid.experiments import (
     ExperimentConfig, OR_NODE, export_local_profiles, or_distribution,
     run_or_demo, run_table1,
@@ -119,3 +121,13 @@ def test_export_local_profiles(tmp_path):
         export_local_profiles(54, cfg, ("bogus",), tmp_path)
     with pytest.raises(ValueError, match="at least one measure"):
         export_local_profiles(54, cfg, (), tmp_path)
+
+
+def test_profiles_display_the_first_pooled_run(tmp_path):
+    cfg = ExperimentConfig(rules=(54,), runs=3, width=16, steps=14, k=3, base_seed=5)
+    out = export_local_profiles(54, cfg, ("local_separable",), tmp_path)
+    pooled = ca_distribution(run_batch(54, 16, 14, 5, 3), 3)
+    ref = tmp_path / "ref.csv"
+    write_profile_csv(profile(pooled, run(54, 16, 14, 5), DynamicsConfig(k=3),
+                              "local_separable"), ref)
+    assert open(out["local_separable"]["csv"], "rb").read() == ref.read_bytes()
