@@ -94,9 +94,13 @@ class Settings:
 
     def seed(self):
         v = self.get("seed")
-        if v is None:
-            v = os.environ.get("SYNPID_SEED")
-        return int(v) if v is not None else 0
+        if v is not None:
+            return int(v)
+        v = os.environ.get("SYNPID_SEED", "0")
+        try:
+            return int(v)
+        except ValueError:
+            raise ValueError(f"SYNPID_SEED must be an integer, got {v!r}") from None
 
     def rules(self, default):
         v = self.get("rules", default)

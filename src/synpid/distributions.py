@@ -322,9 +322,11 @@ def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistributi
 
 
 def _count_codes(variables: tuple[VariableSpec, ...], codes: np.ndarray) -> JointDistribution:
-    """Tally samples already packed into codes (first variable in the lowest digit)."""
+    """Tally samples already packed into codes (first variable in the lowest
+    digit). Narrow codes sort faster; the distinct ones are widened to int64."""
     ucodes, ucounts = np.unique(codes, return_counts=True)
-    counts = Marginal([v.arity for v in variables], ucodes, ucounts.astype(np.int64))
+    counts = Marginal([v.arity for v in variables], ucodes.astype(np.int64),
+                      ucounts.astype(np.int64))
     return JointDistribution._from_counts(variables, counts, float(ucounts.sum()))
 
 

@@ -29,7 +29,6 @@ Measures, all in bits:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,24 +75,22 @@ def ca_variables(k: int, offsets=(-1, 1)) -> tuple[VariableSpec, ...]:
     )
 
 
-def _columns(grid: SpacetimeGrid, k: int, offsets, start: int | None) -> list[np.ndarray]:
-    """The (next, hist, sources...) values of every destination site of one
-    grid, one (times, width) int64 array per variable."""
+def _checked_start(cells: np.ndarray, k: int, start: int | None) -> int:
+    """The first destination time of (..., steps, width) cells, once k, the
+    start and every cell are checked; packed codes of non-bits would alias."""
     if k < 1:
         raise ValueError(f"history length k must be >= 1, got {k}")
-    cells = grid.cells.astype(np.int64)
-    steps = len(cells)
+    steps = cells.shape[-2]
     if start is None:
         start = k
     if start < k:
         raise ValueError(f"start={start} would need history before time 0 (k={k})")
     if start >= steps:
         raise ValueError(f"grid with {steps} steps has no destinations at start={start}")
-    if cells.min() < 0 or cells.max() > 1:
-        raise ValueError(f"grid cells must be bits, saw values in [{cells.min()}, {cells.max()}]")
-    hist = sum(cells[start - 1 - j:steps - 1 - j] << j for j in range(k))
-    prev = cells[start - 1:steps - 1]
-    return [cells[start:], hist, *(np.roll(prev, -o, axis=1) for o in offsets)]
+    lo, hi = cells.min(), cells.max()
+    if lo < 0 or hi > 1:
+        raise ValueError(f"grid cells must be bits, saw values in [{lo}, {hi}]")
+    return start
 
 
 def ca_samples(grid: SpacetimeGrid, k: int, offsets=(-1, 1),
@@ -104,8 +101,34 @@ def ca_samples(grid: SpacetimeGrid, k: int, offsets=(-1, 1),
     exactly the rows with an incomplete history window. Rows are emitted in
     (time, cell) order.
     """
-    columns = _columns(grid, k, offsets, start)
+    start = _checked_start(grid.cells, k, start)
+    cells = grid.cells.astype(np.int64)
+    steps = len(cells)
+    hist = sum(cells[start - 1 - j:steps - 1 - j] << j for j in range(k))
+    prev = cells[start - 1:steps - 1]
+    columns = [cells[start:], hist, *(np.roll(prev, -o, axis=1) for o in offsets)]
     return np.stack(columns, axis=-1).reshape(-1, len(columns))
+
+
+def _packed_codes(cells: np.ndarray, k: int, offsets, start: int | None,
+                  mults, dtype) -> np.ndarray:
+    """Packed (next, hist, sources...) codes of every destination site of
+    stacked (runs, steps, width) cells, as a (runs, times, width) array."""
+    start = _checked_start(cells, k, start)
+    cells = cells.astype(np.uint8, copy=False)
+    runs, steps, width = cells.shape
+    codes = np.empty((runs, steps - start, width), dtype)
+    # next (weight 1) and hist (weight 2) form the (k+1)-bit window
+    # sum_j cells[t - j] << j of the destination's own column; slide it down.
+    window = np.zeros((runs, width), dtype)
+    for t in range(start - k, steps):
+        window = ((window & (2 ** k - 1)) << 1) | cells[:, t]
+        if t >= start:
+            codes[:, t - start] = window
+    prev = cells[:, start - 1:steps - 1]
+    for o, m in zip(offsets, mults[2:]):
+        codes |= np.roll(prev, -o, axis=2) * dtype(m)
+    return codes
 
 
 def ca_distribution(grids, k: int, offsets=(-1, 1),
@@ -113,17 +136,23 @@ def ca_distribution(grids, k: int, offsets=(-1, 1),
     """Pool every cell of every grid into one plug-in distribution.
 
     Equal to ``count_samples`` over the concatenated ``ca_samples`` of the
-    grids, without building the sample matrix.
+    grids, without building the sample matrix. Grids of one shape are
+    stacked and packed together; codes are 32-bit when the joint alphabet
+    allows, which halves the bytes the counting sort moves.
     """
     grids = list(grids)
     if not grids:
         raise ValueError("need at least one grid")
     variables = ca_variables(k, offsets)
     mults = _radix_multipliers([v.arity for v in variables])
-    # Unnamed, the per-grid codes are freed before counting copies and sorts them.
+    dtype = np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64
+    by_shape = {}
+    for g in grids:
+        by_shape.setdefault(g.cells.shape, []).append(g.cells)
+    # Unnamed, each shape's codes are freed before counting copies and sorts them.
     return _count_codes(variables, np.concatenate(
-        [sum(col * m for col, m in zip(_columns(g, k, offsets, start), mults)).ravel()
-         for g in grids]))
+        [_packed_codes(np.stack(group), k, offsets, start, mults, dtype).ravel()
+         for group in by_shape.values()]))
 
 
 def _indices(dist: JointDistribution, config: DynamicsConfig):
@@ -258,13 +287,14 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid, config: DynamicsConfig
 
 
 def write_profile_csv(prof: LocalProfile, path) -> None:
-    """Rows of (cell, time, value) for every defined site."""
+    """Rows of (cell, time, value) for every defined site, in the bytes
+    ``csv.writer`` gives: CRLF line ends and each value's ``repr``."""
+    data = prof.defined_values()
+    times, cells = np.indices(data.shape)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["cell", "time", "value"])
-        for t in range(prof.start, prof.values.shape[0]):
-            for c in range(prof.values.shape[1]):
-                writer.writerow([c, t, repr(float(prof.values[t, c]))])
+        f.write("cell,time,value\r\n")
+        f.write("".join(map("{},{},{!r}\r\n".format, cells.ravel().tolist(),
+                            (times.ravel() + prof.start).tolist(), data.ravel().tolist())))
 
 
 def write_profile_pgm(prof: LocalProfile, path) -> None:

@@ -102,6 +102,8 @@ def run_batch(rule: RuleTable | int, width: int, steps: int,
         raise ValueError(f"steps must be at least 1, got {steps}")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
     lut = rule.as_lut()
     cells = np.empty((runs, steps, width), dtype=np.uint8)
     cells[:, 0] = [np.random.default_rng(base_seed + i).integers(0, 2, size=width, dtype=np.uint8)

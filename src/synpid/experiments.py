@@ -40,6 +40,8 @@ class ExperimentConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.width < 3:
             raise ValueError(f"width must be at least 3, got {self.width}")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.steps <= self.k:

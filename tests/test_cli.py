@@ -332,6 +332,22 @@ def test_table1_rejects_narrow_width(capsys):
     assert "width must be at least 3, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["table1", "--seed", "-3"], None, "seed must be >= 0, got -3"),
+    (["ca-run", "--rule", "30", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["table1"], "abc", "SYNPID_SEED must be an integer, got 'abc'"),
+])
+def test_bad_seeds_exit_1(tmp_path, monkeypatch, capsys, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("SYNPID_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SYNPID_SEED", env)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"synpid: error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_five_sources_fail_fast(tmp_path):
     # r = 5 has 7,579 antichains; ordering them would take minutes.
     path = tmp_path / "r5.csv"

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 from itertools import product
@@ -8,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 import pid_oracle
 from support import random_distribution, to_prob_table
+from synpid import dynamics
 from synpid.distributions import (
-    JointDistribution, VariableSpec, avg_mi, count_samples, local_mi, merge,
+    JointDistribution, VariableSpec, _count_codes, avg_mi, count_samples, local_mi, merge,
 )
 from synpid.dynamics import (
-    DynamicsConfig, active_info_storage, ca_distribution, ca_samples,
+    DynamicsConfig, LocalProfile, active_info_storage, ca_distribution, ca_samples,
     ca_variables, local_ais, local_separable, local_te, profile,
     profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
-from synpid.eca import SpacetimeGrid, run
+from synpid.eca import SpacetimeGrid, run, run_batch
 
 
 def analytic_dist(next_of, k=1):
@@ -92,10 +94,19 @@ def test_ca_distribution_equals_counted_samples(data):
     offsets = data.draw(st.sampled_from([(-1, 1), (1, -1), (-2, 1, 3), (2,), ()]),
                         label="offsets")
     start = data.draw(st.one_of(st.none(), st.integers(k, k + 3)), label="start")
-    grids = [run(data.draw(st.integers(0, 255)), data.draw(st.integers(3, 12)),
-                 data.draw(st.integers((start or k) + 1, (start or k) + 8)),
-                 data.draw(st.integers(0, 2 ** 32 - 1)))
-             for _ in range(data.draw(st.integers(1, 4)))]
+    # A small pool of (steps, width) shapes, so that equal shapes get stacked,
+    # and both views into one batch and separately simulated grids.
+    first = (start or k) + 1
+    shapes = data.draw(st.lists(st.tuples(st.integers(first, first + 7), st.integers(3, 12)),
+                                min_size=2, max_size=3), label="shapes")
+    grids = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        steps, width = data.draw(st.sampled_from(shapes))
+        rule, seed = data.draw(st.integers(0, 255)), data.draw(st.integers(0, 2 ** 32 - 1))
+        if data.draw(st.booleans(), label="batched"):
+            grids += run_batch(rule, width, steps, seed, data.draw(st.integers(1, 3)))
+        else:
+            grids.append(run(rule, width, steps, seed))
     fast = ca_distribution(grids, k, offsets, start)
     ref = count_samples(ca_variables(k, offsets),
                         np.concatenate([ca_samples(g, k, offsets, start) for g in grids]))
@@ -106,6 +117,28 @@ def test_ca_distribution_equals_counted_samples(data):
     assert fast.counts.weights.dtype == ref.counts.weights.dtype == np.int64
     assert type(fast.total) is type(ref.total) is float
     assert fast.total == ref.total
+
+
+@pytest.mark.parametrize("k, packed", [(27, np.int32), (28, np.int32), (29, np.int64)])
+def test_ca_distribution_packs_narrow_codes_when_they_fit(monkeypatch, k, packed):
+    # (next, hist, left, right) spans 2 ** (k + 3) states; codes below 2 ** 31
+    # fit in int32, so k=28 is the widest history packed in 32 bits.
+    seen = []
+
+    def spy(variables, codes):
+        seen.append(codes.dtype)
+        return _count_codes(variables, codes)
+
+    monkeypatch.setattr(dynamics, "_count_codes", spy)
+    # Rule 255 is all ones after row 0, so it reaches the largest code.
+    grids = [run(255, 5, k + 4, seed=0), run(54, 5, k + 4, seed=1), run(30, 7, k + 9, seed=2)]
+    fast = ca_distribution(grids, k)
+    ref = count_samples(ca_variables(k), np.concatenate([ca_samples(g, k) for g in grids]))
+    assert seen == [packed]
+    assert fast.counts._codes[-1] == 2 ** (k + 3) - 1
+    assert fast.counts._codes.dtype == np.int64
+    assert np.array_equal(fast.counts._codes, ref.counts._codes)
+    assert np.array_equal(fast.counts.weights, ref.counts.weights)
 
 
 def test_ca_distribution_keeps_the_radix_guard():
@@ -126,6 +159,11 @@ def test_ca_distribution_rejects_non_binary_cells():
         ca_distribution([grid], 1)
     with pytest.raises(ValueError, match=r"must be bits, saw values in \[0, 2\]"):
         ca_samples(grid, 1)
+    negative = SpacetimeGrid(54, 3, 3, 0, np.array([[0, 1, 1], [1, -1, 1], [0, 0, 1]],
+                                                    dtype=np.int8))
+    for build in (lambda: ca_distribution([negative], 1), lambda: ca_samples(negative, 1)):
+        with pytest.raises(ValueError, match=r"must be bits, saw values in \[-1, 1\]"):
+            build()
 
 
 # -- averaged measures ------------------------------------------------------
@@ -380,6 +418,23 @@ def test_profile_csv_round_trip(profiled, tmp_path):
     cell, t, value = lines[1].split(",")
     assert (int(cell), int(t)) == (0, 2)
     assert float(value) == prof.values[2, 0]
+
+
+def test_profile_csv_bytes_match_csv_writer(tmp_path):
+    values = np.full((4, 3), np.nan)
+    values[2:] = [[1e-05, -0.0, 1e16], [0.1 + 0.2, -2.5, -1e-300]]
+    prof = LocalProfile("local_ais", 2, 2, values)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["cell", "time", "value"])
+        for t in range(prof.start, values.shape[0]):
+            for c in range(values.shape[1]):
+                writer.writerow([c, t, repr(float(values[t, c]))])
+    path = tmp_path / "prof.csv"
+    write_profile_csv(prof, path)
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes().split(b"\r\n")[1:3] == [b"0,2,1e-05", b"1,2,-0.0"]
 
 
 def test_profile_pgm_round_trip(profiled, tmp_path):

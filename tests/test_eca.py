@@ -48,6 +48,12 @@ def test_run_validates_geometry():
         run(110, 10, 0, 0)
 
 
+def test_run_rejects_negative_seeds():
+    for simulate in (lambda: run(110, 10, 5, -1), lambda: run_batch(110, 10, 5, -1, 3)):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            simulate()
+
+
 def test_rule_0_goes_dark_after_the_random_row():
     grid = run(0, 31, 20, 3)
     assert grid.cells[0].any()

@@ -26,6 +26,8 @@ def test_experiment_config_validation():
         ExperimentConfig(rules=(30,), k=0)
     with pytest.raises(ValueError, match="width must be at least 3, got 2"):
         ExperimentConfig(rules=(30,), width=2)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        ExperimentConfig(rules=(30,), base_seed=-3)
     cfg = ExperimentConfig(rules=(30, 110), runs=4, base_seed=100, steps=20, k=2)
     assert cfg.seeds() == (100, 101, 102, 103)
 
