@@ -23,6 +23,7 @@ from .dynamics import (
     LocalProfile,
     active_info_storage,
     ca_distribution,
+    ca_distributions,
     ca_samples,
     ca_variables,
     local_ais,
@@ -72,6 +73,7 @@ __all__ = [
     "below_or_equal",
     "build_lattice",
     "ca_distribution",
+    "ca_distributions",
     "ca_samples",
     "ca_variables",
     "count_samples",

@@ -67,6 +67,18 @@ def _type_names(text):
     return parts
 
 
+def _config_int(key, value) -> int:
+    """An int, or a string holding one; booleans and other numbers are refused."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"config value {key!r} must be an integer, got {value!r}")
+
+
 class Settings:
     """Flag > config-file > environment/default resolution for one command."""
 
@@ -92,10 +104,13 @@ class Settings:
             raise ValueError(f"missing required setting {key!r} (flag or config)")
         return v
 
+    def integer(self, key, default=None) -> int:
+        """An integer setting; required when it has no default."""
+        return _config_int(key, self.require(key) if default is None else self.get(key, default))
+
     def seed(self):
-        v = self.get("seed")
-        if v is not None:
-            return int(v)
+        if self.get("seed") is not None:
+            return self.integer("seed")
         v = os.environ.get("SYNPID_SEED", "0")
         try:
             return int(v)
@@ -105,8 +120,10 @@ class Settings:
     def rules(self, default):
         v = self.get("rules", default)
         if isinstance(v, str):
-            v = tuple(int(p) for p in v.split(","))
-        v = tuple(int(r) for r in v)
+            v = v.split(",")
+        elif not isinstance(v, (list, tuple)):
+            v = [v]
+        v = tuple(_config_int("rules", r) for r in v)
         for r in v:
             if not 0 <= r <= 255:
                 raise ValueError(f"rule must be in 0..255, got {r}")
@@ -130,18 +147,18 @@ def _write_json(doc, path):
 def _experiment_config(s: Settings, rules) -> ExperimentConfig:
     return ExperimentConfig(
         rules=rules,
-        runs=int(s.get("runs", 100)),
-        width=int(s.get("width", 200)),
-        steps=int(s.get("steps", 200)),
-        k=int(s.get("k", 16)),
+        runs=s.integer("runs", 100),
+        width=s.integer("width", 200),
+        steps=s.integer("steps", 200),
+        k=s.integer("k", 16),
         base_seed=s.seed(),
     )
 
 
 def cmd_ca_run(args) -> int:
     s = Settings(args)
-    rule = int(s.require("rule"))
-    grid = eca.run(rule, int(s.get("width", 200)), int(s.get("steps", 200)), s.seed())
+    rule = s.integer("rule")
+    grid = eca.run(rule, s.integer("width", 200), s.integer("steps", 200), s.seed())
     out = str(s.require("out"))
     eca.write_pgm(grid, out + ".pgm")
     eca.write_csv(grid, out + ".csv")
@@ -175,7 +192,7 @@ def cmd_or_demo(args) -> int:
 
 def cmd_profile(args) -> int:
     s = Settings(args)
-    rule = int(s.require("rule"))
+    rule = s.integer("rule")
     config = _experiment_config(s, (rule,))
     measures = s.names("measures", PROFILE_MEASURES)
     written = export_local_profiles(rule, config, measures, str(s.require("out")))
@@ -221,7 +238,7 @@ def cmd_analyze(args) -> int:
     source_names = s.names("sources")
     if not source_names:
         raise ValueError("missing required setting 'sources' (flag or config)")
-    k = int(s.get("k", 1))
+    k = s.integer("k", 1)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if dest_name in source_names or len(set(source_names)) != len(source_names):
@@ -299,7 +316,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_lattice(args) -> int:
     s = Settings(args)
-    r = int(s.get("sources", 3))
+    r = s.integer("sources", 3)
     if r < 1:
         raise ValueError(f"need at least one source, got {r}")
     lat = build_lattice(r)

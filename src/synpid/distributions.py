@@ -197,15 +197,26 @@ class JointDistribution:
     def marginal_counts(self, cols: Iterable[int]) -> Marginal:
         """Read-only counts marginalized onto ``cols`` (ascending index order).
 
-        Memoized per column set; the empty set maps () to the total.
+        Memoized per column set; the empty set maps () to the total. Integer
+        counts are grouped from the smallest memoized superset, since their
+        sums do not depend on grouping order; real weights always group from
+        the full joint, so their float sums keep one order.
         """
         cols = tuple(sorted(cols))
         for c in cols:
             if not 0 <= c < len(self.variables):
                 raise ValueError(f"variable index {c} out of range")
         if cols not in self._marginals:
-            self._marginals[cols] = (self.counts.group(cols)[0] if cols else Marginal(
-                (), np.zeros(1, dtype=np.int64), np.array([self.total])))
+            if not cols:
+                self._marginals[cols] = Marginal(
+                    (), np.zeros(1, dtype=np.int64), np.array([self.total]))
+            else:
+                parent = tuple(range(len(self.variables)))
+                if self.counts.weights.dtype.kind == "i":
+                    parent = min((p for p in self._marginals if set(cols) <= set(p)),
+                                 key=lambda p: len(self._marginals[p]))
+                self._marginals[cols] = self._marginals[parent].group(
+                    [parent.index(c) for c in cols])[0]
         return self._marginals[cols]
 
     def probability(self, assignment: Mapping[int, int]) -> float:

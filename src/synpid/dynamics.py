@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    JointDistribution, VariableSpec, _count_codes, _radix_multipliers, avg_mi, local_mi,
+    JointDistribution, VariableSpec, _count_codes, _grouped, _radix_multipliers, avg_mi,
+    local_mi, merge,
 )
 from .eca import SpacetimeGrid
 
@@ -131,28 +132,62 @@ def _packed_codes(cells: np.ndarray, k: int, offsets, start: int | None,
     return codes
 
 
+def _stacks(grids) -> list[np.ndarray]:
+    """The grids' cells stacked into one (runs, steps, width) array per shape."""
+    by_shape = {}
+    for g in grids:
+        by_shape.setdefault(g.cells.shape, []).append(g.cells)
+    if not by_shape:
+        raise ValueError("need at least one grid")
+    return [np.stack(group) for group in by_shape.values()]
+
+
+def _count_stacks(stacks, k: int, offsets, start: int | None) -> JointDistribution:
+    """Count every destination site of stacked cells; codes are 32-bit when
+    the joint alphabet allows, which halves the bytes the counting sort moves."""
+    variables = ca_variables(k, offsets)
+    mults = _radix_multipliers([v.arity for v in variables])
+    dtype = np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64
+    # Unnamed, each shape's codes are freed before counting copies and sorts them.
+    return _count_codes(variables, np.concatenate(
+        [_packed_codes(cells, k, offsets, start, mults, dtype).ravel() for cells in stacks]))
+
+
 def ca_distribution(grids, k: int, offsets=(-1, 1),
                     start: int | None = None) -> JointDistribution:
     """Pool every cell of every grid into one plug-in distribution.
 
     Equal to ``count_samples`` over the concatenated ``ca_samples`` of the
     grids, without building the sample matrix. Grids of one shape are
-    stacked and packed together; codes are 32-bit when the joint alphabet
-    allows, which halves the bytes the counting sort moves.
+    stacked and packed together.
     """
-    grids = list(grids)
-    if not grids:
-        raise ValueError("need at least one grid")
-    variables = ca_variables(k, offsets)
-    mults = _radix_multipliers([v.arity for v in variables])
-    dtype = np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64
-    by_shape = {}
-    for g in grids:
-        by_shape.setdefault(g.cells.shape, []).append(g.cells)
-    # Unnamed, each shape's codes are freed before counting copies and sorts them.
-    return _count_codes(variables, np.concatenate(
-        [_packed_codes(np.stack(group), k, offsets, start, mults, dtype).ravel()
-         for group in by_shape.values()]))
+    return _count_stacks(_stacks(grids), k, offsets, start)
+
+
+def ca_distributions(grids, ks, offsets=(-1, 1)) -> list[JointDistribution]:
+    """``ca_distribution(grids, k)`` for each k in ``ks``, from one count.
+
+    The grids are packed and counted once, at the largest k. A shorter
+    history is the low bits of a longer one (bit 0 is the previous value),
+    so each shorter k cuts the history column of those distinct rows and
+    sums equal rows, then adds a count of the times before the largest k.
+    Every count equals the one ``ca_distribution`` gives.
+    """
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError("need at least one history length")
+    stacks = _stacks(grids)
+    top = max(ks)
+    full = _count_stacks(stacks, top, offsets, None)
+    out = {top: full}
+    for k in set(ks) - {top}:
+        variables = ca_variables(k, offsets)
+        cut = full.counts.symbols.copy()
+        cut[:, 1] &= 2 ** k - 1
+        counts, _ = _grouped([v.arity for v in variables], cut, full.counts.weights)
+        leading = _count_stacks([cells[:, :top] for cells in stacks], k, offsets, k)
+        out[k] = merge(JointDistribution._from_counts(variables, counts, full.total), leading)
+    return [out[k] for k in ks]
 
 
 def _indices(dist: JointDistribution, config: DynamicsConfig):

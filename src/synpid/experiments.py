@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import eca
 from .distributions import JointDistribution, VariableSpec
 from .dynamics import (
-    DynamicsConfig, ca_distribution, profile, profile_measures,
+    DynamicsConfig, ca_distribution, ca_distributions, profile, profile_measures,
     write_profile_csv, write_profile_pgm,
 )
 from .lattice import Antichain
@@ -122,24 +122,26 @@ def run_table1(config: ExperimentConfig, threads: int | None = None) -> TableRep
     size, and report the modified information at both k=config.k and k=1.
     ``threads`` is accepted for compatibility and has no effect.
     """
-    results = []
-    for rule in config.rules:
-        grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
-        dist_k, dist_1 = ca_distribution(grids, config.k), ca_distribution(grids, 1)
-        dec_k = modified_information(dist_k, config.k)
-        dec_1 = modified_information(dist_1, 1)
-        r = dec_k.lattice.r
-        results.append(RuleResult(
-            rule=rule,
-            k=config.k,
-            pi=tuple(dec_k.hierarchy[o] for o in range(1, r + 1)),
-            m_x=dec_k.m_x,
-            m_x_k1=dec_1.m_x,
-            total=dec_k.total,
-            samples=int(dist_k.total),
-            samples_k1=int(dist_1.total),
-        ))
-    return TableReport(config, tuple(results))
+    return TableReport(config, tuple(_rule_result(rule, config) for rule in config.rules))
+
+
+def _rule_result(rule: int, config: ExperimentConfig) -> RuleResult:
+    """One rule's row; its grids and distributions are freed on return."""
+    grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
+    dist_k, dist_1 = ca_distributions(grids, (config.k, 1))
+    dec_k = modified_information(dist_k, config.k)
+    dec_1 = modified_information(dist_1, 1)
+    r = dec_k.lattice.r
+    return RuleResult(
+        rule=rule,
+        k=config.k,
+        pi=tuple(dec_k.hierarchy[o] for o in range(1, r + 1)),
+        m_x=dec_k.m_x,
+        m_x_k1=dec_1.m_x,
+        total=dec_k.total,
+        samples=int(dist_k.total),
+        samples_k1=int(dist_1.total),
+    )
 
 
 # -- OR localization demo ---------------------------------------------------

@@ -205,6 +205,11 @@ def partial_terms(dist: JointDistribution, lattice: RedundancyLattice) -> Redund
         raise ValueError(
             f"lattice over {lattice.r} sources does not fit a distribution "
             f"with {n_sources} source variables")
+    # Largest subsets first, so each (x, A) marginal groups a small memoized
+    # parent rather than the full joint.
+    subsets = {s for node in lattice.nodes for s in node.subsets}
+    for s in sorted(subsets, key=lambda s: (-len(s), sorted(s))):
+        _specinfo_table(dist, s)
     icap = [i_min(dist, node) for node in lattice.nodes]
     ipart = [0.0] * len(icap)
     for i in range(len(icap)):

@@ -425,3 +425,40 @@ def test_config_file_drives_table1_geometry(tmp_path):
     check(doc, "table1")
     assert doc["config"] == {"rules": [90], "runs": 2, "width": 10,
                              "steps": 8, "k": 2, "base_seed": 4}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("table1", {"runs": "abc"}, "'runs' must be an integer, got 'abc'"),
+    ("table1", {"seed": "x"}, "'seed' must be an integer, got 'x'"),
+    ("table1", {"rules": "30,x"}, "'rules' must be an integer, got 'x'"),
+    ("table1", {"rules": [30, 1.5]}, "'rules' must be an integer, got 1.5"),
+    ("table1", {"runs": 2.7}, "'runs' must be an integer, got 2.7"),
+    ("table1", {"k": True}, "'k' must be an integer, got True"),
+    ("table1", {"width": [8]}, "'width' must be an integer, got [8]"),
+    ("ca-run", {"rule": "30.0"}, "'rule' must be an integer, got '30.0'"),
+    ("ca-run", {"rule": 30, "steps": None, "width": "wide"},
+     "'width' must be an integer, got 'wide'"),
+    ("profile", {"rule": 54, "steps": False}, "'steps' must be an integer, got False"),
+    ("analyze", {"input": "x.csv", "destination": "d", "sources": "s", "k": "2x"},
+     "'k' must be an integer, got '2x'"),
+])
+def test_config_integers_name_their_key(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"synpid: error: config value {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_integer_strings_equal_integers(tmp_path):
+    settings = {"runs": 2, "width": 10, "steps": 8, "k": 2, "seed": 4}
+    reports = []
+    for name, config in (("ints", {**settings, "rules": [90, 30]}),
+                         ("strings", {**{key: str(v) for key, v in settings.items()},
+                                      "rules": ["90", "30"]})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"{name}-out.json"
+        assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

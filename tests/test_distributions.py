@@ -1,10 +1,11 @@
 import json
 import math
 import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from support import random_distribution
 from synpid.distributions import (
@@ -216,6 +217,34 @@ def test_marginal_counts_sum_to_total():
     dist = random_distribution(rng, r=3)
     for cols in [(0,), (1,), (0, 2), (1, 2, 3)]:
         assert sum(dist.marginal_counts(cols).values()) == pytest.approx(dist.total)
+
+
+def all_column_sets(dist):
+    n = len(dist.variables)
+    return [cols for size in range(1, n + 1) for cols in combinations(range(n), size)]
+
+
+def float_weighted(dist):
+    rng = np.random.default_rng(len(dist))
+    return JointDistribution(dist.variables, {
+        key: float(c) * rng.random() / 7 for key, c in dist.counts.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.data())
+def test_marginal_counts_do_not_depend_on_request_order(seed, real, data):
+    # Integer counts may group from any memoized superset; real weights group
+    # from the full joint, so their float sums keep one order.
+    dist = random_distribution(np.random.default_rng(seed), r=3)
+    if real:
+        dist = float_weighted(dist)
+    for cols in data.draw(st.permutations(all_column_sets(dist)), label="order"):
+        view = dist.marginal_counts(cols)
+        ref = dist.counts.group(cols)[0]
+        assert np.array_equal(view._codes, ref._codes)
+        assert np.array_equal(view.symbols, ref.symbols)
+        assert view.weights.dtype == ref.weights.dtype == (np.float64 if real else np.int64)
+        assert view.weights.tobytes() == ref.weights.tobytes()
 
 
 # -- immutability -----------------------------------------------------------

@@ -14,8 +14,8 @@ from synpid.distributions import (
     JointDistribution, VariableSpec, _count_codes, avg_mi, count_samples, local_mi, merge,
 )
 from synpid.dynamics import (
-    DynamicsConfig, LocalProfile, active_info_storage, ca_distribution, ca_samples,
-    ca_variables, local_ais, local_separable, local_te, profile,
+    DynamicsConfig, LocalProfile, active_info_storage, ca_distribution, ca_distributions,
+    ca_samples, ca_variables, local_ais, local_separable, local_te, profile,
     profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from synpid.eca import SpacetimeGrid, run, run_batch
@@ -87,17 +87,12 @@ def test_ca_distribution_pools_runs():
         ca_distribution([], 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_ca_distribution_equals_counted_samples(data):
-    k = data.draw(st.integers(1, 6), label="k")
-    offsets = data.draw(st.sampled_from([(-1, 1), (1, -1), (-2, 1, 3), (2,), ()]),
-                        label="offsets")
-    start = data.draw(st.one_of(st.none(), st.integers(k, k + 3)), label="start")
-    # A small pool of (steps, width) shapes, so that equal shapes get stacked,
-    # and both views into one batch and separately simulated grids.
-    first = (start or k) + 1
-    shapes = data.draw(st.lists(st.tuples(st.integers(first, first + 7), st.integers(3, 12)),
+def draw_grids(data, steps_from):
+    """One to four grids from a small pool of (steps, width) shapes, so that
+    equal shapes get stacked, as views into one batch and separately
+    simulated grids; every grid has at least ``steps_from`` steps."""
+    shapes = data.draw(st.lists(st.tuples(st.integers(steps_from, steps_from + 7),
+                                          st.integers(3, 12)),
                                 min_size=2, max_size=3), label="shapes")
     grids = []
     for _ in range(data.draw(st.integers(1, 4))):
@@ -107,9 +102,10 @@ def test_ca_distribution_equals_counted_samples(data):
             grids += run_batch(rule, width, steps, seed, data.draw(st.integers(1, 3)))
         else:
             grids.append(run(rule, width, steps, seed))
-    fast = ca_distribution(grids, k, offsets, start)
-    ref = count_samples(ca_variables(k, offsets),
-                        np.concatenate([ca_samples(g, k, offsets, start) for g in grids]))
+    return grids
+
+
+def assert_same_distribution(fast, ref):
     assert fast.variables == ref.variables
     assert np.array_equal(fast.counts._codes, ref.counts._codes)
     assert np.array_equal(fast.counts.symbols, ref.counts.symbols)
@@ -117,6 +113,62 @@ def test_ca_distribution_equals_counted_samples(data):
     assert fast.counts.weights.dtype == ref.counts.weights.dtype == np.int64
     assert type(fast.total) is type(ref.total) is float
     assert fast.total == ref.total
+
+
+OFFSETS = st.sampled_from([(-1, 1), (1, -1), (-2, 1, 3), (2,), ()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ca_distribution_equals_counted_samples(data):
+    k = data.draw(st.integers(1, 6), label="k")
+    offsets = data.draw(OFFSETS, label="offsets")
+    start = data.draw(st.one_of(st.none(), st.integers(k, k + 3)), label="start")
+    grids = draw_grids(data, (start or k) + 1)
+    fast = ca_distribution(grids, k, offsets, start)
+    ref = count_samples(ca_variables(k, offsets),
+                        np.concatenate([ca_samples(g, k, offsets, start) for g in grids]))
+    assert_same_distribution(fast, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ca_distributions_equal_one_count_per_k(data):
+    ks = data.draw(st.one_of(st.sampled_from([(6, 1), (1, 6), (3, 3), (1, 1, 1), (4,)]),
+                             st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple)),
+                   label="ks")
+    offsets = data.draw(OFFSETS, label="offsets")
+    grids = draw_grids(data, max(ks) + 1)
+    got = ca_distributions(grids, ks, offsets)
+    assert len(got) == len(ks)
+    for k, fast in zip(ks, got):
+        assert_same_distribution(fast, ca_distribution(grids, k, offsets))
+
+
+def test_ca_distributions_count_the_batch_once(monkeypatch):
+    sizes = []
+
+    def spy(variables, codes):
+        sizes.append((variables[1].arity, codes.size))
+        return _count_codes(variables, codes)
+
+    monkeypatch.setattr(dynamics, "_count_codes", spy)
+    grids = run_batch(30, 9, 20, 0, 3)
+    ca_distributions(grids, (16, 1, 4, 16))
+    # The whole batch at k=16, then only times [k, 16) for each shorter k.
+    assert sorted(sizes) == sorted([(2 ** 16, 3 * 9 * 4), (2, 3 * 9 * 15), (16, 3 * 9 * 12)])
+
+
+def test_ca_distributions_validation():
+    grid = run(30, 6, 8, seed=0)
+    with pytest.raises(ValueError, match="at least one history length"):
+        ca_distributions([grid], ())
+    with pytest.raises(ValueError, match="at least one grid"):
+        ca_distributions([], (2, 1))
+    with pytest.raises(ValueError, match="k must be"):
+        ca_distributions([grid], (2, 0))
+    with pytest.raises(ValueError, match="no destinations"):
+        ca_distributions([grid], (8, 1))
 
 
 @pytest.mark.parametrize("k, packed", [(27, np.int32), (28, np.int32), (29, np.int64)])

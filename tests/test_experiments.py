@@ -7,10 +7,10 @@ import pytest
 from synpid.dynamics import DynamicsConfig, ca_distribution, profile, write_profile_csv
 from synpid.eca import run, run_batch
 from synpid.experiments import (
-    ExperimentConfig, OR_NODE, export_local_profiles, or_distribution,
+    ExperimentConfig, OR_NODE, RuleResult, export_local_profiles, or_distribution,
     run_or_demo, run_table1,
 )
-from synpid.pid import i_min
+from synpid.pid import i_min, modified_information
 
 SMALL = ExperimentConfig(rules=(110,), runs=3, width=24, steps=28, k=4, base_seed=7)
 
@@ -58,6 +58,21 @@ def test_table_report_serialization_is_stable():
     text = a.format_text()
     assert text.splitlines()[0].startswith("rule")
     assert " 110 " in text or text.splitlines()[1].startswith(" 110")
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_table1_rows_equal_separate_counts(k):
+    # One count serves both history lengths; the rows equal those of
+    # separate k and k=1 counts, also when k is 1 itself.
+    cfg = ExperimentConfig(rules=(110, 30), runs=3, width=24, steps=28, k=k, base_seed=7)
+    for rule, res in zip(cfg.rules, run_table1(cfg).results):
+        grids = run_batch(rule, cfg.width, cfg.steps, cfg.base_seed, cfg.runs)
+        dist_k, dist_1 = ca_distribution(grids, k), ca_distribution(grids, 1)
+        dec_k, dec_1 = modified_information(dist_k, k), modified_information(dist_1, 1)
+        assert res == RuleResult(
+            rule=rule, k=k, pi=tuple(dec_k.hierarchy[o] for o in (1, 2, 3)),
+            m_x=dec_k.m_x, m_x_k1=dec_1.m_x, total=dec_k.total,
+            samples=3 * 24 * (28 - k), samples_k1=3 * 24 * 27)
 
 
 def test_rule_zero_batch_is_information_free():
