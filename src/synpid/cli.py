@@ -79,6 +79,18 @@ def _config_int(key, value) -> int:
     raise ValueError(f"config value {key!r} must be an integer, got {value!r}")
 
 
+def _config_number(key, value) -> float:
+    """A number, or a string holding one; booleans are refused."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"config value {key!r} must be a number, got {value!r}")
+
+
 class Settings:
     """Flag > config-file > environment/default resolution for one command."""
 
@@ -108,6 +120,10 @@ class Settings:
         """An integer setting; required when it has no default."""
         return _config_int(key, self.require(key) if default is None else self.get(key, default))
 
+    def number(self, key, default) -> float:
+        """A numeric setting."""
+        return _config_number(key, self.get(key, default))
+
     def seed(self):
         if self.get("seed") is not None:
             return self.integer("seed")
@@ -134,7 +150,10 @@ class Settings:
         if v is None:
             return None
         if isinstance(v, str):
-            v = tuple(p.strip() for p in v.split(","))
+            return tuple(p.strip() for p in v.split(","))
+        if not isinstance(v, (list, tuple)) or not all(isinstance(p, str) for p in v):
+            raise ValueError(
+                f"config value {key!r} must be a string or a list of strings, got {v!r}")
         return tuple(v)
 
 
@@ -180,7 +199,7 @@ def cmd_table1(args) -> int:
 
 def cmd_or_demo(args) -> int:
     s = Settings(args)
-    delta = float(s.get("delta", 1e-6))
+    delta = s.number("delta", 1e-6)
     result = run_or_demo(delta)
     print(result.format_text())
     out = s.get("out")

@@ -80,7 +80,12 @@ class Marginal(Mapping):
         self.arities = np.array(arities, dtype=np.int64)
         self._mults = np.array(_radix_multipliers(arities), dtype=np.int64)
         self._codes, self.weights = codes, weights
-        self.symbols = codes[:, None] // self._mults % self.arities if symbols is None else symbols
+        if symbols is None:
+            symbols = np.empty((len(codes), len(self.arities)), dtype=np.int64)
+            for j, (m, a) in enumerate(zip(self._mults, self.arities)):
+                np.floor_divide(codes, m, out=symbols[:, j])
+                symbols[:, j] %= a
+        self.symbols = symbols
         for arr in (self.arities, self._mults, codes, self.symbols, weights):
             arr.flags.writeable = False
 
@@ -334,11 +339,16 @@ def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistributi
 
 def _count_codes(variables: tuple[VariableSpec, ...], codes: np.ndarray) -> JointDistribution:
     """Tally samples already packed into codes (first variable in the lowest
-    digit). Narrow codes sort faster; the distinct ones are widened to int64."""
-    ucodes, ucounts = np.unique(codes, return_counts=True)
-    counts = Marginal([v.arity for v in variables], ucodes.astype(np.int64),
-                      ucounts.astype(np.int64))
-    return JointDistribution._from_counts(variables, counts, float(ucounts.sum()))
+    digit). ``codes`` is the caller's own 1-D buffer and is sorted in place;
+    narrow codes sort faster, and the distinct ones are widened to int64."""
+    codes.sort()
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    counts = Marginal([v.arity for v in variables], codes[first].astype(np.int64),
+                      np.diff(first, append=len(codes)))
+    return JointDistribution._from_counts(variables, counts, float(len(codes)))
 
 
 def merge(a: JointDistribution, b: JointDistribution) -> JointDistribution:

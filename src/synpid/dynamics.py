@@ -77,11 +77,11 @@ def ca_variables(k: int, offsets=(-1, 1)) -> tuple[VariableSpec, ...]:
 
 
 def _checked_start(cells: np.ndarray, k: int, start: int | None) -> int:
-    """The first destination time of (..., steps, width) cells, once k, the
-    start and every cell are checked; packed codes of non-bits would alias."""
+    """The first destination time of (steps, ...) cells, once k, the start
+    and every cell are checked; packed codes of non-bits would alias."""
     if k < 1:
         raise ValueError(f"history length k must be >= 1, got {k}")
-    steps = cells.shape[-2]
+    steps = len(cells)
     if start is None:
         start = k
     if start < k:
@@ -111,46 +111,60 @@ def ca_samples(grid: SpacetimeGrid, k: int, offsets=(-1, 1),
     return np.stack(columns, axis=-1).reshape(-1, len(columns))
 
 
-def _packed_codes(cells: np.ndarray, k: int, offsets, start: int | None,
-                  mults, dtype) -> np.ndarray:
-    """Packed (next, hist, sources...) codes of every destination site of
-    stacked (runs, steps, width) cells, as a (runs, times, width) array."""
-    start = _checked_start(cells, k, start)
+def _packed_codes(cells: np.ndarray, k: int, offsets, start: int, mults,
+                  codes: np.ndarray) -> None:
+    """Pack (next, hist, sources...) of every destination site of checked,
+    time-major (steps, runs, width) cells into the flat buffer ``codes``,
+    in (time, run, cell) order."""
+    codes = codes.reshape(len(cells) - start, *cells.shape[1:])
     cells = cells.astype(np.uint8, copy=False)
-    runs, steps, width = cells.shape
-    codes = np.empty((runs, steps - start, width), dtype)
-    # next (weight 1) and hist (weight 2) form the (k+1)-bit window
-    # sum_j cells[t - j] << j of the destination's own column; slide it down.
-    window = np.zeros((runs, width), dtype)
-    for t in range(start - k, steps):
-        window = ((window & (2 ** k - 1)) << 1) | cells[:, t]
-        if t >= start:
-            codes[:, t - start] = window
-    prev = cells[:, start - 1:steps - 1]
-    for o, m in zip(offsets, mults[2:]):
-        codes |= np.roll(prev, -o, axis=2) * dtype(m)
-    return codes
+    dtype = codes.dtype.type
+    window, source = np.zeros((2,) + cells.shape[1:], dtype)
+    width = cells.shape[2]
+    for t in range(start - k, len(cells)):
+        # next (weight 1) and hist (weight 2) form the (k+1)-bit window
+        # sum_j cells[t - j] << j of the destination's own column.
+        window &= 2 ** k - 1
+        window <<= 1
+        window |= cells[t]
+        if t < start:
+            continue
+        out = codes[t - start]
+        out[...] = window
+        for o, m in zip(offsets, mults[2:]):
+            # The source at offset o of cell c is cell (c + o) % width one step back.
+            np.multiply(cells[t - 1], dtype(m), out=source)
+            s = o % width
+            out[:, :width - s] |= source[:, s:]
+            out[:, width - s:] |= source[:, :s]
 
 
 def _stacks(grids) -> list[np.ndarray]:
-    """The grids' cells stacked into one (runs, steps, width) array per shape."""
+    """The grids' cells stacked into one time-major (steps, runs, width)
+    array per shape."""
     by_shape = {}
     for g in grids:
         by_shape.setdefault(g.cells.shape, []).append(g.cells)
     if not by_shape:
         raise ValueError("need at least one grid")
-    return [np.stack(group) for group in by_shape.values()]
+    return [np.stack(group, axis=1) for group in by_shape.values()]
 
 
 def _count_stacks(stacks, k: int, offsets, start: int | None) -> JointDistribution:
-    """Count every destination site of stacked cells; codes are 32-bit when
-    the joint alphabet allows, which halves the bytes the counting sort moves."""
+    """Count every destination site of stacked cells, packed into one code
+    buffer; codes are 32-bit when the joint alphabet allows, which halves
+    the bytes the counting sort moves."""
     variables = ca_variables(k, offsets)
     mults = _radix_multipliers([v.arity for v in variables])
     dtype = np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64
-    # Unnamed, each shape's codes are freed before counting copies and sorts them.
-    return _count_codes(variables, np.concatenate(
-        [_packed_codes(cells, k, offsets, start, mults, dtype).ravel() for cells in stacks]))
+    starts = [_checked_start(cells, k, start) for cells in stacks]
+    sizes = [(len(cells) - s) * cells[0].size for cells, s in zip(stacks, starts)]
+    codes = np.empty(sum(sizes), dtype)
+    end = 0
+    for cells, s, n in zip(stacks, starts, sizes):
+        _packed_codes(cells, k, offsets, s, mults, codes[end:end + n])
+        end += n
+    return _count_codes(variables, codes)
 
 
 def ca_distribution(grids, k: int, offsets=(-1, 1),
@@ -185,7 +199,7 @@ def ca_distributions(grids, ks, offsets=(-1, 1)) -> list[JointDistribution]:
         cut = full.counts.symbols.copy()
         cut[:, 1] &= 2 ** k - 1
         counts, _ = _grouped([v.arity for v in variables], cut, full.counts.weights)
-        leading = _count_stacks([cells[:, :top] for cells in stacks], k, offsets, k)
+        leading = _count_stacks([cells[:top] for cells in stacks], k, offsets, k)
         out[k] = merge(JointDistribution._from_counts(variables, counts, full.total), leading)
     return [out[k] for k in ks]
 
@@ -325,11 +339,15 @@ def write_profile_csv(prof: LocalProfile, path) -> None:
     """Rows of (cell, time, value) for every defined site, in the bytes
     ``csv.writer`` gives: CRLF line ends and each value's ``repr``."""
     data = prof.defined_values()
-    times, cells = np.indices(data.shape)
+    # One repr per distinct bit pattern, so -0.0 and 0.0 keep their own.
+    bits, which = np.unique(data.ravel().view(np.int64), return_inverse=True)
+    values = [f"{v!r}\r\n" for v in bits.view(np.float64).tolist()]
+    cell_fields = [f"{c}," for c in range(data.shape[1])]
     with open(path, "w", newline="") as f:
         f.write("cell,time,value\r\n")
-        f.write("".join(map("{},{},{!r}\r\n".format, cells.ravel().tolist(),
-                            (times.ravel() + prof.start).tolist(), data.ravel().tolist())))
+        for t, row in enumerate(which.reshape(data.shape).tolist(), start=prof.start):
+            time_field = f"{t},"
+            f.write("".join([c + time_field + values[i] for c, i in zip(cell_fields, row)]))
 
 
 def write_profile_pgm(prof: LocalProfile, path) -> None:

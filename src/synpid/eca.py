@@ -92,7 +92,10 @@ def run_batch(rule: RuleTable | int, width: int, steps: int,
               base_seed: int, runs: int) -> list[SpacetimeGrid]:
     """Repeat runs with the fixed seed policy: run i uses base_seed + i.
 
-    All runs advance together, one vectorized update per time step.
+    All runs advance together, one vectorized update per time step, on one
+    time-major (steps, runs, width + 2) ring whose first and last columns
+    copy the wrapped neighbors. Each grid's ``cells`` is a read-only,
+    non-contiguous (steps, width) view of that batch.
     """
     if not isinstance(rule, RuleTable):
         rule = decode_rule(rule)
@@ -105,14 +108,21 @@ def run_batch(rule: RuleTable | int, width: int, steps: int,
     if base_seed < 0:
         raise ValueError(f"seed must be >= 0, got {base_seed}")
     lut = rule.as_lut()
-    cells = np.empty((runs, steps, width), dtype=np.uint8)
-    cells[:, 0] = [np.random.default_rng(base_seed + i).integers(0, 2, size=width, dtype=np.uint8)
-                   for i in range(runs)]
+    ring = np.empty((steps, runs, width + 2), dtype=np.uint8)
+    ring[0, :, 1:-1] = [np.random.default_rng(base_seed + i).integers(0, 2, size=width,
+                                                                      dtype=np.uint8)
+                        for i in range(runs)]
+    hood, center = np.empty((2, runs, width), dtype=np.uint8)
     for t in range(1, steps):
-        row = cells[:, t - 1]
-        cells[:, t] = lut[(np.roll(row, 1, axis=1) << 2) | (row << 1) | np.roll(row, -1, axis=1)]
-    cells.setflags(write=False)
-    return [SpacetimeGrid(rule.rule_number, width, steps, int(base_seed + i), cells[i])
+        row = ring[t - 1]
+        row[:, 0], row[:, -1] = row[:, -2], row[:, 1]
+        np.left_shift(row[:, :-2], 2, out=hood)
+        np.left_shift(row[:, 1:-1], 1, out=center)
+        hood |= center
+        hood |= row[:, 2:]
+        np.take(lut, hood, out=ring[t, :, 1:-1])
+    ring.setflags(write=False)
+    return [SpacetimeGrid(rule.rule_number, width, steps, int(base_seed + i), ring[:, i, 1:-1])
             for i in range(runs)]
 
 

@@ -126,9 +126,11 @@ def run_table1(config: ExperimentConfig, threads: int | None = None) -> TableRep
 
 
 def _rule_result(rule: int, config: ExperimentConfig) -> RuleResult:
-    """One rule's row; its grids and distributions are freed on return."""
-    grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
-    dist_k, dist_1 = ca_distributions(grids, (config.k, 1))
+    """One rule's row. Its grids are freed once counted, before the
+    decompositions, and its distributions on return."""
+    dist_k, dist_1 = ca_distributions(
+        eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs),
+        (config.k, 1))
     dec_k = modified_information(dist_k, config.k)
     dec_1 = modified_information(dist_1, 1)
     r = dec_k.lattice.r

@@ -441,6 +441,12 @@ def test_config_file_drives_table1_geometry(tmp_path):
     ("profile", {"rule": 54, "steps": False}, "'steps' must be an integer, got False"),
     ("analyze", {"input": "x.csv", "destination": "d", "sources": "s", "k": "2x"},
      "'k' must be an integer, got '2x'"),
+    ("or-demo", {"delta": "abc"}, "'delta' must be a number, got 'abc'"),
+    ("or-demo", {"delta": False}, "'delta' must be a number, got False"),
+    ("profile", {"rule": 54, "measures": 5},
+     "'measures' must be a string or a list of strings, got 5"),
+    ("analyze", {"input": "x.csv", "destination": "d", "sources": ["s", 2]},
+     "'sources' must be a string or a list of strings, got ['s', 2]"),
 ])
 def test_config_integers_name_their_key(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"

@@ -5,11 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from support import random_distribution
 from synpid.distributions import (
-    JointDistribution, VariableSpec, avg_mi, count_samples, embed_history,
+    JointDistribution, VariableSpec, _count_codes, avg_mi, count_samples, embed_history,
     local_mi, merge, unpack_history,
 )
 
@@ -74,6 +74,27 @@ def test_count_samples_accepts_arrays():
     arr = np.array([[0, 0], [1, 1], [1, 1], [0, 1]])
     dist = count_samples(v, arr)
     assert dist.counts == {(0, 0): 1, (1, 1): 2, (0, 1): 1}
+    for column in (arr[:, :1], np.ascontiguousarray(arr[:, 1:])):
+        before = column.copy()
+        count_samples(v[:1], column)
+        assert np.array_equal(column, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.int32, np.int64]),
+       st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 1)), max_size=40))
+@example(np.int32, []).via("empty buffer")
+@example(np.int64, [7]).via("one code")
+def test_count_codes_equal_unique_counts(dtype, values):
+    variables = (VariableSpec("a", 2 ** 16), VariableSpec("b", 2 ** 15))
+    codes = np.array(values, dtype=dtype)
+    ucodes, ucounts = np.unique(codes, return_counts=True)
+    dist = _count_codes(variables, codes)
+    assert dist.counts._codes.dtype == dist.counts.weights.dtype == np.int64
+    assert np.array_equal(dist.counts._codes, ucodes)
+    assert np.array_equal(dist.counts.weights, ucounts)
+    assert np.array_equal(dist.counts.symbols, np.stack([ucodes % 2 ** 16, ucodes >> 16], axis=1))
+    assert dist.total == float(len(values))
 
 
 def test_count_samples_rejects_out_of_range():

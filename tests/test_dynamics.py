@@ -131,6 +131,21 @@ def test_ca_distribution_equals_counted_samples(data):
     assert_same_distribution(fast, ref)
 
 
+def test_ca_distribution_reads_batch_views_like_contiguous_grids():
+    batch = run_batch(110, 13, 30, 4, 5)
+    assert not batch[0].cells.flags.c_contiguous and not batch[0].cells.flags.writeable
+    copies = [SpacetimeGrid(g.rule_number, g.width, g.steps, g.seed, g.cells.copy())
+              for g in batch]
+    mixed = [batch[0], run(30, 9, 25, 1), *batch[1:3], run(54, 13, 30, 2), batch[3],
+             *run_batch(90, 9, 25, 0, 2), batch[4]]
+    for k, offsets in ((1, (-1, 1)), (4, (-1, 1)), (3, (-2, 1, 3))):
+        assert_same_distribution(ca_distribution(batch, k, offsets),
+                                 ca_distribution(copies, k, offsets))
+        ref = count_samples(ca_variables(k, offsets),
+                            np.concatenate([ca_samples(g, k, offsets) for g in mixed]))
+        assert_same_distribution(ca_distribution(mixed, k, offsets), ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ca_distributions_equal_one_count_per_k(data):
@@ -211,11 +226,15 @@ def test_ca_distribution_rejects_non_binary_cells():
         ca_distribution([grid], 1)
     with pytest.raises(ValueError, match=r"must be bits, saw values in \[0, 2\]"):
         ca_samples(grid, 1)
-    negative = SpacetimeGrid(54, 3, 3, 0, np.array([[0, 1, 1], [1, -1, 1], [0, 0, 1]],
-                                                    dtype=np.int8))
-    for build in (lambda: ca_distribution([negative], 1), lambda: ca_samples(negative, 1)):
-        with pytest.raises(ValueError, match=r"must be bits, saw values in \[-1, 1\]"):
-            build()
+    # Checked before any narrowing to uint8, which would map -1 to 255 and 256 to 0.
+    for value, dtype in ((-1, np.int8), (256, np.int16)):
+        cells = np.array([[0, 1, 1], [1, value, 1], [0, 0, 1]], dtype=dtype)
+        bad = SpacetimeGrid(54, 3, 3, 0, cells)
+        lo, hi = min(value, 0), max(value, 1)
+        for build in (lambda: ca_distribution([bad], 1), lambda: ca_samples(bad, 1),
+                      lambda: ca_distributions([run(54, 3, 3, 0), bad], (1,))):
+            with pytest.raises(ValueError, match=rf"must be bits, saw values in \[{lo}, {hi}\]"):
+                build()
 
 
 # -- averaged measures ------------------------------------------------------
