@@ -46,7 +46,6 @@ from .pid import (
     PidDecomposition,
     decomposition_report,
     discontinuity_scan,
-    hierarchy_terms,
     i_min,
     local_i_min,
     modified_information,
@@ -83,7 +82,6 @@ __all__ = [
     "embed_history",
     "encode_rule",
     "export_local_profiles",
-    "hierarchy_terms",
     "i_min",
     "local_ais",
     "local_i_min",

@@ -17,13 +17,12 @@ import sys
 
 from . import eca
 from .distributions import count_samples, embed_history, VariableSpec
-from .dynamics import DynamicsConfig, active_info_storage, transfer_entropy
+from .dynamics import DynamicsConfig, active_info_storage, profile_measures, transfer_entropy
 from .experiments import ExperimentConfig, export_local_profiles, run_or_demo, run_table1
 from .lattice import MAX_SOURCES, build_lattice
 from .pid import decomposition_report, modified_information
 
 TABLE1_RULES = (18, 22, 30, 54, 110)
-PROFILE_MEASURES = ("local_ais", "local_te_left", "local_te_right", "local_separable")
 
 
 def _type_rule(text):
@@ -213,7 +212,7 @@ def cmd_profile(args) -> int:
     s = Settings(args)
     rule = s.integer("rule")
     config = _experiment_config(s, (rule,))
-    measures = s.names("measures", PROFILE_MEASURES)
+    measures = s.names("measures", profile_measures(DynamicsConfig(k=1)))
     written = export_local_profiles(rule, config, measures, str(s.require("out")))
     for m in measures:
         print(f"{m}: {written[m]['csv']}, {written[m]['pgm']}")
@@ -405,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rule", type=_type_rule)
     p.add_argument("--measures", type=_type_names,
-                   help=f"comma-separated subset of {','.join(PROFILE_MEASURES)}")
+                   help="comma-separated subset of "
+                        + ",".join(profile_measures(DynamicsConfig(k=1))))
     p.add_argument("--runs", type=_type_positive)
     p.add_argument("--width", type=_type_positive)
     p.add_argument("--steps", type=_type_positive)

@@ -111,54 +111,85 @@ def ca_samples(grid: SpacetimeGrid, k: int, offsets=(-1, 1),
     return np.stack(columns, axis=-1).reshape(-1, len(columns))
 
 
+def _reach(offsets) -> int:
+    """How many pad columns each side of a stack needs for ``offsets``."""
+    return max(map(abs, offsets), default=0)
+
+
 def _packed_codes(cells: np.ndarray, k: int, offsets, start: int, mults,
                   codes: np.ndarray) -> None:
     """Pack (next, hist, sources...) of every destination site of checked,
-    time-major (steps, runs, width) cells into the flat buffer ``codes``,
-    in (time, run, cell) order."""
-    codes = codes.reshape(len(cells) - start, *cells.shape[1:])
-    cells = cells.astype(np.uint8, copy=False)
+    time-major padded (steps, runs, width + 2p) cells into the flat buffer
+    ``codes``, in (time, run, cell) order.
+
+    Each time row is read as one flat row of runs * (width + 2p) cells, in
+    which the source at offset o of any inner cell lies o positions away,
+    since |o| <= p. The window and the sources are built on those whole
+    padded rows; only the inner columns reach ``codes``.
+    """
+    p = _reach(offsets)
+    steps, runs, padded = cells.shape
+    width = padded - 2 * p
+    codes = codes.reshape(steps - start, runs, width)
+    rows = cells.reshape(steps, -1)
+    n = rows.shape[1]
     dtype = codes.dtype.type
-    window, source = np.zeros((2,) + cells.shape[1:], dtype)
-    width = cells.shape[2]
-    for t in range(start - k, len(cells)):
+    window = np.zeros(n, dtype)
+    inner = window[p:n - p]
+    prev, cur = np.empty(n, dtype), np.empty(n, dtype)
+    for t in range(start - k, steps):
+        prev, cur = cur, prev
+        np.copyto(cur, rows[t], casting="unsafe")
         # next (weight 1) and hist (weight 2) form the (k+1)-bit window
-        # sum_j cells[t - j] << j of the destination's own column.
+        # sum_j cells[t - j] << j of the destination's own column. The mask
+        # also clears the source bits, which the last step put above it.
         window &= 2 ** k - 1
         window <<= 1
-        window |= cells[t]
+        window |= cur
         if t < start:
             continue
-        out = codes[t - start]
-        out[...] = window
+        # Each source scales the previous row in place, as it is rewritten
+        # before it is read again; every multiplier divides the next one.
+        scale = 1
         for o, m in zip(offsets, mults[2:]):
-            # The source at offset o of cell c is cell (c + o) % width one step back.
-            np.multiply(cells[t - 1], dtype(m), out=source)
-            s = o % width
-            out[:, :width - s] |= source[:, s:]
-            out[:, width - s:] |= source[:, :s]
+            prev *= dtype(m // scale)
+            scale = m
+            inner |= prev[p + o:n - p + o]
+        codes[t - start] = window.reshape(runs, padded)[:, p:p + width]
 
 
-def _stacks(grids) -> list[np.ndarray]:
-    """The grids' cells stacked into one time-major (steps, runs, width)
-    array per shape."""
+def _stacks(grids, offsets) -> list[np.ndarray]:
+    """The grids' cells stacked into one time-major (steps, runs, width + 2p)
+    array per shape, p = max |offset|. Pad column j holds cell
+    (j - p) mod width, so the wrap holds even when p exceeds the width."""
     by_shape = {}
     for g in grids:
         by_shape.setdefault(g.cells.shape, []).append(g.cells)
     if not by_shape:
         raise ValueError("need at least one grid")
-    return [np.stack(group, axis=1) for group in by_shape.values()]
+    p = _reach(offsets)
+    stacks = []
+    for (steps, width), group in by_shape.items():
+        stack = np.empty((steps, len(group), width + 2 * p), np.result_type(*group))
+        np.stack(group, axis=1, out=stack[:, :, p:p + width])
+        if p:
+            pads = np.r_[:p, p + width:width + 2 * p]
+            stack[:, :, pads] = stack[:, :, p + (pads - p) % width]
+        stacks.append(stack)
+    return stacks
 
 
 def _count_stacks(stacks, k: int, offsets, start: int | None) -> JointDistribution:
-    """Count every destination site of stacked cells, packed into one code
+    """Count every destination site of padded stacks, packed into one code
     buffer; codes are 32-bit when the joint alphabet allows, which halves
     the bytes the counting sort moves."""
     variables = ca_variables(k, offsets)
     mults = _radix_multipliers([v.arity for v in variables])
     dtype = np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64
     starts = [_checked_start(cells, k, start) for cells in stacks]
-    sizes = [(len(cells) - s) * cells[0].size for cells, s in zip(stacks, starts)]
+    pad = 2 * _reach(offsets)
+    sizes = [(len(cells) - s) * cells.shape[1] * (cells.shape[2] - pad)
+             for cells, s in zip(stacks, starts)]
     codes = np.empty(sum(sizes), dtype)
     end = 0
     for cells, s, n in zip(stacks, starts, sizes):
@@ -175,7 +206,7 @@ def ca_distribution(grids, k: int, offsets=(-1, 1),
     grids, without building the sample matrix. Grids of one shape are
     stacked and packed together.
     """
-    return _count_stacks(_stacks(grids), k, offsets, start)
+    return _count_stacks(_stacks(grids, offsets), k, offsets, start)
 
 
 def ca_distributions(grids, ks, offsets=(-1, 1)) -> list[JointDistribution]:
@@ -190,7 +221,7 @@ def ca_distributions(grids, ks, offsets=(-1, 1)) -> list[JointDistribution]:
     ks = tuple(ks)
     if not ks:
         raise ValueError("need at least one history length")
-    stacks = _stacks(grids)
+    stacks = _stacks(grids, offsets)
     top = max(ks)
     full = _count_stacks(stacks, top, offsets, None)
     out = {top: full}

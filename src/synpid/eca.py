@@ -32,13 +32,6 @@ class RuleTable:
     rule_number: int
     outputs: dict[tuple[int, int, int], int] = field(compare=False)
 
-    def as_lut(self) -> np.ndarray:
-        """Lookup table indexed by 4*left + 2*center + right."""
-        lut = np.zeros(8, dtype=np.uint8)
-        for (l, c, r), v in self.outputs.items():
-            lut[4 * l + 2 * c + r] = v
-        return lut
-
 
 def decode_rule(rule_number: int) -> RuleTable:
     """Expand a Wolfram rule number into an explicit neighborhood table."""
@@ -56,7 +49,10 @@ def decode_rule(rule_number: int) -> RuleTable:
 def encode_rule(table: RuleTable) -> int:
     """Inverse of decode_rule; packs the outputs back into a rule number."""
     n = 0
-    for (l, c, r), v in table.outputs.items():
+    for hood, v in table.outputs.items():
+        if hood not in NEIGHBORHOODS:
+            raise ValueError(f"rule neighborhoods must be triples of bits, got {hood!r}")
+        l, c, r = hood
         if v not in (0, 1):
             raise ValueError(f"rule outputs must be bits, got {v!r}")
         n |= v << (4 * l + 2 * c + r)
@@ -94,8 +90,14 @@ def run_batch(rule: RuleTable | int, width: int, steps: int,
 
     All runs advance together, one vectorized update per time step, on one
     time-major (steps, runs, width + 2) ring whose first and last columns
-    copy the wrapped neighbors. Each grid's ``cells`` is a read-only,
+    copy the wrapped neighbors. Each step reads the previous ring row as one
+    flat row: the neighborhood index (2*left + center)*2 + right of every
+    position is built with in-place adds, and the next cell is that bit of
+    the rule number. The pad cells between runs get junk bits, which the
+    next step's wrap copy overwrites. Each grid's ``cells`` is a read-only,
     non-contiguous (steps, width) view of that batch.
+
+    A RuleTable is checked by ``encode_rule`` before any step.
     """
     if not isinstance(rule, RuleTable):
         rule = decode_rule(rule)
@@ -107,20 +109,24 @@ def run_batch(rule: RuleTable | int, width: int, steps: int,
         raise ValueError(f"runs must be at least 1, got {runs}")
     if base_seed < 0:
         raise ValueError(f"seed must be >= 0, got {base_seed}")
-    lut = rule.as_lut()
+    rule_bits = np.uint8(encode_rule(rule))
     ring = np.empty((steps, runs, width + 2), dtype=np.uint8)
     ring[0, :, 1:-1] = [np.random.default_rng(base_seed + i).integers(0, 2, size=width,
                                                                       dtype=np.uint8)
                         for i in range(runs)]
-    hood, center = np.empty((2, runs, width), dtype=np.uint8)
+    flat = ring.reshape(steps, -1)
+    hood = np.empty(flat.shape[1] - 2, dtype=np.uint8)
     for t in range(1, steps):
         row = ring[t - 1]
         row[:, 0], row[:, -1] = row[:, -2], row[:, 1]
-        np.left_shift(row[:, :-2], 2, out=hood)
-        np.left_shift(row[:, 1:-1], 1, out=center)
-        hood |= center
-        hood |= row[:, 2:]
-        np.take(lut, hood, out=ring[t, :, 1:-1])
+        prev = flat[t - 1]
+        np.add(prev[:-2], prev[:-2], out=hood)
+        hood += prev[1:-1]
+        hood += hood
+        hood += prev[2:]
+        nxt = flat[t, 1:-1]
+        np.right_shift(rule_bits, hood, out=nxt)
+        nxt &= 1
     ring.setflags(write=False)
     return [SpacetimeGrid(rule.rule_number, width, steps, int(base_seed + i), ring[:, i, 1:-1])
             for i in range(runs)]

@@ -274,11 +274,6 @@ def modified_information(dist: JointDistribution, k: int,
     )
 
 
-def hierarchy_terms(decomposition: PidDecomposition) -> dict[int, float]:
-    """Partial-term totals grouped by each node's smallest subset size."""
-    return dict(decomposition.hierarchy)
-
-
 def decomposition_report(decomposition: PidDecomposition) -> dict:
     """JSON-ready report with canonical antichain labels."""
     lat = decomposition.lattice

@@ -115,7 +115,7 @@ def assert_same_distribution(fast, ref):
     assert fast.total == ref.total
 
 
-OFFSETS = st.sampled_from([(-1, 1), (1, -1), (-2, 1, 3), (2,), ()])
+OFFSETS = st.sampled_from([(-1, 1), (1, -1), (-2, 1, 3), (2,), (), (-5, 7), (13,)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synpid.eca import (
-    decode_rule, encode_rule, run, run_batch, write_csv, write_pgm,
+    RuleTable, decode_rule, encode_rule, run, run_batch, write_csv, write_pgm,
 )
 
 
@@ -39,6 +39,20 @@ def test_decode_rejects_bad_rule_numbers(bad):
 def test_run_rejects_bad_rule_numbers(bad):
     with pytest.raises(ValueError, match="rule number"):
         run(bad, 10, 5, 0)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 6])
+@pytest.mark.parametrize("entry, message", [
+    ({(0, 1, 1): 2}, "rule outputs must be bits, got 2"),
+    ({(2, 0, 0): 1}, r"rule neighborhoods must be triples of bits, got \(2, 0, 0\)"),
+])
+def test_run_rejects_malformed_rule_tables(steps, entry, message):
+    # The table is checked before any step, so a bad entry cannot reach a
+    # grid on the last step or fail halfway through a batch.
+    bad = RuleTable(110, {**decode_rule(110).outputs, **entry})
+    for simulate in (lambda: run(bad, 8, steps, 0), lambda: run_batch(bad, 8, steps, 0, 3)):
+        with pytest.raises(ValueError, match=message):
+            simulate()
 
 
 def test_run_validates_geometry():

@@ -12,7 +12,7 @@ from synpid.experiments import or_distribution
 from synpid.lattice import Antichain, build_lattice
 from synpid.pid import (
     TIE_TOLERANCE, argmin_table, decomposition_report, discontinuity_scan,
-    hierarchy_terms, i_min, local_i_min, modified_information, partial_terms,
+    i_min, local_i_min, modified_information, partial_terms,
     specific_information,
 )
 
@@ -273,7 +273,6 @@ def test_modified_information_xor_dynamics():
     assert dec.source_names == ("h", "s")
     assert dec.hierarchy[1] == pytest.approx(0.0, abs=1e-12)
     assert dec.hierarchy[2] == pytest.approx(1.0, abs=1e-12)
-    assert hierarchy_terms(dec) == dec.hierarchy
 
 
 def test_modified_information_hierarchy_reconciles():
