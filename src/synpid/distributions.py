@@ -7,15 +7,17 @@ unobserved configurations simply drop out of sums, but asking for the local
 value of a configuration that was never counted is an error rather than
 -inf. All logarithms are base 2 and all returned quantities are in bits.
 
-A distribution is two read-only arrays: its distinct sample tuples as an
-(n, nvars) matrix sorted by packed code, and their weights. Counts are
-integers on every empirical path; analytically constructed distributions
-(exact gate tables, tilted families) may carry real-valued weights instead,
-with the same invariant that the stored total equals the sum of counts.
-``counts`` and ``marginal_counts`` are read-only mapping views. Every
-reduction goes through one memoized group-by in code order, so nothing
-derived can go stale and results do not depend on insertion order or merge
-order. That is what makes repeated runs byte-identical.
+A distribution is two read-only arrays: the sorted packed codes of its
+distinct sample tuples (first variable in the lowest digit) and their
+weights. Every grouping works on the codes; the tuples are decoded only
+when asked for. Counts are integers on every empirical path; analytically
+constructed distributions (exact gate tables, tilted families) may carry
+real-valued weights instead, with the same invariant that the stored total
+equals the sum of counts. ``counts`` and ``marginal_counts`` are read-only
+mapping views. Every reduction goes through one memoized group-by in code
+order, so nothing derived can go stale and results do not depend on
+insertion order or merge order. That is what makes repeated runs
+byte-identical.
 
 History embedding packs the k most recent values of a series into one
 symbol with the most recent value in the lowest digit:
@@ -25,6 +27,7 @@ symbol with the most recent value in the lowest digit:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -70,34 +73,60 @@ class Marginal(Mapping):
     """Read-only {sample tuple: count} view over two read-only arrays.
 
     Built from the sorted, distinct packed codes of the tuples (first column
-    in the lowest digit) and their counts. ``symbols`` holds the tuples as
-    an (m, ncols) matrix in code order (decoded unless given) and ``weights``
-    their counts. ``index`` finds many tuples with one binary search.
+    in the lowest digit) and their counts, ``weights``. ``column(j)`` decodes
+    one column; ``symbols``, the tuples as an (m, ncols) matrix in code
+    order, is decoded on first use and kept. ``index`` finds many tuples
+    with one binary search.
     """
 
-    def __init__(self, arities: Sequence[int], codes: np.ndarray, weights: np.ndarray,
-                 symbols: np.ndarray | None = None):
+    def __init__(self, arities: Sequence[int], codes: np.ndarray, weights: np.ndarray):
         self.arities = np.array(arities, dtype=np.int64)
         self._mults = np.array(_radix_multipliers(arities), dtype=np.int64)
         self._codes, self.weights = codes, weights
-        if symbols is None:
-            symbols = np.empty((len(codes), len(self.arities)), dtype=np.int64)
-            for j, (m, a) in enumerate(zip(self._mults, self.arities)):
-                np.floor_divide(codes, m, out=symbols[:, j])
-                symbols[:, j] %= a
-        self.symbols = symbols
-        for arr in (self.arities, self._mults, codes, self.symbols, weights):
+        for arr in (self.arities, self._mults, codes, weights):
             arr.flags.writeable = False
 
     def __reduce__(self):
-        return Marginal, (self.arities.tolist(), self._codes, self.weights, self.symbols)
+        return Marginal, (self.arities.tolist(), self._codes, self.weights)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the tuples, decoded from the codes."""
+        part = self._codes // self._mults[j] if j else self._codes
+        return part % self.arities[j] if j < len(self.arities) - 1 else part
+
+    @functools.cached_property
+    def symbols(self) -> np.ndarray:
+        """The tuples as a read-only (m, ncols) matrix in code order."""
+        symbols = np.empty((len(self._codes), len(self.arities)), dtype=np.int64)
+        for j in range(len(self.arities)):
+            symbols[:, j] = self.column(j)
+        symbols.flags.writeable = False
+        return symbols
 
     def group(self, positions: Sequence[int]) -> tuple["Marginal", np.ndarray]:
-        """These counts summed onto the columns at ``positions`` (ascending),
-        and the position of each of this view's rows in the result."""
+        """These counts summed onto the columns at ``positions`` (ascending,
+        nonempty), and the position of each of this view's rows in the result.
+
+        Each run of consecutive positions [lo, hi) is one slice of digits
+        of the codes, codes // mults[lo] % (mults[hi] // mults[lo]), so the
+        result's codes come from these codes alone.
+        """
         positions = list(positions)
-        return _grouped(self.arities[positions].tolist(), self.symbols[:, positions],
-                        self.weights)
+        bounds = [*self._mults.tolist(), math.prod(self.arities.tolist())]
+        codes, scale = None, 1
+        for lo, hi in _runs(positions):
+            part = self._codes // bounds[lo] if lo else self._codes
+            if hi < len(self.arities):
+                part = part % (bounds[hi] // bounds[lo])
+            if codes is None:
+                codes = part
+            else:
+                # Only a first run spanning every column is the codes
+                # themselves, so both arrays here are new.
+                part *= scale
+                codes += part
+            scale *= bounds[hi] // bounds[lo]
+        return _grouped(self.arities[positions].tolist(), codes, self.weights)
 
     def index(self, rows) -> np.ndarray:
         """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved."""
@@ -122,13 +151,36 @@ class Marginal(Mapping):
         return len(self.weights)
 
 
-def _grouped(arities, rows: np.ndarray, weights: np.ndarray) -> tuple[Marginal, np.ndarray]:
-    """Weights summed over equal rows, in packed-code order, keeping their
-    dtype, and the position of each row's group."""
-    codes = rows @ np.array(_radix_multipliers(arities), dtype=np.int64)
-    ucodes, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+def _runs(positions: list[int]) -> list[tuple[int, int]]:
+    """Ascending positions as maximal runs [lo, hi) of consecutive ones."""
+    runs = []
+    for p in positions:
+        if runs and runs[-1][1] == p:
+            runs[-1] = (runs[-1][0], p + 1)
+        else:
+            runs.append((p, p + 1))
+    return runs
+
+
+def _grouped(arities, codes: np.ndarray, weights: np.ndarray) -> tuple[Marginal, np.ndarray]:
+    """Weights summed over equal packed codes, in code order, keeping their
+    dtype, and the position of each code's group.
+
+    Dropping the lowest digits of sorted codes keeps them sorted, and
+    dropping the highest leaves a few sorted runs; the stable sort takes
+    either in linear time. The sums add each group's weights in row order.
+    """
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    group = np.cumsum(first)
+    group -= 1
+    inverse = np.empty(len(codes), dtype=np.intp)
+    inverse[order] = group
     sums = np.bincount(inverse, weights=weights).astype(weights.dtype, copy=False)
-    return Marginal(arities, ucodes, sums, rows[first]), inverse
+    return Marginal(arities, ordered[first], sums), inverse
 
 
 class JointDistribution:
@@ -155,9 +207,10 @@ class JointDistribution:
             if not (isinstance(c, (int, float, np.integer, np.floating)) and c >= 0):
                 raise ValueError(f"count for {key!r} must be nonnegative, got {c!r}")
         integral = all(isinstance(c, (int, np.integer)) for c in counts.values())
+        arities = [v.arity for v in variables]
+        keys = np.array(list(counts), dtype=np.int64).reshape(len(counts), len(variables))
         view, _ = _grouped(
-            [v.arity for v in variables],
-            np.array(list(counts), dtype=np.int64).reshape(len(counts), len(variables)),
+            arities, keys @ np.array(_radix_multipliers(arities), dtype=np.int64),
             np.array(list(counts.values()), dtype=np.int64 if integral else np.float64))
         self._setup(variables, view, float(sum(counts.values())))
 
@@ -358,7 +411,7 @@ def merge(a: JointDistribution, b: JointDistribution) -> JointDistribution:
             f"cannot merge distributions over different variables: "
             f"{[v.name for v in a.variables]} vs {[v.name for v in b.variables]}")
     counts, _ = _grouped([v.arity for v in a.variables],
-                         np.concatenate([a.counts.symbols, b.counts.symbols]),
+                         np.concatenate([a.counts._codes, b.counts._codes]),
                          np.concatenate([a.counts.weights, b.counts.weights]))
     return JointDistribution._from_counts(a.variables, counts, a.total + b.total)
 

@@ -89,7 +89,7 @@ def _checked_start(cells: np.ndarray, k: int, start: int | None) -> int:
     if start >= steps:
         raise ValueError(f"grid with {steps} steps has no destinations at start={start}")
     lo, hi = cells.min(), cells.max()
-    if lo < 0 or hi > 1:
+    if not (lo >= 0 and hi <= 1):
         raise ValueError(f"grid cells must be bits, saw values in [{lo}, {hi}]")
     return start
 
@@ -227,8 +227,9 @@ def ca_distributions(grids, ks, offsets=(-1, 1)) -> list[JointDistribution]:
     out = {top: full}
     for k in set(ks) - {top}:
         variables = ca_variables(k, offsets)
-        cut = full.counts.symbols.copy()
-        cut[:, 1] &= 2 ** k - 1
+        codes = full.counts._codes
+        # Keep next and the k lowest history bits, and move the sources down.
+        cut = (codes & (2 ** (k + 1) - 1)) | (codes >> (top + 1) << (k + 1))
         counts, _ = _grouped([v.arity for v in variables], cut, full.counts.weights)
         leading = _count_stacks([cells[:top] for cells in stacks], k, offsets, k)
         out[k] = merge(JointDistribution._from_counts(variables, counts, full.total), leading)

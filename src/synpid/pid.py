@@ -78,7 +78,7 @@ def _node_tables(dist: JointDistribution, node):
     xi = _destination(dist)
     c_x = np.zeros(dist.variables[xi].arity)
     marginal = dist.marginal_counts((xi,))
-    c_x[marginal.symbols[:, 0]] = marginal.weights
+    c_x[marginal.column(0)] = marginal.weights
     return tables, c_x
 
 
@@ -93,18 +93,16 @@ def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
     arity = dist.variables[xi].arity
     xa = dist.marginal_counts((xi,) + cols)
     j = sorted((xi,) + cols).index(xi)
-    x_of = xa.symbols[:, j]
+    x_of = xa.column(j)
     a, a_of = xa.group([i for i in range(len(cols) + 1) if i != j])
-    c_xa = xa.weights
-    c_a = a.weights[a_of]
-    c_x = np.bincount(x_of, weights=c_xa, minlength=arity)
-    live = c_xa > 0
-    table = np.full(arity, np.nan)
-    observed = c_x > 0
-    table[observed] = 0.0
-    terms = (c_xa[live] / c_x[x_of[live]]) * (
-        np.log2(c_xa[live] / c_a[live]) - np.log2(c_x[x_of[live]] / dist.total))
-    np.add.at(table, x_of[live], terms)
+    c_x = np.bincount(x_of, weights=xa.weights, minlength=arity)
+    live = xa.weights > 0
+    x_of, c_xa, c_a = x_of[live], xa.weights[live], a.weights[a_of[live]]
+    c_x_of = c_x[x_of]
+    terms = (c_xa / c_x_of) * (np.log2(c_xa / c_a) - np.log2(c_x_of / dist.total))
+    # Each outcome's terms are added in row order, starting from 0.0.
+    table = np.bincount(x_of, weights=terms, minlength=arity)
+    table[c_x == 0] = np.nan
     memo[key] = table
     return table
 

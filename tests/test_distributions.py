@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from support import random_distribution
 from synpid.distributions import (
-    JointDistribution, VariableSpec, _count_codes, avg_mi, count_samples, embed_history,
-    local_mi, merge, unpack_history,
+    JointDistribution, Marginal, VariableSpec, _count_codes, _radix_multipliers, avg_mi,
+    count_samples, embed_history, local_mi, merge, unpack_history,
 )
 
 LOG2_2_3 = math.log2(2 / 3)  # -0.5849625007211562
@@ -266,6 +266,51 @@ def test_marginal_counts_do_not_depend_on_request_order(seed, real, data):
         assert np.array_equal(view.symbols, ref.symbols)
         assert view.weights.dtype == ref.weights.dtype == (np.float64 if real else np.int64)
         assert view.weights.tobytes() == ref.weights.tobytes()
+
+
+ARITY = st.one_of(st.integers(2, 4), st.just(2 ** 16), st.integers(2, 70_000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ARITY, min_size=1, max_size=5).filter(lambda a: math.prod(a) < 2 ** 62),
+       st.booleans(), st.data())
+def test_group_equals_unique_over_symbol_matrix(arities, real, data):
+    """Grouping on digits of the codes matches grouping the decoded symbol
+    columns with np.unique, for every nonempty ascending column set."""
+    rows = data.draw(st.lists(st.tuples(*(st.integers(0, a - 1) for a in arities)),
+                              max_size=30, unique=True), label="rows")
+    weight = (st.one_of(st.just(0.0), st.floats(0, 1e3)) if real
+              else st.integers(0, 2 ** 40))
+    weights = np.array(data.draw(st.lists(weight, min_size=len(rows), max_size=len(rows)),
+                                 label="weights"), dtype=np.float64 if real else np.int64)
+    symbols = np.array(rows, dtype=np.int64).reshape(len(rows), len(arities))
+    codes = symbols @ np.array(_radix_multipliers(arities), dtype=np.int64)
+    order = np.argsort(codes)
+    view = Marginal(arities, codes[order], weights[order])
+    symbols, weights = symbols[order], weights[order]
+    assert np.array_equal(view.symbols, symbols)
+    for j in range(len(arities)):
+        assert np.array_equal(view.column(j), symbols[:, j])
+    for size in range(1, len(arities) + 1):
+        for positions in combinations(range(len(arities)), size):
+            positions = list(positions)
+            sub = [arities[p] for p in positions]
+            ucodes, first, inverse = np.unique(
+                symbols[:, positions] @ np.array(_radix_multipliers(sub), dtype=np.int64),
+                return_index=True, return_inverse=True)
+            sums = np.bincount(inverse, weights=weights).astype(weights.dtype, copy=False)
+            got, got_inverse = view.group(positions)
+            assert got.arities.tolist() == sub
+            assert np.array_equal(got._codes, ucodes)
+            assert got.weights.dtype == weights.dtype
+            assert got.weights.tobytes() == sums.tobytes()
+            assert np.array_equal(got_inverse, inverse)
+            assert np.array_equal(got.symbols, symbols[first][:, positions])
+    for v in (view, pickle.loads(pickle.dumps(view))):
+        assert not v.symbols.flags.writeable
+        if len(v):
+            with pytest.raises(ValueError, match="read-only"):
+                v.symbols[0, 0] = 1
 
 
 # -- immutability -----------------------------------------------------------

@@ -235,6 +235,14 @@ def test_ca_distribution_rejects_non_binary_cells():
                       lambda: ca_distributions([run(54, 3, 3, 0), bad], (1,))):
             with pytest.raises(ValueError, match=rf"must be bits, saw values in \[{lo}, {hi}\]"):
                 build()
+    # NaN compares false with every bound, so a check written as lo < 0 or
+    # hi > 1 would let it through as a 0 (or as -2**63 in the sample rows).
+    cells = np.array([[0, 1, 1], [1, np.nan, 1], [0, 0, 1]])
+    bad = SpacetimeGrid(54, 3, 3, 0, cells)
+    for build in (lambda: ca_distribution([bad], 1), lambda: ca_samples(bad, 1),
+                  lambda: ca_distributions([bad], (2, 1))):
+        with pytest.raises(ValueError, match=r"must be bits, saw values in \[nan, nan\]"):
+            build()
 
 
 # -- averaged measures ------------------------------------------------------

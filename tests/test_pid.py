@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from synpid.distributions import (
 from synpid.experiments import or_distribution
 from synpid.lattice import Antichain, build_lattice
 from synpid.pid import (
-    TIE_TOLERANCE, argmin_table, decomposition_report, discontinuity_scan,
+    TIE_TOLERANCE, _specinfo_table, argmin_table, decomposition_report, discontinuity_scan,
     i_min, local_i_min, modified_information, partial_terms,
     specific_information,
 )
@@ -68,6 +69,59 @@ def test_specific_information_averages_to_mi():
             c / dist.total * specific_information(dist, x, {1, 2})
             for (x,), c in marg.items())
         assert mean == pytest.approx(avg_mi(dist, (0,), (1, 2)), abs=1e-10)
+
+
+def specinfo_reference(dist, subset):
+    """The specific-information table by the np.unique and np.add.at formula."""
+    xi = dist.index_of_role("destination-next")
+    others = [i for i in range(len(dist.variables)) if i != xi]
+    cols = sorted([xi, *(others[i - 1] for i in subset)])
+    xa = dist.marginal_counts(cols)
+    j = cols.index(xi)
+    rest = [i for i in range(len(cols)) if i != j]
+    mults = np.cumprod([1, *xa.arities[rest][:-1]])
+    _, a_of = np.unique(xa.symbols[:, rest] @ mults, return_inverse=True)
+    x_of, c_xa = xa.symbols[:, j], xa.weights
+    c_a = np.bincount(a_of, weights=c_xa).astype(c_xa.dtype)[a_of]
+    arity = dist.variables[xi].arity
+    c_x = np.bincount(x_of, weights=c_xa, minlength=arity)
+    live = c_xa > 0
+    table = np.full(arity, np.nan)
+    table[c_x > 0] = 0.0
+    terms = (c_xa[live] / c_x[x_of[live]]) * (
+        np.log2(c_xa[live] / c_a[live]) - np.log2(c_x[x_of[live]] / dist.total))
+    np.add.at(table, x_of[live], terms)
+    return table
+
+
+def with_destination_at(dist, to):
+    """The same counts with the destination moved to column ``to``; the
+    sources keep their order."""
+    order = list(range(1, len(dist.variables)))
+    order.insert(to, 0)
+    return JointDistribution([dist.variables[i] for i in order],
+                             {tuple(key[i] for i in order): c for key, c in dist.counts.items()})
+
+
+def test_specinfo_tables_keep_the_accumulation_order():
+    """Bitwise equal to the reference formula for every subset, with the
+    destination in every column, on counted, real-weighted (or-demo) and
+    zero-count rows; the golden bytes only cover a destination-first layout."""
+    rng = np.random.default_rng(23)
+    dists = [random_distribution(rng, r=r, max_arity=4) for r in (1, 2, 3) for _ in range(4)]
+    dists += [or_distribution(1e-6), or_distribution(0.2)]
+    sparse = random_distribution(rng, r=2, max_arity=4)
+    dists.append(JointDistribution(sparse.variables, {
+        key: c if i % 3 else 0 for i, (key, c) in enumerate(sparse.counts.items())}))
+    for base in dists:
+        r = len(base.variables) - 1
+        subsets = [frozenset(s) for n in range(1, r + 1)
+                   for s in combinations(range(1, r + 1), n)]
+        for to in range(r + 1):
+            dist = with_destination_at(base, to)
+            for subset in subsets:
+                want = specinfo_reference(dist, subset)
+                assert _specinfo_table(dist, subset).tobytes() == want.tobytes()
 
 
 def test_specific_information_errors():

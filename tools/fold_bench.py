@@ -11,7 +11,8 @@ that both sides have form the pairs; each seed's pair records which side
 ran first, taken from the records' modification times. Seed-0 records are
 the golden-byte checks, and traced records give the per-layer values. The
 output has the layout of ``BENCH_6.json``: per-pair medians, each side's
-quartiles, win counts, machine facts and the golden hashes.
+quartiles, win counts, machine facts and the golden hashes, plus each
+metric's verdict against the gain rule and against its bound.
 """
 
 from __future__ import annotations
@@ -45,7 +46,13 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def fold_metric(metric: dict, pairs: list[dict]) -> dict:
-    """Per-pair medians of one end-to-end metric, and how the change compares."""
+    """Per-pair medians of one end-to-end metric, and how the change compares.
+
+    ``meets_gain_rule``: the change wins at least nine tenths of the pairs and
+    its median gain exceeds the distance between the parent's quartiles.
+    ``within_bound``: the change's median is worse than the parent's by no
+    more than the metric's bound, a fraction of the parent's median.
+    """
     name, lower = metric["name"], metric["better"] == "lower"
     values = [{side: p[side]["end_to_end"][name][0][1] for side in SIDES} for p in pairs]
     parent = quartiles([v["parent"] for v in values])
@@ -63,6 +70,8 @@ def fold_metric(metric: dict, pairs: list[dict]) -> dict:
         "change_wins": wins,
         "median_gain": round(gain, 4),
         "parent_quartile_distance": round(parent[2] - parent[0], 4),
+        "meets_gain_rule": 10 * wins >= 9 * len(values) and gain > parent[2] - parent[0],
+        "within_bound": -gain <= metric["bound"] * parent[1],
     }
 
 
