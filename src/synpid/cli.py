@@ -10,17 +10,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
-import math
 import os
+import re
 import sys
+import warnings
+
+import numpy as np
 
 from . import eca
-from .distributions import count_samples, embed_history, VariableSpec
-from .dynamics import DynamicsConfig, active_info_storage, profile_measures, transfer_entropy
-from .experiments import ExperimentConfig, export_local_profiles, run_or_demo, run_table1
-from .lattice import MAX_SOURCES, build_lattice
-from .pid import decomposition_report, modified_information
+from .dynamics import DynamicsConfig, profile_measures
+from .experiments import (
+    AnalyzeConfig, ExperimentConfig, export_local_profiles, run_analyze, run_or_demo,
+    run_table1,
+)
+from .lattice import build_lattice
 
 TABLE1_RULES = (18, 22, 30, 54, 110)
 
@@ -66,28 +71,17 @@ def _type_names(text):
     return parts
 
 
-def _config_int(key, value) -> int:
-    """An int, or a string holding one; booleans and other numbers are refused."""
-    if isinstance(value, str):
+def _config_value(key, value, cast=int):
+    """A config value as ``cast`` (int or float) reads it from a string or a
+    number; booleans, and floats where an int is wanted, are refused."""
+    numbers = (int,) if cast is int else (int, float)
+    if isinstance(value, (str, *numbers)) and not isinstance(value, bool):
         try:
-            return int(value)
+            return cast(value)
         except ValueError:
             pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"config value {key!r} must be an integer, got {value!r}")
-
-
-def _config_number(key, value) -> float:
-    """A number, or a string holding one; booleans are refused."""
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"config value {key!r} must be a number, got {value!r}")
+    kind = "an integer" if cast is int else "a number"
+    raise ValueError(f"config value {key!r} must be {kind}, got {value!r}")
 
 
 class Settings:
@@ -117,11 +111,12 @@ class Settings:
 
     def integer(self, key, default=None) -> int:
         """An integer setting; required when it has no default."""
-        return _config_int(key, self.require(key) if default is None else self.get(key, default))
+        return _config_value(key, self.require(key) if default is None
+                             else self.get(key, default))
 
     def number(self, key, default) -> float:
         """A numeric setting."""
-        return _config_number(key, self.get(key, default))
+        return _config_value(key, self.get(key, default), float)
 
     def seed(self):
         if self.get("seed") is not None:
@@ -138,11 +133,7 @@ class Settings:
             v = v.split(",")
         elif not isinstance(v, (list, tuple)):
             v = [v]
-        v = tuple(_config_int("rules", r) for r in v)
-        for r in v:
-            if not 0 <= r <= 255:
-                raise ValueError(f"rule must be in 0..255, got {r}")
-        return v
+        return tuple(_config_value("rules", r) for r in v)
 
     def names(self, key, default=None):
         v = self.get(key, default)
@@ -157,20 +148,19 @@ class Settings:
 
 
 def _write_json(doc, path):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Write a JSON report to ``path``, if one is given."""
+    if path:
+        with open(path, "w") as f:
+            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"wrote {path}")
 
 
 def _experiment_config(s: Settings, rules) -> ExperimentConfig:
-    return ExperimentConfig(
-        rules=rules,
-        runs=s.integer("runs", 100),
-        width=s.integer("width", 200),
-        steps=s.integer("steps", 200),
-        k=s.integer("k", 16),
-        base_seed=s.seed(),
-    )
+    """Only the settings given reach the config; it holds the defaults."""
+    given = {key: s.integer(key) for key in ("runs", "width", "steps", "k")
+             if s.get(key) is not None}
+    return ExperimentConfig(rules=rules, base_seed=s.seed(), **given)
 
 
 def cmd_ca_run(args) -> int:
@@ -189,10 +179,7 @@ def cmd_table1(args) -> int:
     config = _experiment_config(s, s.rules(TABLE1_RULES))
     report = run_table1(config)
     print(report.format_text())
-    out = s.get("out")
-    if out:
-        _write_json(report.to_json_dict(), out)
-        print(f"wrote {out}")
+    _write_json(report.to_json_dict(), s.get("out"))
     return 0
 
 
@@ -201,10 +188,7 @@ def cmd_or_demo(args) -> int:
     delta = s.number("delta", 1e-6)
     result = run_or_demo(delta)
     print(result.format_text())
-    out = s.get("out")
-    if out:
-        _write_json(result.to_json_dict(), out)
-        print(f"wrote {out}")
+    _write_json(result.to_json_dict(), s.get("out"))
     return 0
 
 
@@ -219,113 +203,56 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _dense_map(values):
-    mapping: dict[int, int] = {}
-    out = []
-    for v in values:
-        if v not in mapping:
-            mapping[v] = len(mapping)
-        out.append(mapping[v])
-    return out, list(mapping)
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """The header row and the (rows, columns) int64 cells of a CSV file.
 
-
-def _read_csv_columns(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
+    numpy parses the cells. When it refuses them, or would skip a blank
+    line, a line-by-line scan names the first bad line.
+    """
+    with open(path) as f:
+        text = f.read()
+    if not text:
         raise ValueError(f"{path} is empty")
-    header = [h.strip() for h in rows[0]]
+    head, _, body = text.partition("\n")
+    header = [h.strip() for h in next(csv.reader([head]))]
     if len(set(header)) != len(header):
         raise ValueError(f"duplicate column names in {path}: {header}")
-    columns = {h: [] for h in header}
-    for lineno, row in enumerate(rows[1:], start=2):
+    if not body:
+        return header, np.empty((0, len(header)), dtype=np.int64)
+    try:
+        if body.startswith("\n") or "\n\n" in body:
+            raise ValueError("blank line")
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.0" as an integer, with only a DeprecationWarning.
+            warnings.simplefilter("error")
+            data = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                              comments=None, quotechar='"', ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"{data.shape[1]} cells per row")
+        return header, data
+    except (ValueError, Warning) as exc:
+        reason = exc
+    for lineno, row in enumerate(csv.reader(io.StringIO(body)), start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-        for h, cell in zip(header, row):
-            try:
-                columns[h].append(int(cell.strip()))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer cell {cell!r}") from None
-    return columns
+        for cell in row:
+            if not re.fullmatch(r"[+-]?[0-9]+", cell.strip()):
+                raise ValueError(f"{path}:{lineno}: non-integer cell {cell!r}")
+            if not -2 ** 63 <= int(cell) < 2 ** 63:
+                raise ValueError(f"{path}:{lineno}: cell {cell!r} is outside the int64 range")
+    raise ValueError(f"{path}: {reason}")
 
 
 def cmd_analyze(args) -> int:
     s = Settings(args)
     path = str(s.require("input"))
-    dest_name = str(s.require("destination"))
-    source_names = s.names("sources")
-    if not source_names:
-        raise ValueError("missing required setting 'sources' (flag or config)")
-    k = s.integer("k", 1)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if dest_name in source_names or len(set(source_names)) != len(source_names):
-        raise ValueError("destination and sources must name distinct columns")
-    if 1 + len(source_names) > MAX_SOURCES:
-        raise ValueError(
-            f"{len(source_names)} sources plus the history give r={1 + len(source_names)}, "
-            f"over the lattice limit of {MAX_SOURCES}")
-    columns = _read_csv_columns(path)
-    for name in (dest_name, *source_names):
-        if name not in columns:
-            raise ValueError(f"no column named {name!r} in {path} "
-                             f"(have {sorted(columns)})")
-    dest_series, dest_alpha = _dense_map(columns[dest_name])
-    alphabets = {dest_name: dest_alpha}
-    source_series = []
-    for name in source_names:
-        series, alpha = _dense_map(columns[name])
-        alphabets[name] = alpha
-        source_series.append(series)
-    base = len(dest_alpha)
-    if base < 2:
-        raise ValueError(f"destination column {dest_name!r} is constant")
-    for name in source_names:
-        if len(alphabets[name]) < 2:
-            raise ValueError(f"source column {name!r} is constant")
-    steps = len(dest_series)
-    if steps < k + 2:
-        raise ValueError(f"need at least k+2={k + 2} rows, got {steps}")
-    hist_name = dest_name + "_hist"
-    variables = (
-        VariableSpec(dest_name, base, "destination-next"),
-        VariableSpec(hist_name, base ** k, "destination-history"),
-        *(VariableSpec(name, len(alphabets[name]), "source") for name in source_names),
-    )
-    samples = []
-    for t in range(k - 1, steps - 1):
-        row = [dest_series[t + 1], embed_history(dest_series, k, t, base)]
-        row.extend(series[t] for series in source_series)
-        samples.append(tuple(row))
-    dist = count_samples(variables, samples)
-    cfg = DynamicsConfig(k=k, destination=dest_name, sources=tuple(source_names))
-    te = {}
-    for name in source_names:
-        others = tuple(n for n in source_names if n != name)
-        te[name] = {
-            "apparent": transfer_entropy(dist, cfg, name),
-            "complete": transfer_entropy(dist, cfg, name, others),
-        }
-    decomp = modified_information(dist, k)
-    report = {
-        "format": "synpid-analyze",
-        "version": 1,
-        "input": path,
-        "destination": dest_name,
-        "sources": list(source_names),
-        "k": k,
-        "samples": int(dist.total),
-        "alphabets": {name: alpha for name, alpha in alphabets.items()},
-        "distinct_states": len(dist),
-        "estimation_bias_scale": len(dist) / (2.0 * dist.total * math.log(2.0)),
-        "active_info_storage": active_info_storage(dist, cfg),
-        "transfer_entropy": te,
-        "decomposition": decomposition_report(decomp),
-    }
-    out = s.get("out")
-    if out:
-        _write_json(report, out)
-        print(f"wrote {out}")
+    destination = str(s.require("destination"))
+    s.require("sources")
+    config = AnalyzeConfig(s.integer("k", 1), destination, s.names("sources"))
+    header, data = _read_csv(path)
+    report = {"input": path, **run_analyze(dict(zip(header, data.T)), config)}
+    if s.get("out"):
+        _write_json(report, s.get("out"))
     else:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -335,8 +262,6 @@ def cmd_analyze(args) -> int:
 def cmd_lattice(args) -> int:
     s = Settings(args)
     r = s.integer("sources", 3)
-    if r < 1:
-        raise ValueError(f"need at least one source, got {r}")
     lat = build_lattice(r)
     print(f"r={r}: {len(lat.nodes)} nodes, {len(lat.covers)} covering edges")
     print("nodes (redundant to synergistic):")
@@ -345,18 +270,13 @@ def cmd_lattice(args) -> int:
     print("covers:")
     for lo, hi in lat.covers:
         print(f"  {lat.nodes[lo].label} -> {lat.nodes[hi].label}")
-    out = s.get("out")
-    if out:
-        doc = {
-            "format": "synpid-lattice",
-            "version": 1,
-            "r": r,
-            "nodes": [n.label for n in lat.nodes],
-            "covers": [[lat.nodes[lo].label, lat.nodes[hi].label]
-                       for lo, hi in lat.covers],
-        }
-        _write_json(doc, out)
-        print(f"wrote {out}")
+    _write_json({
+        "format": "synpid-lattice",
+        "version": 1,
+        "r": r,
+        "nodes": [n.label for n in lat.nodes],
+        "covers": [[lat.nodes[lo].label, lat.nodes[hi].label] for lo, hi in lat.covers],
+    }, s.get("out"))
     return 0
 
 
@@ -371,6 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file supplying any of this command's settings")
         p.add_argument("--seed", type=int, help="base seed (default: SYNPID_SEED env, then 0)")
 
+    def batch(p):
+        for flag in ("--runs", "--width", "--steps", "--k"):
+            p.add_argument(flag, type=_type_positive)
+        p.add_argument("--threads", type=_type_positive,
+                       help="accepted for compatibility; has no effect")
+
     p = sub.add_parser("ca-run", help="simulate one grid and export PGM + CSV")
     common(p)
     p.add_argument("--rule", type=_type_rule)
@@ -383,12 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rules", type=_type_rules,
                    help=f"comma-separated rules (default {','.join(map(str, TABLE1_RULES))})")
-    p.add_argument("--runs", type=_type_positive)
-    p.add_argument("--width", type=_type_positive)
-    p.add_argument("--steps", type=_type_positive)
-    p.add_argument("--k", type=_type_positive)
-    p.add_argument("--threads", type=_type_positive,
-                   help="accepted for compatibility; has no effect")
+    batch(p)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_table1)
 
@@ -406,12 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", type=_type_names,
                    help="comma-separated subset of "
                         + ",".join(profile_measures(DynamicsConfig(k=1))))
-    p.add_argument("--runs", type=_type_positive)
-    p.add_argument("--width", type=_type_positive)
-    p.add_argument("--steps", type=_type_positive)
-    p.add_argument("--k", type=_type_positive)
-    p.add_argument("--threads", type=_type_positive,
-                   help="accepted for compatibility; has no effect")
+    batch(p)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_profile)
 

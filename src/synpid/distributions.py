@@ -28,7 +28,6 @@ symbol with the most recent value in the lowest digit:
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -129,8 +128,13 @@ class Marginal(Mapping):
         return _grouped(self.arities[positions].tolist(), codes, self.weights)
 
     def index(self, rows) -> np.ndarray:
-        """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved
+        or not whole (as in a dict, 1.0 finds 1 and 0.5 finds nothing)."""
+        rows = np.asarray(rows)
+        if rows.dtype.kind == "f":
+            rows = np.where((rows == np.floor(rows)) & (rows >= 0) & (rows < self.arities),
+                            rows, -1)
+        rows = rows.astype(np.int64, copy=False)
         if not len(self._codes):
             return np.full(len(rows), -1)
         codes = rows @ self._mults
@@ -233,6 +237,10 @@ class JointDistribution:
     def __setattr__(self, name, value):
         raise AttributeError("JointDistribution is immutable")
 
+    def __reduce__(self):
+        # The memoized marginals are left out; they regroup from the counts.
+        return JointDistribution._from_counts, (self.variables, self.counts, self.total)
+
     # -- basic introspection ------------------------------------------------
 
     def __len__(self):
@@ -319,16 +327,6 @@ class JointDistribution:
         if stored is None or not math.isclose(stored, dist.total, rel_tol=1e-9, abs_tol=1e-9):
             raise ValueError(f"snapshot total {stored!r} does not match counts sum {dist.total}")
         return dist
-
-
-def save_json(dist: JointDistribution, path) -> None:
-    with open(path, "w") as f:
-        json.dump(dist.to_json_dict(), f, sort_keys=True)
-
-
-def load_json(path) -> JointDistribution:
-    with open(path) as f:
-        return JointDistribution.from_json_dict(json.load(f))
 
 
 # -- construction -----------------------------------------------------------
@@ -471,13 +469,13 @@ def local_mi(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int]
     x, y = dict(x), dict(y)
     xs, ys, cs = _mi_columns(dist, x, y, cond)
     assignment = {**x, **y, **cond}
-    symbols = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in assignment.values()))
-    obs = np.zeros((symbols[0].size, len(dist.variables)), dtype=np.int64)
+    symbols = np.broadcast_arrays(*(np.asarray(v) for v in assignment.values()))
+    obs = np.zeros((symbols[0].size, len(dist.variables)), np.result_type(np.int64, *symbols))
     obs[:, list(assignment)] = np.stack([s.ravel() for s in symbols], axis=1)
     c_xyc, c_xc, c_yc, c_c = _mi_counts(dist, obs, xs, ys, cs)
     missing = np.flatnonzero(c_xyc <= 0)
     if missing.size:
-        names = {dist.variables[i].name: int(obs[missing[0], i]) for i in sorted(assignment)}
+        names = {dist.variables[i].name: obs[missing[0], i].item() for i in sorted(assignment)}
         raise ValueError(f"configuration {names} has zero probability")
     values = (np.log2(c_xyc * c_c) - np.log2(c_xc * c_yc)).reshape(symbols[0].shape)
     return float(values) if values.ndim == 0 else values

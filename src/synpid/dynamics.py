@@ -52,7 +52,8 @@ class DynamicsConfig:
         if self.k < 1:
             raise ValueError(f"history length k must be >= 1, got {self.k}")
         if self.destination in self.sources:
-            raise ValueError("destination cannot be one of its own sources")
+            raise ValueError("destination cannot be one of its own sources: "
+                             "names must be distinct")
         if len(set(self.sources)) != len(self.sources):
             raise ValueError(f"duplicate source names: {self.sources}")
 
@@ -288,7 +289,7 @@ def transfer_entropy(dist: JointDistribution, config: DynamicsConfig,
 
 
 def _observations(dist: JointDistribution, observation) -> np.ndarray:
-    obs = np.asarray(observation, dtype=np.int64)
+    obs = np.asarray(observation)
     if obs.ndim not in (1, 2) or obs.shape[-1] != len(dist.variables):
         raise ValueError(
             f"observation must cover all {len(dist.variables)} variables, got {observation}")

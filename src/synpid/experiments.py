@@ -1,4 +1,5 @@
-"""Reproduction pipelines: rule tables, the OR localization demo, profiles.
+"""Reproduction pipelines: rule tables, the OR localization demo, profiles,
+and the analysis of user time series.
 
 Rounding to three decimals happens only at text-rendering time; reports and
 JSON carry full precision. Identical configurations produce byte-identical
@@ -8,17 +9,23 @@ serialize with sorted keys and no timestamps.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import eca
-from .distributions import JointDistribution, VariableSpec
+from .distributions import JointDistribution, VariableSpec, _radix_multipliers, count_samples
 from .dynamics import (
-    DynamicsConfig, ca_distribution, ca_distributions, profile, profile_measures,
-    write_profile_csv, write_profile_pgm,
+    DynamicsConfig, active_info_storage, ca_distribution, ca_distributions, profile,
+    profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
-from .lattice import Antichain
-from .pid import argmin_table, i_min, local_i_min, modified_information
+from .lattice import MAX_SOURCES, Antichain
+from .pid import (
+    argmin_table, decomposition_report, i_min, local_i_min, modified_information,
+)
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,8 @@ class ExperimentConfig:
         object.__setattr__(self, "rules", tuple(int(r) for r in self.rules))
         if not self.rules:
             raise ValueError("need at least one rule")
+        for rule in self.rules:
+            eca.decode_rule(rule)
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.width < 3:
@@ -52,14 +61,7 @@ class ExperimentConfig:
         return tuple(self.base_seed + i for i in range(self.runs))
 
     def to_json_dict(self) -> dict:
-        return {
-            "rules": list(self.rules),
-            "runs": self.runs,
-            "width": self.width,
-            "steps": self.steps,
-            "k": self.k,
-            "base_seed": self.base_seed,
-        }
+        return {**asdict(self), "rules": list(self.rules)}
 
 
 @dataclass(frozen=True)
@@ -277,3 +279,84 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
         write_profile_pgm(prof, pgm_path)
         written[m] = {"csv": csv_path, "pgm": pgm_path}
     return written
+
+
+# -- user time series -------------------------------------------------------
+
+class AnalyzeConfig(DynamicsConfig):
+    """The columns of one series analysis, checked before any data is read:
+    at least one source, and few enough for the redundancy lattice. It adds
+    no fields, so it reuses the frozen dataclass methods of DynamicsConfig."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        r = 1 + len(self.sources)
+        if r == 1:
+            raise ValueError("need at least one source column")
+        if r > MAX_SOURCES:
+            raise ValueError(f"{r - 1} sources plus the history give r={r}, "
+                             f"over the lattice limit of {MAX_SOURCES}")
+
+
+def series_distribution(columns: Mapping,
+                        config: AnalyzeConfig) -> tuple[JointDistribution, dict[str, list]]:
+    """The pooled (next, hist, sources...) distribution of named integer
+    series of equal length, and each named column's distinct values in
+    order of first appearance.
+
+    Each column is relabeled 0, 1, ... in that order. Every time t from k-1
+    to n-2 gives one sample: the destination at t+1, its k values ending at
+    t packed as ``embed_history`` packs them, and each source at t.
+    """
+    series, alphabets = {}, {}
+    for name in (config.destination, *config.sources):
+        if name not in columns:
+            raise ValueError(f"no column named {name!r} (have {sorted(columns)})")
+        values, first, inverse = np.unique(columns[name], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        series[name], alphabets[name] = np.argsort(order)[inverse], values[order].tolist()
+    for name, alphabet in alphabets.items():
+        if len(alphabet) < 2:
+            role = "destination" if name == config.destination else "source"
+            raise ValueError(f"{role} column {name!r} is constant")
+    dest, k = series[config.destination], config.k
+    n, base = len(dest), len(alphabets[config.destination])
+    if any(len(series[name]) != n for name in config.sources):
+        lengths = [len(column) for column in series.values()]
+        raise ValueError(f"columns must have equal lengths, got {lengths}")
+    if n < k + 2:
+        raise ValueError(f"need at least k+2={k + 2} rows, got {n}")
+    variables = (
+        VariableSpec(config.destination, base, "destination-next"),
+        VariableSpec(config.destination + "_hist", base ** k, "destination-history"),
+        *(VariableSpec(name, len(alphabets[name]), "source") for name in config.sources),
+    )
+    # A joint state space past 64-bit codes is refused before hist can wrap.
+    _radix_multipliers([v.arity for v in variables])
+    hist = sum(dest[k - 1 - j:n - 1 - j] * base ** j for j in range(k))
+    return count_samples(variables, np.column_stack(
+        [dest[k:], hist, *(series[name][k - 1:n - 1] for name in config.sources)])), alphabets
+
+
+def run_analyze(columns: Mapping, config: AnalyzeConfig) -> dict:
+    """Storage, transfer and the decomposition of ``series_distribution``:
+    the ``synpid-analyze`` report, less its ``input`` field."""
+    dist, alphabets = series_distribution(columns, config)
+    te = {name: {"apparent": transfer_entropy(dist, config, name),
+                 "complete": transfer_entropy(dist, config, name,
+                                              [o for o in config.sources if o != name])}
+          for name in config.sources}
+    return {
+        "format": "synpid-analyze",
+        "version": 1,
+        "destination": config.destination,
+        "sources": list(config.sources),
+        "k": config.k,
+        "samples": int(dist.total),
+        "alphabets": alphabets,
+        "distinct_states": len(dist),
+        "estimation_bias_scale": len(dist) / (2.0 * dist.total * math.log(2.0)),
+        "active_info_storage": active_info_storage(dist, config),
+        "transfer_entropy": te,
+        "decomposition": decomposition_report(modified_information(dist, config.k)),
+    }

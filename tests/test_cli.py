@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 
 from support import gate_distribution
+from synpid import cli
 from synpid.cli import main
+from synpid.experiments import ExperimentConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
@@ -325,6 +329,119 @@ def test_analyze_rejects_degenerate_inputs(tmp_path, capsys):
     assert main(["analyze", "--input", str(tmp_path / "text.csv"),
                  "--destination", "d", "--sources", "u"]) == 1
     assert "non-integer" in capsys.readouterr().err
+
+
+ANALYZE_DU = ["--destination", "d", "--sources", "u", "--k", "1"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "{path} is empty"),
+    ("d,d\n0,1\n", "duplicate column names in {path}: ['d', 'd']"),
+    ("d,u\n", "destination column 'd' is constant"),
+    ("d,u\n0,1\n\n1,0\n0,1\n", "{path}:3: expected 2 cells, got 0"),
+    ("d,u\n0,1\n1,0\n0,1\n\n", "{path}:5: expected 2 cells, got 0"),
+    ("d,u\n0,1\n  \n1,0\n", "{path}:3: expected 2 cells, got 1"),
+    ("d,u\n0,1\n1,0,1\n", "{path}:3: expected 2 cells, got 3"),
+    ("d,u\n0,1\n1\n", "{path}:3: expected 2 cells, got 1"),
+    ("d,u\n0,1\n1,x\n", "{path}:3: non-integer cell 'x'"),
+    ("d,u\n0,1\n1,\n", "{path}:3: non-integer cell ''"),
+    ("d,u\n0,1.0\n", "{path}:2: non-integer cell '1.0'"),
+    # int() accepts these three; the reader refuses them.
+    ("d,u\n0,1\n1,1_000\n", "{path}:3: non-integer cell '1_000'"),
+    ("d,u\n0,9223372036854775808\n",
+     "{path}:2: cell '9223372036854775808' is outside the int64 range"),
+    ("d,u\n0,-9223372036854775809\n",
+     "{path}:2: cell '-9223372036854775809' is outside the int64 range"),
+])
+def test_analyze_csv_faults_name_their_line(tmp_path, capsys, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(path), *ANALYZE_DU]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"synpid: error: {message.format(path=path)}\n")
+
+
+def test_analyze_csv_accepts_quotes_spacing_and_line_ends(tmp_path, capsys):
+    low, high = -2 ** 63, 2 ** 63 - 1
+    d = [0, 1, 1, 0, 1, 0, 0, 1]
+    u = [low, high, high, low, low, high, low, high]
+    reports = []
+    for name, text in (
+        ("plain", "d,u\n" + "".join(f"{a},{b}\n" for a, b in zip(d, u))),
+        ("styled", '"d", u \r\n' + "".join(f'"{a}", {b}\t\r\n' for a, b in zip(d, u))[:-2]),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        assert main(["analyze", "--input", str(path), *ANALYZE_DU]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("input") == str(path)
+        reports.append(doc)
+    assert reports[0] == reports[1]
+    assert reports[0]["alphabets"] == {"d": [0, 1], "u": [low, high]}
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--sources", "a,b,c,e"], {}, "lattice limit of 4"),
+    (["--sources", "d"], {}, "names must be distinct"),
+    (["--sources", "u"], {"k": 0}, "k must be >= 1, got 0"),
+    ([], {"sources": []}, "need at least one source column"),
+])
+def test_analyze_checks_settings_before_reading(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["analyze", "--input", str(tmp_path / "missing.csv"), "--destination", "d",
+                 "--config", str(cfg), *argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "missing.csv" not in err
+
+
+@pytest.mark.parametrize("k", [30, 40])
+def test_analyze_refuses_a_history_past_64_bits(tmp_path, capsys, k):
+    # 4 destination symbols: at k=30, 2**60 history states and 2**63 joint
+    # ones; at k=40, 4**39 alone would not fit an int64 multiplier.
+    path = tmp_path / "long.csv"
+    write_csv(path, {"d": [t % 4 for t in range(50)], "u": [t % 2 for t in range(50)]})
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", str(path), "--destination", "d",
+                     "--sources", "u", "--k", str(k)]) == 1
+    assert "joint state space too large" in capsys.readouterr().err
+
+
+def test_analyze_smoke_bytes_match_the_benchmark_golden(tmp_path, monkeypatch, capsys):
+    # The benchmark's own workload definition: its input, arguments and hashes.
+    path = REPO_ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(tmp_path)
+    workloads.write_analyze_input(0, True)
+    (tmp_path / "out").mkdir()
+    assert main(workloads.WORKLOADS["analyze_r4"].argv(0, "out", True)) == 0
+    capsys.readouterr()
+    golden = workloads.golden("analyze_r4", smoke=True)
+    assert golden
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+def test_table1_geometry_defaults_to_the_experiment_config(monkeypatch, capsys):
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(cli, "run_table1", capture)
+    monkeypatch.delenv("SYNPID_SEED", raising=False)
+    assert main(["table1"]) == 1
+    assert main(["table1", "--runs", "3", "--k", "2", "--seed", "5"]) == 1
+    capsys.readouterr()
+    assert seen == [ExperimentConfig(rules=cli.TABLE1_RULES),
+                    ExperimentConfig(rules=cli.TABLE1_RULES, runs=3, k=2, base_seed=5)]
 
 
 def test_table1_rejects_narrow_width(capsys):

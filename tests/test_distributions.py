@@ -12,6 +12,9 @@ from synpid.distributions import (
     JointDistribution, Marginal, VariableSpec, _count_codes, _radix_multipliers, avg_mi,
     count_samples, embed_history, local_mi, merge, unpack_history,
 )
+from synpid.dynamics import ca_distribution
+from synpid.eca import run_batch
+from synpid.pid import modified_information
 
 LOG2_2_3 = math.log2(2 / 3)  # -0.5849625007211562
 OR_MI = 0.3112781244591328
@@ -337,6 +340,42 @@ def test_backing_arrays_are_read_only():
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 5
+
+
+def test_float_symbols_match_only_whole_values():
+    dist = count_samples((VariableSpec("a", 2), VariableSpec("b", 2)),
+                         [(0, 1), (1, 1), (1, 1), (0, 0)])
+    counts = dist.counts
+    for key in ((0.5, 1), (0.9, 1), (1.5, 1), (-0.5, 1), (np.nan, 1), (np.inf, 1), (1e300, 1)):
+        assert key not in counts, key
+        assert counts.get(key) is None, key
+    assert counts.get((0.0, 1)) == 1 and counts[(1.0, 1.0)] == 2
+    assert (np.float32(1), 1) in counts
+    rows = np.array([[0.0, 1.0], [0.5, 1.0], [1.0, 1.0], [1.0, 0.25]])
+    assert counts.index(rows).tolist() == [counts.index([[0, 1]])[0], -1,
+                                           counts.index([[1, 1]])[0], -1]
+    assert local_mi(dist, {0: 1.0}, {1: 1}) == local_mi(dist, {0: 1}, {1: 1})
+    with pytest.raises(ValueError, match="'a': 0.5, 'b': 1.0} has zero probability"):
+        local_mi(dist, {0: 0.5}, {1: 1})
+    with pytest.raises(ValueError, match="zero probability"):
+        local_mi(dist, {0: np.array([1, 0.5])}, {1: np.array([1, 1])})
+
+
+def test_pickle_leaves_out_the_memoized_marginals():
+    dist = ca_distribution(run_batch(30, 24, 40, 0, 3), 4)
+    before = pickle.dumps(dist)
+    modified_information(dist, 4)
+    assert len(dist._marginals) > 1
+    after = pickle.dumps(dist)
+    assert len(after) == len(before)
+    copy = pickle.loads(after)
+    assert copy.variables == dist.variables and copy.total == dist.total
+    assert copy.counts == dist.counts and len(copy._marginals) == 1
+    for arr in (copy.counts.weights, copy.counts._codes):
+        assert not arr.flags.writeable
+    with pytest.raises(AttributeError):
+        copy.total = 0.0
+    assert modified_information(copy, 4).m_x == modified_information(dist, 4).m_x
 
 
 def test_distribution_cannot_drift_from_its_marginals():

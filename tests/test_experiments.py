@@ -2,13 +2,17 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from synpid import experiments
+from synpid.distributions import VariableSpec, count_samples, embed_history
 from synpid.dynamics import DynamicsConfig, ca_distribution, profile, write_profile_csv
 from synpid.eca import run, run_batch
 from synpid.experiments import (
-    ExperimentConfig, OR_NODE, RuleResult, export_local_profiles, or_distribution,
-    run_or_demo, run_table1,
+    AnalyzeConfig, ExperimentConfig, OR_NODE, RuleResult, export_local_profiles,
+    or_distribution, run_or_demo, run_table1, series_distribution,
 )
 from synpid.pid import i_min, modified_information
 
@@ -30,6 +34,16 @@ def test_experiment_config_validation():
         ExperimentConfig(rules=(30,), base_seed=-3)
     cfg = ExperimentConfig(rules=(30, 110), runs=4, base_seed=100, steps=20, k=2)
     assert cfg.seeds() == (100, 101, 102, 103)
+
+
+@pytest.mark.parametrize("rules", [(30, 256), (-1,)])
+def test_experiment_config_checks_rules_before_simulating(monkeypatch, rules):
+    def simulate(*args):
+        raise AssertionError("simulated before the rules were checked")
+
+    monkeypatch.setattr(experiments.eca, "run_batch", simulate)
+    with pytest.raises(ValueError, match=r"rule number must be in \[0, 255\], got"):
+        run_table1(ExperimentConfig(rules=rules, runs=1, width=8, steps=4, k=1))
 
 
 def test_table_report_content():
@@ -148,3 +162,78 @@ def test_profiles_display_the_first_pooled_run(tmp_path):
     write_profile_csv(profile(pooled, run(54, 16, 14, 5), DynamicsConfig(k=3),
                               "local_separable"), ref)
     assert open(out["local_separable"]["csv"], "rb").read() == ref.read_bytes()
+
+
+# -- user time series -------------------------------------------------------
+
+def counted_rows(columns, destination, sources, k):
+    """The per-row reference: first-seen labels from a dict, one
+    ``embed_history`` call and one tuple per row, then ``count_samples``."""
+    labels, alphabets = {}, {}
+    for name in (destination, *sources):
+        mapping = {}
+        labels[name] = [mapping.setdefault(v, len(mapping)) for v in columns[name]]
+        alphabets[name] = list(mapping)
+    dest, base = labels[destination], len(alphabets[destination])
+    variables = (
+        VariableSpec(destination, base, "destination-next"),
+        VariableSpec(destination + "_hist", base ** k, "destination-history"),
+        *(VariableSpec(name, len(alphabets[name]), "source") for name in sources),
+    )
+    rows = [(dest[t + 1], embed_history(dest, k, t, base), *(labels[n][t] for n in sources))
+            for t in range(k - 1, len(dest) - 1)]
+    return count_samples(variables, rows), alphabets
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_series_distribution_equals_counted_rows(data):
+    k = data.draw(st.integers(1, 4), label="k")
+    sources = [f"s{i}" for i in range(data.draw(st.integers(1, 3), label="sources"))]
+    n = data.draw(st.integers(k + 2, 40), label="rows")
+    columns = {}
+    # "extra" is never analyzed; negative, huge and non-contiguous labels.
+    for name in ("d", *sources, "extra"):
+        alphabet = data.draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=2, max_size=5,
+                                      unique=True), label=f"{name} alphabet")
+        column = data.draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n),
+                           label=name)
+        assume(len(set(column)) >= 2)
+        columns[name] = column
+    config = AnalyzeConfig(k, "d", tuple(sources))
+    dist, alphabets = series_distribution(
+        {name: np.array(column, dtype=np.int64) for name, column in columns.items()}, config)
+    expected, expected_alphabets = counted_rows(columns, "d", sources, k)
+    assert dist.variables == expected.variables
+    assert dict(dist.counts) == dict(expected.counts)
+    assert dist.total == expected.total == n - k
+    assert alphabets == expected_alphabets
+    assert series_distribution(columns, config)[0].counts == expected.counts
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k": 0, "destination": "d", "sources": ("s",)}, "k must be >= 1, got 0"),
+    ({"k": 1, "destination": "d", "sources": ()}, "need at least one source column"),
+    ({"k": 1, "destination": "d", "sources": ("s", "d")}, "names must be distinct"),
+    ({"k": 1, "destination": "d", "sources": ("s", "s")}, "duplicate source names"),
+    ({"k": 1, "destination": "e", "sources": tuple("abcd")},
+     "4 sources plus the history give r=5, over the lattice limit of 4"),
+])
+def test_analyze_config_validation(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        AnalyzeConfig(**kwargs)
+
+
+def test_series_distribution_refuses_a_state_space_past_64_bits():
+    # 4 symbols and k=30: the history alone has 2**60 states, the joint 2**63.
+    column = np.arange(40) % 4
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="joint state space too large"):
+            series_distribution({"d": column, "s": column % 2}, AnalyzeConfig(30, "d", ("s",)))
+
+
+@pytest.mark.parametrize("lengths", [(10, 7), (7, 10)])
+def test_series_distribution_refuses_unequal_columns(lengths):
+    columns = {"d": np.arange(lengths[0]) % 2, "s": np.arange(lengths[1]) % 3}
+    with pytest.raises(ValueError, match=r"equal lengths, got \[%d, %d\]" % lengths):
+        series_distribution(columns, AnalyzeConfig(1, "d", ("s",)))
