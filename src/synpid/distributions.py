@@ -37,9 +37,6 @@ import numpy as np
 
 ROLES = ("destination-next", "destination-history", "source")
 
-_SNAPSHOT_FORMAT = "synpid-distribution"
-_SNAPSHOT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class VariableSpec:
@@ -292,41 +289,6 @@ class JointDistribution:
         cols = tuple(sorted(assignment))
         key = tuple(int(assignment[c]) for c in cols)
         return self.marginal_counts(cols).get(key, 0.0) / self.total
-
-    # -- persistence --------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        items = sorted(zip(self.counts, self.counts.weights.tolist()))
-        return {
-            "format": _SNAPSHOT_FORMAT,
-            "version": _SNAPSHOT_VERSION,
-            "variables": [
-                {"name": v.name, "arity": v.arity, "role": v.role}
-                for v in self.variables
-            ],
-            "counts": [[list(k), c] for k, c in items],
-            "total": self.total,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "JointDistribution":
-        if doc.get("format") != _SNAPSHOT_FORMAT:
-            raise ValueError(f"not a distribution snapshot: format={doc.get('format')!r}")
-        if doc.get("version") != _SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {doc.get('version')!r}")
-        variables = [VariableSpec(d["name"], d["arity"], d.get("role", "source"))
-                     for d in doc["variables"]]
-        counts = {}
-        for key, c in doc["counts"]:
-            key = tuple(int(v) for v in key)
-            if key in counts:
-                raise ValueError(f"duplicate sample tuple {key} in snapshot")
-            counts[key] = c
-        dist = cls(variables, counts)
-        stored = doc.get("total")
-        if stored is None or not math.isclose(stored, dist.total, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(f"snapshot total {stored!r} does not match counts sum {dist.total}")
-        return dist
 
 
 # -- construction -----------------------------------------------------------

@@ -5,18 +5,25 @@ Nodes are antichains: collections of nonempty subsets of the source indices
 redundant to synergistic: beta <= alpha iff every subset in alpha has some
 subset in beta inside it. The bottom node is all r singletons, the top is
 the single full set. Node counts for r = 1, 2, 3, 4 are 1, 4, 18, 166.
+
+The order is computed on up-sets: with the 2^r subsets of {1..r} numbered
+by bitmask (source i is bit i-1), bit t of a node's up-set mask is set when
+subset t contains one of its members, and beta <= alpha exactly when
+up(alpha) & ~up(beta) == 0. One broadcast comparison of the masks gives the
+whole order; the covering pairs are derived from it when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import combinations
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations, permutations
+from operator import or_
 
-Subset = frozenset
+import numpy as np
 
-#: Largest r the pairwise order below can build in reasonable time; r = 5
-#: has 7,579 nodes and would take minutes.
+#: Largest r built. r = 5 (7,579 nodes) needs ``below`` in CSR form and an
+#: order built in row blocks rather than one dense n x n comparison.
 MAX_SOURCES = 4
 
 
@@ -45,11 +52,10 @@ class Antichain:
                 cleaned.append(fs)
         if not cleaned:
             raise ValueError("an antichain needs at least one subset")
-        for a in cleaned:
-            for b in cleaned:
-                if a != b and a <= b:
-                    raise ValueError(
-                        f"not an antichain: {subset_label(a)} is inside {subset_label(b)}")
+        for a, b in permutations(cleaned, 2):
+            if a < b:
+                raise ValueError(
+                    f"not an antichain: {subset_label(a)} is inside {subset_label(b)}")
         object.__setattr__(self, "subsets", tuple(sorted(cleaned, key=_subset_key)))
 
     def __setattr__(self, name, value):
@@ -104,21 +110,28 @@ def enumerate_antichains(r: int) -> list[Antichain]:
     return found
 
 
+def _strictly_below(nodes, r: int) -> np.ndarray:
+    """lt[j, i]: node j lies strictly below node i, from the nodes' up-set masks."""
+    up_of = [sum(1 << t for t in range(1 << r) if t & m == m) for m in range(1 << r)]
+    up = np.array([reduce(or_, (up_of[sum(1 << (i - 1) for i in s)] for s in node))
+                   for node in nodes], dtype=np.uint64)
+    lt = (up[np.newaxis, :] & ~up[:, np.newaxis]) == 0
+    np.fill_diagonal(lt, False)
+    return lt
+
+
 @dataclass(frozen=True)
 class RedundancyLattice:
     """Antichain nodes in a fixed topological order, plus order structure.
 
-    ``below[i]`` lists the indices of every node strictly below node i, and
-    ``covers`` holds (lower, upper) index pairs of the transitive reduction.
-    ``i_cap``/``i_partial`` are empty until a decomposition fills a copy in.
+    ``below[i]`` lists the indices of every node strictly below node i;
+    ``covers``, computed on first read, holds the ascending (lower, upper)
+    index pairs of the transitive reduction.
     """
 
     r: int
     nodes: tuple[Antichain, ...]
     below: tuple[tuple[int, ...], ...]
-    covers: tuple[tuple[int, int], ...]
-    i_cap: dict = field(default=None, compare=False)
-    i_partial: dict = field(default=None, compare=False)
 
     def index(self, node: Antichain) -> int:
         return self.nodes.index(node)
@@ -131,40 +144,25 @@ class RedundancyLattice:
     def top(self) -> Antichain:
         return self.nodes[-1]
 
-    def with_values(self, i_cap, i_partial) -> "RedundancyLattice":
-        i_cap, i_partial = dict(i_cap), dict(i_partial)
-        expected = set(self.nodes)
-        for name, values in (("i_cap", i_cap), ("i_partial", i_partial)):
-            if set(values) != expected:
-                raise ValueError(f"{name} keys must cover every lattice node")
-        return replace(self, i_cap=i_cap, i_partial=i_partial)
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        lt = _strictly_below(self.nodes, self.r)
+        # lo covers hi when nothing lies strictly between them.
+        lo, hi = np.nonzero(lt & ~(lt @ lt))
+        return tuple(zip(lo.tolist(), hi.tolist()))
 
 
 @lru_cache(maxsize=None)
 def build_lattice(r: int) -> RedundancyLattice:
-    """Enumerate, order, and reduce the lattice for r sources."""
+    """Enumerate and order the lattice for r sources."""
     if r > MAX_SOURCES:
         raise ValueError(f"r={r} sources exceeds the lattice limit of {MAX_SOURCES}")
     raw = enumerate_antichains(r)
-    n = len(raw)
-    strictly_below = []
-    for i, alpha in enumerate(raw):
-        strictly_below.append({
-            j for j, beta in enumerate(raw)
-            if j != i and below_or_equal(beta, alpha)
-        })
+    lt = _strictly_below(raw, r)
     # Nodes strictly below have strictly smaller down-sets, so down-set size
     # is a valid topological key; the label breaks ties deterministically.
-    order = sorted(range(n), key=lambda i: (len(strictly_below[i]), raw[i].label))
-    position = {old: new for new, old in enumerate(order)}
-    nodes = tuple(raw[old] for old in order)
-    below = tuple(
-        tuple(sorted(position[j] for j in strictly_below[old]))
-        for old in order)
-    covers = []
-    for hi, lows in enumerate(below):
-        lows_set = set(lows)
-        for lo in lows:
-            if not any(lo in below[mid] for mid in lows_set if mid != lo):
-                covers.append((lo, hi))
-    return RedundancyLattice(r, nodes, below, tuple(sorted(covers)))
+    down = lt.sum(axis=0).tolist()
+    order = sorted(range(len(raw)), key=lambda i: (down[i], raw[i].label))
+    below = tuple(tuple(np.flatnonzero(column).tolist())
+                  for column in lt[np.ix_(order, order)].T)
+    return RedundancyLattice(r, tuple(raw[i] for i in order), below)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,13 +54,11 @@ def _source_columns(dist: JointDistribution, subset) -> tuple[int, ...]:
     """Map 1-based source indices to distribution columns."""
     xi = _destination(dist)
     others = [i for i in range(len(dist.variables)) if i != xi]
-    cols = []
     for i in sorted(subset):
         if not 1 <= i <= len(others):
             raise ValueError(
                 f"source index {i} out of range; distribution has {len(others)} sources")
-        cols.append(others[i - 1])
-    return tuple(cols)
+    return tuple(others[i - 1] for i in sorted(subset))
 
 
 def _normalize_subsets(node) -> tuple[frozenset, ...]:
@@ -156,9 +154,7 @@ def argmin_table(dist: JointDistribution, node) -> dict[int, ArgminChoice]:
     """
     tables, c_x = _node_tables(dist, node)
     out = {}
-    for x in range(len(c_x)):
-        if c_x[x] <= 0:
-            continue
+    for x in np.flatnonzero(c_x > 0).tolist():
         column = tables[:, x]
         best = float(np.min(column))
         near = np.nonzero(column <= best + TIE_TOLERANCE)[0]
@@ -175,7 +171,7 @@ def local_i_min(dist: JointDistribution, node, observation) -> float:
     are an error.
     """
     subsets = _normalize_subsets(node)
-    obs = tuple(int(v) for v in observation)
+    obs = tuple(observation)
     if len(obs) != len(dist.variables):
         raise ValueError(
             f"observation must cover all {len(dist.variables)} variables, got {obs}")
@@ -187,11 +183,13 @@ def local_i_min(dist: JointDistribution, node, observation) -> float:
     return local_mi(dist, {xi: obs[xi]}, {c: obs[c] for c in cols})
 
 
-def partial_terms(dist: JointDistribution, lattice: RedundancyLattice) -> RedundancyLattice:
+def partial_terms(dist: JointDistribution,
+                  lattice: RedundancyLattice) -> tuple[np.ndarray, np.ndarray]:
     """Mobius inversion of node values down the lattice.
 
-    Returns a copy of the lattice carrying i_cap (cumulative) and i_partial
-    (per-node) values; results are memoized per distribution.
+    Returns (i_cap, i_partial): the cumulative and per-node values as
+    read-only float64 arrays aligned with ``lattice.nodes``. Results are
+    memoized per distribution.
     """
     memo = _MEMO.setdefault(dist, {})
     key = ("partial-terms", lattice.r)
@@ -212,17 +210,19 @@ def partial_terms(dist: JointDistribution, lattice: RedundancyLattice) -> Redund
     ipart = [0.0] * len(icap)
     for i in range(len(icap)):
         ipart[i] = icap[i] - math.fsum(ipart[j] for j in lattice.below[i])
-    valued = lattice.with_values(
-        dict(zip(lattice.nodes, icap)), dict(zip(lattice.nodes, ipart)))
-    memo[key] = valued
-    return valued
+    values = np.array([icap, ipart])
+    values.flags.writeable = False
+    memo[key] = tuple(values)
+    return memo[key]
 
 
 @dataclass(frozen=True)
 class PidDecomposition:
-    """A full decomposition: valued lattice plus the derived summaries."""
+    """A decomposition: node values aligned with ``lattice.nodes``, and summaries."""
 
     lattice: RedundancyLattice
+    i_cap: np.ndarray = field(repr=False, compare=False)
+    i_partial: np.ndarray = field(repr=False, compare=False)
     k: int
     source_names: tuple[str, ...]
     total: float
@@ -255,18 +255,22 @@ def modified_information(dist: JointDistribution, k: int,
             f"sources {list(sources)} must match the distribution's source "
             f"variables {declared} in order")
     r = 1 + len(declared)
-    valued = partial_terms(dist, build_lattice(r))
+    lattice = build_lattice(r)
+    i_cap, i_partial = partial_terms(dist, lattice)
     hierarchy = {o: 0.0 for o in range(1, r + 1)}
     m_x = 0.0
-    for node, v in valued.i_partial.items():
+    # Python float adds in node order; a pairwise sum could move a last bit.
+    for node, v in zip(lattice.nodes, i_partial.tolist()):
         hierarchy[min(len(s) for s in node)] += v
         if all(len(s) >= 2 for s in node):
             m_x += v
     return PidDecomposition(
-        lattice=valued,
+        lattice=lattice,
+        i_cap=i_cap,
+        i_partial=i_partial,
         k=k,
         source_names=(hist.name, *declared),
-        total=valued.i_cap[valued.top],
+        total=float(i_cap[-1]),
         m_x=m_x,
         hierarchy=hierarchy,
     )
@@ -285,12 +289,9 @@ def decomposition_report(decomposition: PidDecomposition) -> dict:
         "m_x": decomposition.m_x,
         "hierarchy": {str(o): v for o, v in sorted(decomposition.hierarchy.items())},
         "nodes": [
-            {
-                "antichain": node.label,
-                "i_cap": lat.i_cap[node],
-                "i_partial": lat.i_partial[node],
-            }
-            for node in lat.nodes
+            {"antichain": node.label, "i_cap": cap, "i_partial": part}
+            for node, cap, part in zip(lat.nodes, decomposition.i_cap.tolist(),
+                                       decomposition.i_partial.tolist())
         ],
     }
 

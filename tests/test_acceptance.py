@@ -141,11 +141,11 @@ def test_c5_gate_decompositions_match_oracle():
     for gate in ("xor", "or", "and", "copy2"):
         dist = gate_distribution(gate)
         _, icap, ipart = pid_oracle.decompose(to_prob_table(dist), 2)
-        valued = partial_terms(dist, lat)
-        for node in valued.nodes:
+        i_cap, i_partial = partial_terms(dist, lat)
+        for i, node in enumerate(lat.nodes):
             key = frozenset(node.subsets)
-            assert valued.i_cap[node] == pytest.approx(icap[key], abs=1e-10), gate
-            assert valued.i_partial[node] == pytest.approx(ipart[key], abs=1e-10), gate
+            assert i_cap[i] == pytest.approx(icap[key], abs=1e-10), gate
+            assert i_partial[i] == pytest.approx(ipart[key], abs=1e-10), gate
 
 
 def test_c6_lattice_and_measure_invariants():
@@ -181,10 +181,10 @@ def test_c6_lattice_and_measure_invariants():
         assert both <= min(a1, a2) + 1e-12
         assert i_min(dist, [{1}, {1, 2}]) == pytest.approx(a1, abs=1e-12)
         # partial terms: nonnegative, and they rebuild the joint information
-        valued = partial_terms(dist, lat)
-        for node, v in valued.i_partial.items():
+        _, i_partial = partial_terms(dist, lat)
+        for node, v in zip(lat.nodes, i_partial):
             assert v >= -1e-9, (node.label, v)
-        assert math.fsum(valued.i_partial.values()) == pytest.approx(
+        assert math.fsum(i_partial) == pytest.approx(
             avg_mi(dist, (0,), (1, 2)), abs=1e-10)
 
     for rule, k in product((18, 22, 30, 54, 110), (1, 2, 3)):

@@ -12,7 +12,6 @@ import jsonschema
 import numpy as np
 import pytest
 
-from support import gate_distribution
 from synpid import cli
 from synpid.cli import main
 from synpid.experiments import ExperimentConfig
@@ -496,8 +495,12 @@ def test_lattice_output(tmp_path, capsys):
         assert lo in names and hi in names
 
 
-def test_distribution_snapshot_schema():
-    check(gate_distribution("xor").to_json_dict(), "distribution")
+def test_lattice_bytes_are_pinned(tmp_path):
+    pinned = {1: "420884f5ffa6", 2: "9ef2048a8de2", 3: "b295db632610", 4: "161dc4ec5581"}
+    for r, prefix in pinned.items():
+        out = tmp_path / f"lattice{r}.json"
+        assert main(["lattice", "--sources", str(r), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == prefix, r
 
 
 # -- settings precedence -----------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import math
 import pickle
 from itertools import combinations
@@ -398,45 +397,10 @@ def test_counted_distributions_keep_integer_counts():
     counted = count_samples(v, [(0, 1), (0, 1), (1, 2)])
     merged = merge(counted, counted)
     for dist in (counted, merged, JointDistribution(v, {(0, 1): 2, (1, 2): 1})):
-        values = [c for _, c in dist.to_json_dict()["counts"]]
+        values = list(dist.counts.values())
         assert all(type(c) is int for c in values), values
-    assert '"counts": [[[0, 1], 4], [[1, 2], 2]]' in json.dumps(merged.to_json_dict())
-
-
-# -- snapshots --------------------------------------------------------------
-
-def test_snapshot_round_trip():
-    rng = np.random.default_rng(41)
-    dist = random_distribution(rng, r=2)
-    doc = json.loads(json.dumps(dist.to_json_dict()))
-    back = JointDistribution.from_json_dict(doc)
-    assert back.variables == dist.variables
-    assert back.counts == dist.counts
-    assert back.total == dist.total
-
-
-def test_snapshot_validates_total():
-    doc = or_dist().to_json_dict()
-    doc["total"] = 99.0
-    with pytest.raises(ValueError, match="total"):
-        JointDistribution.from_json_dict(doc)
-
-
-def test_snapshot_validates_symbols():
-    doc = or_dist().to_json_dict()
-    doc["counts"][0][0][0] = 7
-    doc["total"] = sum(c for _, c in doc["counts"])
-    with pytest.raises(ValueError, match="out of range"):
-        JointDistribution.from_json_dict(doc)
-
-
-def test_snapshot_rejects_duplicates_and_bad_format():
-    doc = or_dist().to_json_dict()
-    doc["counts"].append(doc["counts"][0])
-    with pytest.raises(ValueError, match="duplicate"):
-        JointDistribution.from_json_dict(doc)
-    with pytest.raises(ValueError, match="format"):
-        JointDistribution.from_json_dict({"format": "something-else"})
+    assert dict(merged.counts) == {(0, 1): 4, (1, 2): 2}
+    assert all(type(c) is int for c in dict(merged.counts).values())
 
 
 def test_variable_spec_validation():

@@ -4,7 +4,7 @@ import pytest
 
 import pid_oracle
 from synpid.lattice import (
-    Antichain, RedundancyLattice, below_or_equal, build_lattice,
+    Antichain, below_or_equal, build_lattice,
     enumerate_antichains, subset_label,
 )
 
@@ -57,7 +57,8 @@ def test_r1_is_a_single_node():
 
 
 def test_topological_consistency():
-    for r in (1, 2, 3):
+    # The up-set mask order must agree with the pairwise reference order.
+    for r in (1, 2, 3, 4):
         lat = build_lattice(r)
         for i, downs in enumerate(lat.below):
             assert all(j < i for j in downs)
@@ -75,12 +76,25 @@ def test_topological_consistency():
 
 
 def test_covers_are_minimal():
-    lat = build_lattice(3)
-    below_sets = [set(d) for d in lat.below]
-    for lo, hi in lat.covers:
-        assert lo in below_sets[hi]
-        between = [m for m in below_sets[hi] if m != lo and lo in below_sets[m]]
-        assert between == []
+    for r in (3, 4):
+        lat = build_lattice(r)
+        below_sets = [set(d) for d in lat.below]
+        for lo, hi in lat.covers:
+            assert lo in below_sets[hi]
+            between = [m for m in below_sets[hi] if m != lo and lo in below_sets[m]]
+            assert between == []
+        # ... and complete: every pair with nothing between is listed, in order.
+        expected = [
+            (lo, hi) for hi, lows in enumerate(below_sets) for lo in lows
+            if not any(lo in below_sets[m] for m in lows)]
+        assert lat.covers == tuple(sorted(expected))
+
+
+def test_covers_are_computed_on_first_read():
+    lat = build_lattice.__wrapped__(3)
+    assert "covers" not in vars(lat)
+    covers = lat.covers
+    assert vars(lat)["covers"] is covers is lat.covers
 
 
 def test_bottom_and_top():
@@ -139,19 +153,6 @@ def test_lattice_index_lookup():
     assert lat.nodes[lat.index(node)] == node
     with pytest.raises(ValueError):
         lat.index(Antichain([{3}]))
-
-
-def test_with_values_attaches_and_validates():
-    lat = build_lattice(2)
-    icap = {node: 0.1 * i for i, node in enumerate(lat.nodes)}
-    ipart = {node: 0.0 for node in lat.nodes}
-    full = lat.with_values(i_cap=icap, i_partial=ipart)
-    assert full.i_cap == icap
-    assert full.i_partial == ipart
-    assert full.nodes == lat.nodes
-    assert lat.i_cap is None  # original untouched
-    with pytest.raises(ValueError, match="every lattice node"):
-        lat.with_values(i_cap={lat.top: 0.1}, i_partial=ipart)
 
 
 def test_build_lattice_is_cached():

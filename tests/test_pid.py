@@ -255,6 +255,8 @@ def test_local_i_min_rejects_bad_observations():
     d = gate_distribution("xor")
     with pytest.raises(ValueError, match="never counted"):
         local_i_min(d, BOTTOM2, (0, 0, 1))  # destination contradicts the gate
+    with pytest.raises(ValueError, match="never counted"):
+        local_i_min(or_distribution(0.0), BOTTOM2, (1, 0.5, 1))  # not a symbol
     with pytest.raises(ValueError, match="cover all"):
         local_i_min(d, BOTTOM2, (0, 0))
 
@@ -263,7 +265,8 @@ def test_local_i_min_rejects_bad_observations():
 
 def test_partial_terms_frozen_gates():
     lat = build_lattice(2)
-    by_label = lambda valued: {n.label: valued.i_partial[n] for n in valued.nodes}
+    labels = [n.label for n in lat.nodes]
+    by_label = lambda values: dict(zip(labels, values[1].tolist()))
 
     xor = by_label(partial_terms(gate_distribution("xor"), lat))
     assert xor["{1}{2}"] == pytest.approx(0.0, abs=1e-12)
@@ -290,11 +293,11 @@ def test_partial_terms_match_oracle_decompose():
     for _ in range(15):
         dist = random_distribution(rng, r=2)
         _, icap, ipart = pid_oracle.decompose(to_prob_table(dist), 2)
-        valued = partial_terms(dist, lat)
-        for node in valued.nodes:
+        i_cap, i_partial = partial_terms(dist, lat)
+        for i, node in enumerate(lat.nodes):
             key = frozenset(node.subsets)
-            assert valued.i_cap[node] == pytest.approx(icap[key], abs=1e-9)
-            assert valued.i_partial[node] == pytest.approx(ipart[key], abs=1e-9)
+            assert i_cap[i] == pytest.approx(icap[key], abs=1e-9)
+            assert i_partial[i] == pytest.approx(ipart[key], abs=1e-9)
 
 
 def test_partial_terms_sum_to_total_mi():
@@ -302,16 +305,28 @@ def test_partial_terms_sum_to_total_mi():
     lat = build_lattice(2)
     for _ in range(15):
         dist = random_distribution(rng, r=2)
-        valued = partial_terms(dist, lat)
-        total = math.fsum(valued.i_partial.values())
+        i_cap, i_partial = partial_terms(dist, lat)
+        total = math.fsum(i_partial)
         assert total == pytest.approx(avg_mi(dist, (0,), (1, 2)), abs=1e-10)
-        assert valued.i_cap[valued.top] == pytest.approx(total, abs=1e-10)
+        assert i_cap[lat.index(lat.top)] == pytest.approx(total, abs=1e-10)
 
 
 def test_partial_terms_cached_per_distribution():
     d = gate_distribution("and")
     lat = build_lattice(2)
     assert partial_terms(d, lat) is partial_terms(d, lat)
+
+
+def test_partial_terms_cannot_be_written_into_the_memo():
+    d = xor_dynamics()
+    dec = modified_information(d, k=1)
+    for values in (*partial_terms(d, build_lattice(2)), dec.i_cap, dec.i_partial):
+        with pytest.raises(ValueError, match="read-only"):
+            values[-1] = 5.0
+    assert not hasattr(dec.lattice, "i_partial")
+    again = modified_information(d, k=1)
+    assert again.m_x == dec.m_x == pytest.approx(1.0, abs=1e-12)
+    assert again.i_partial.tolist() == dec.i_partial.tolist()
 
 
 def test_partial_terms_rejects_mismatched_lattice():
@@ -333,7 +348,7 @@ def test_modified_information_hierarchy_reconciles():
     dec = modified_information(xor_dynamics(), k=1, sources=["s"])
     assert math.fsum(dec.hierarchy.values()) == pytest.approx(dec.total, abs=1e-10)
     oracle_h = pid_oracle.hierarchy(
-        {frozenset(n.subsets): v for n, v in dec.lattice.i_partial.items()}, 2)
+        {frozenset(n.subsets): v for n, v in zip(dec.lattice.nodes, dec.i_partial)}, 2)
     for order, value in oracle_h.items():
         assert dec.hierarchy[order] == pytest.approx(value, abs=1e-10)
 
@@ -365,8 +380,8 @@ def test_i_partial_nonnegative_on_random_counts():
     lat = build_lattice(2)
     for _ in range(100):
         dist = random_distribution(rng, r=2)
-        valued = partial_terms(dist, lat)
-        for node, v in valued.i_partial.items():
+        _, i_partial = partial_terms(dist, lat)
+        for node, v in zip(lat.nodes, i_partial):
             assert v >= -1e-9, (node.label, v)
 
 
