@@ -35,7 +35,6 @@ from .dynamics import (
 from .eca import RuleTable, SpacetimeGrid, decode_rule, encode_rule, run
 from .experiments import (
     ExperimentConfig,
-    TableReport,
     export_local_profiles,
     or_distribution,
     run_or_demo,
@@ -45,7 +44,6 @@ from .lattice import Antichain, RedundancyLattice, below_or_equal, build_lattice
 from .pid import (
     PidDecomposition,
     decomposition_report,
-    discontinuity_scan,
     i_min,
     local_i_min,
     modified_information,
@@ -65,7 +63,6 @@ __all__ = [
     "RedundancyLattice",
     "RuleTable",
     "SpacetimeGrid",
-    "TableReport",
     "VariableSpec",
     "active_info_storage",
     "avg_mi",
@@ -78,7 +75,6 @@ __all__ = [
     "count_samples",
     "decode_rule",
     "decomposition_report",
-    "discontinuity_scan",
     "embed_history",
     "encode_rule",
     "export_local_profiles",

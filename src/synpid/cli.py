@@ -22,8 +22,8 @@ import numpy as np
 from . import eca
 from .dynamics import DynamicsConfig, profile_measures
 from .experiments import (
-    AnalyzeConfig, ExperimentConfig, export_local_profiles, run_analyze, run_or_demo,
-    run_table1,
+    AnalyzeConfig, ExperimentConfig, export_local_profiles, or_demo_text, run_analyze,
+    run_or_demo, run_table1, table1_text,
 )
 from .lattice import build_lattice
 
@@ -178,17 +178,17 @@ def cmd_table1(args) -> int:
     s = Settings(args)
     config = _experiment_config(s, s.rules(TABLE1_RULES))
     report = run_table1(config)
-    print(report.format_text())
-    _write_json(report.to_json_dict(), s.get("out"))
+    print(table1_text(report))
+    _write_json(report, s.get("out"))
     return 0
 
 
 def cmd_or_demo(args) -> int:
     s = Settings(args)
     delta = s.number("delta", 1e-6)
-    result = run_or_demo(delta)
-    print(result.format_text())
-    _write_json(result.to_json_dict(), s.get("out"))
+    report = run_or_demo(delta)
+    print(or_demo_text(report))
+    _write_json(report, s.get("out"))
     return 0
 
 

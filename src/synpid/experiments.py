@@ -1,8 +1,9 @@
 """Reproduction pipelines: rule tables, the OR localization demo, profiles,
 and the analysis of user time series.
 
-Rounding to three decimals happens only at text-rendering time; reports and
-JSON carry full precision. Identical configurations produce byte-identical
+The table, demo and analysis pipelines return their JSON report documents as
+plain dicts at full precision; ``table1_text`` and ``or_demo_text`` round
+them only for reading. Identical configurations produce byte-identical
 JSON because every reduction below runs in key-sorted order and reports
 serialize with sorted keys and no timestamps.
 """
@@ -64,70 +65,25 @@ class ExperimentConfig:
         return {**asdict(self), "rules": list(self.rules)}
 
 
-@dataclass(frozen=True)
-class RuleResult:
-    """Hierarchy terms and modified information for one rule's batch."""
-
-    rule: int
-    k: int
-    pi: tuple[float, ...]
-    m_x: float
-    m_x_k1: float
-    total: float
-    samples: int
-    samples_k1: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "k": self.k,
-            "pi_by_order": {str(o + 1): v for o, v in enumerate(self.pi)},
-            "m_x": self.m_x,
-            "m_x_k1": self.m_x_k1,
-            "total_information": self.total,
-            "samples": self.samples,
-            "samples_k1": self.samples_k1,
-        }
-
-
-@dataclass(frozen=True)
-class TableReport:
-    config: ExperimentConfig
-    results: tuple[RuleResult, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": "synpid-table1",
-            "version": 1,
-            "config": self.config.to_json_dict(),
-            "seeds": list(self.config.seeds()),
-            "rules": [r.to_json_dict() for r in self.results],
-        }
-
-    def format_text(self) -> str:
-        k = self.config.k
-        header = (f"{'rule':>4}  {'pi(o=1)':>8}  {'pi(o=2)':>8}  {'pi(o=3)':>8}  "
-                  f"{'m_x(k=' + str(k) + ')':>10}  {'m_x(k=1)':>8}")
-        lines = [header]
-        for r in self.results:
-            lines.append(
-                f"{r.rule:>4}  {r.pi[0]:>8.3f}  {r.pi[1]:>8.3f}  {r.pi[2]:>8.3f}  "
-                f"{r.m_x:>10.3f}  {r.m_x_k1:>8.3f}")
-        return "\n".join(lines)
-
-
-def run_table1(config: ExperimentConfig, threads: int | None = None) -> TableReport:
-    """Hierarchy and modified-information summary across rules.
+def run_table1(config: ExperimentConfig, threads: int | None = None) -> dict:
+    """The ``synpid-table1`` report: hierarchy and modified-information
+    summary across rules.
 
     For each rule: pool config.runs grids, decompose I(next; hist, left,
     right) at k=config.k into partial terms grouped by smallest subset
     size, and report the modified information at both k=config.k and k=1.
     ``threads`` is accepted for compatibility and has no effect.
     """
-    return TableReport(config, tuple(_rule_result(rule, config) for rule in config.rules))
+    return {
+        "format": "synpid-table1",
+        "version": 1,
+        "config": config.to_json_dict(),
+        "seeds": list(config.seeds()),
+        "rules": [_rule_row(rule, config) for rule in config.rules],
+    }
 
 
-def _rule_result(rule: int, config: ExperimentConfig) -> RuleResult:
+def _rule_row(rule: int, config: ExperimentConfig) -> dict:
     """One rule's row. Its grids are freed once counted, before the
     decompositions, and its distributions on return."""
     dist_k, dist_1 = ca_distributions(
@@ -135,17 +91,29 @@ def _rule_result(rule: int, config: ExperimentConfig) -> RuleResult:
         (config.k, 1))
     dec_k = modified_information(dist_k, config.k)
     dec_1 = modified_information(dist_1, 1)
-    r = dec_k.lattice.r
-    return RuleResult(
-        rule=rule,
-        k=config.k,
-        pi=tuple(dec_k.hierarchy[o] for o in range(1, r + 1)),
-        m_x=dec_k.m_x,
-        m_x_k1=dec_1.m_x,
-        total=dec_k.total,
-        samples=int(dist_k.total),
-        samples_k1=int(dist_1.total),
-    )
+    return {
+        "rule": rule,
+        "k": config.k,
+        "pi_by_order": {str(o): v for o, v in sorted(dec_k.hierarchy.items())},
+        "m_x": dec_k.m_x,
+        "m_x_k1": dec_1.m_x,
+        "total_information": dec_k.total,
+        "samples": int(dist_k.total),
+        "samples_k1": int(dist_1.total),
+    }
+
+
+def table1_text(report: dict) -> str:
+    """The table of a ``synpid-table1`` report, rounded to three decimals."""
+    k = report["config"]["k"]
+    lines = [f"{'rule':>4}  {'pi(o=1)':>8}  {'pi(o=2)':>8}  {'pi(o=3)':>8}  "
+             f"{'m_x(k=' + str(k) + ')':>10}  {'m_x(k=1)':>8}"]
+    for row in report["rules"]:
+        pi = row["pi_by_order"]
+        lines.append(
+            f"{row['rule']:>4}  {pi['1']:>8.3f}  {pi['2']:>8.3f}  {pi['3']:>8.3f}  "
+            f"{row['m_x']:>10.3f}  {row['m_x_k1']:>8.3f}")
+    return "\n".join(lines)
 
 
 # -- OR localization demo ---------------------------------------------------
@@ -175,61 +143,9 @@ def or_distribution(delta: float) -> JointDistribution:
     return JointDistribution(variables, weights)
 
 
-@dataclass(frozen=True)
-class OrDemoRow:
-    a1: int
-    a2: int
-    x: int
-    probability: float
-    chosen: str
-    local_value: float
-    tied: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a1": self.a1, "a2": self.a2, "x": self.x,
-            "probability": self.probability,
-            "chosen_source": self.chosen,
-            "local_value": self.local_value,
-            "tied": self.tied,
-        }
-
-
-@dataclass(frozen=True)
-class OrDemoResult:
-    delta: float
-    rows: tuple[OrDemoRow, ...]
-    average: float
-
-    @property
-    def any_tie(self) -> bool:
-        return any(r.tied for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": "synpid-or-demo",
-            "version": 1,
-            "delta": self.delta,
-            "node": OR_NODE.label,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "average": self.average,
-            "any_tie": self.any_tie,
-        }
-
-    def format_text(self) -> str:
-        lines = [f"localized redundancy at node {OR_NODE.label}, delta={self.delta!r}",
-                 f"{'a1':>3} {'a2':>3} {'x':>3}  {'p':>10}  {'argmin':>6}  "
-                 f"{'local':>8}  tied"]
-        for r in self.rows:
-            lines.append(
-                f"{r.a1:>3} {r.a2:>3} {r.x:>3}  {r.probability:>10.6f}  "
-                f"{r.chosen:>6}  {r.local_value:>8.3f}  {str(r.tied).lower()}")
-        lines.append(f"average: {self.average:.6f} bits")
-        return "\n".join(lines)
-
-
-def run_or_demo(delta: float) -> OrDemoResult:
-    """Localize the two-singleton redundancy node across the OR gate's rows."""
+def run_or_demo(delta: float) -> dict:
+    """The ``synpid-or-demo`` report: the two-singleton redundancy node
+    localized across the OR gate's rows."""
     dist = or_distribution(delta)
     table = argmin_table(dist, OR_NODE)
     rows = []
@@ -238,14 +154,36 @@ def run_or_demo(delta: float) -> OrDemoResult:
             x = a1 | a2
             obs = (x, a1, a2)
             choice = table[x]
-            rows.append(OrDemoRow(
-                a1=a1, a2=a2, x=x,
-                probability=float(dist.counts[obs]),
-                chosen=f"A{min(OR_NODE.subsets[choice.subset_index])}",
-                local_value=local_i_min(dist, OR_NODE, obs),
-                tied=choice.tied,
-            ))
-    return OrDemoResult(delta, tuple(rows), i_min(dist, OR_NODE))
+            rows.append({
+                "a1": a1, "a2": a2, "x": x,
+                "probability": float(dist.counts[obs]),
+                "chosen_source": f"A{min(OR_NODE.subsets[choice.subset_index])}",
+                "local_value": local_i_min(dist, OR_NODE, obs),
+                "tied": choice.tied,
+            })
+    return {
+        "format": "synpid-or-demo",
+        "version": 1,
+        "delta": delta,
+        "node": OR_NODE.label,
+        "rows": rows,
+        "average": i_min(dist, OR_NODE),
+        "any_tie": any(row["tied"] for row in rows),
+    }
+
+
+def or_demo_text(report: dict) -> str:
+    """The rows of a ``synpid-or-demo`` report, rounded for reading."""
+    lines = [f"localized redundancy at node {report['node']}, delta={report['delta']!r}",
+             f"{'a1':>3} {'a2':>3} {'x':>3}  {'p':>10}  {'argmin':>6}  "
+             f"{'local':>8}  tied"]
+    for row in report["rows"]:
+        lines.append(
+            f"{row['a1']:>3} {row['a2']:>3} {row['x']:>3}  {row['probability']:>10.6f}  "
+            f"{row['chosen_source']:>6}  {row['local_value']:>8.3f}  "
+            f"{str(row['tied']).lower()}")
+    lines.append(f"average: {report['average']:.6f} bits")
+    return "\n".join(lines)
 
 
 # -- local profiles ---------------------------------------------------------

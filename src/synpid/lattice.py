@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations
-from operator import or_
+from operator import index, or_
 
 import numpy as np
 
@@ -29,6 +29,22 @@ MAX_SOURCES = 4
 
 def subset_label(s) -> str:
     return "{" + ",".join(str(i) for i in sorted(s)) + "}"
+
+
+def source_subset(members) -> frozenset:
+    """``members`` as a nonempty frozenset of 1-based source indices.
+
+    Only integers are indices: a float such as 1.5 is refused, not truncated.
+    """
+    try:
+        subset = frozenset(map(index, members))
+    except TypeError:
+        raise ValueError(f"source indices must be integers, got {members!r}") from None
+    if not subset:
+        raise ValueError("source subsets must be nonempty")
+    if min(subset) < 1:
+        raise ValueError(f"source indices are 1-based, got {sorted(subset)}")
+    return subset
 
 
 def _subset_key(s):
@@ -43,11 +59,7 @@ class Antichain:
     def __init__(self, subsets):
         cleaned = []
         for s in subsets:
-            fs = frozenset(int(i) for i in s)
-            if not fs:
-                raise ValueError("antichain subsets must be nonempty")
-            if min(fs) < 1:
-                raise ValueError(f"source indices are 1-based, got {sorted(fs)}")
+            fs = source_subset(s)
             if fs not in cleaned:
                 cleaned.append(fs)
         if not cleaned:

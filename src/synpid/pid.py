@@ -24,7 +24,7 @@ Known and accepted behavior of this redundancy measure: two sources that
 each fully identify the destination in different ways still count as fully
 redundant (the two-bit copy scores 1 bit at the bottom node), and localized
 values can jump discontinuously under an arbitrarily small tilt of the
-source weights. ``discontinuity_scan`` exists to surface the second point.
+source weights.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import JointDistribution, local_mi
-from .lattice import Antichain, RedundancyLattice, build_lattice, subset_label
+from .lattice import Antichain, RedundancyLattice, build_lattice, source_subset
 
 #: Specific-information gaps at or below this are treated as ties.
 TIE_TOLERANCE = 1e-12
@@ -64,9 +64,9 @@ def _source_columns(dist: JointDistribution, subset) -> tuple[int, ...]:
 def _normalize_subsets(node) -> tuple[frozenset, ...]:
     if isinstance(node, Antichain):
         return node.subsets
-    subsets = tuple(frozenset(int(i) for i in s) for s in node)
-    if not subsets or any(not s for s in subsets):
-        raise ValueError("need at least one nonempty source subset")
+    subsets = tuple(source_subset(s) for s in node)
+    if not subsets:
+        raise ValueError("need at least one source subset")
     return subsets
 
 
@@ -111,9 +111,7 @@ def specific_information(dist: JointDistribution, x: int, subset) -> float:
     ``subset`` is a collection of 1-based source indices. Asking about an
     unobserved destination outcome is an error.
     """
-    subset = frozenset(int(i) for i in subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
+    subset = source_subset(subset)
     xi = _destination(dist)
     if not 0 <= x < dist.variables[xi].arity:
         raise ValueError(f"destination outcome {x} out of range")
@@ -294,87 +292,3 @@ def decomposition_report(decomposition: PidDecomposition) -> dict:
                                        decomposition.i_partial.tolist())
         ],
     }
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    observation: tuple
-    value: float
-    chosen: str | None
-    tied: bool
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    param: float
-    average: float
-    rows: tuple[ScanRow, ...]
-
-
-@dataclass(frozen=True)
-class ScanJump:
-    param_low: float
-    param_high: float
-    max_abs_change: float
-    avg_abs_change: float
-    changes: dict[tuple, float]
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    node_label: str
-    points: tuple[ScanPoint, ...]
-    jumps: tuple[ScanJump, ...]
-
-    @property
-    def max_jump(self) -> float:
-        return max((j.max_abs_change for j in self.jumps), default=0.0)
-
-    @property
-    def any_tie(self) -> bool:
-        return any(r.tied for p in self.points for r in p.rows)
-
-
-def discontinuity_scan(builder, params, node, local_fn=None) -> ScanReport:
-    """Track localized values across a parameterized family of distributions.
-
-    ``builder`` maps each parameter to a distribution over a fixed support;
-    localized values are matched row-by-row between consecutive parameters
-    and their changes reported, alongside the change in the average. The
-    default local evaluation is local_i_min on ``node``; pass ``local_fn``
-    (dist, observation) -> float to scan a different localized quantity.
-    """
-    node = Antichain(_normalize_subsets(node))
-    params = [float(p) for p in params]
-    if not params:
-        raise ValueError("need at least one parameter value")
-    points = []
-    for p in params:
-        dist = builder(p)
-        xi = _destination(dist)
-        table = argmin_table(dist, node)
-        rows = []
-        for obs in sorted(dist.counts):
-            if local_fn is None:
-                value = local_i_min(dist, node, obs)
-                choice = table[obs[xi]]
-                chosen = subset_label(node.subsets[choice.subset_index])
-                tied = choice.tied
-            else:
-                value, chosen, tied = float(local_fn(dist, obs)), None, False
-            rows.append(ScanRow(obs, value, chosen, tied))
-        points.append(ScanPoint(p, i_min(dist, node), tuple(rows)))
-    jumps = []
-    for lo, hi in zip(points, points[1:]):
-        lo_map = {r.observation: r.value for r in lo.rows}
-        hi_map = {r.observation: r.value for r in hi.rows}
-        if lo_map.keys() != hi_map.keys():
-            raise ValueError(
-                f"support changed between params {lo.param} and {hi.param}")
-        changes = {obs: hi_map[obs] - lo_map[obs] for obs in sorted(lo_map)}
-        jumps.append(ScanJump(
-            lo.param, hi.param,
-            max(abs(c) for c in changes.values()),
-            abs(hi.average - lo.average),
-            changes))
-    return ScanReport(node.label, tuple(points), tuple(jumps))

@@ -25,9 +25,7 @@ from synpid.experiments import (
     ExperimentConfig, OR_NODE, or_distribution, run_or_demo, run_table1,
 )
 from synpid.lattice import build_lattice, enumerate_antichains
-from synpid.pid import (
-    discontinuity_scan, i_min, local_i_min, partial_terms,
-)
+from synpid.pid import i_min, local_i_min, partial_terms
 
 RULES = (18, 22, 30, 54, 110)
 BASE_SEEDS = (0, 1000, 2000, 3000, 4000)
@@ -55,12 +53,13 @@ def batches():
     per_seed = {}
     for seed in BASE_SEEDS:
         report = run_table1(ExperimentConfig(rules=RULES, base_seed=seed))
-        per_seed[seed] = {r.rule: r for r in report.results}
+        per_seed[seed] = {row["rule"]: row for row in report["rules"]}
     return per_seed, time.monotonic() - t0
 
 
-def _as_row(result):
-    return (*result.pi, result.m_x, result.m_x_k1)
+def _as_row(row):
+    pi = row["pi_by_order"]
+    return (pi["1"], pi["2"], pi["3"], row["m_x"], row["m_x_k1"])
 
 
 def test_c1_or_localization_rows():
@@ -71,37 +70,44 @@ def test_c1_or_localization_rows():
     demo = run_or_demo(1e-6)
     elapsed = time.monotonic() - t0
     expected = (1.000, -0.585, 0.415, 0.415)
-    assert [(r.a1, r.a2) for r in demo.rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for row, target in zip(demo.rows, expected):
-        assert row.local_value == pytest.approx(target, abs=5e-4), (row, target)
-        assert row.chosen == "A1"
-        assert not row.tied
-    assert not demo.any_tie
+    assert [(r["a1"], r["a2"]) for r in demo["rows"]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for row, target in zip(demo["rows"], expected):
+        assert row["local_value"] == pytest.approx(target, abs=5e-4), (row, target)
+        assert row["chosen_source"] == "A1"
+        assert not row["tied"]
+    assert not demo["any_tie"]
     assert elapsed < 1.0
 
 
 def test_c2_localization_discontinuity():
-    """Scanning delta through -1e-6, 0, +1e-6 flips the minimizing source:
+    """Stepping delta through -1e-6, 0, +1e-6 flips the minimizing source:
     individual rows jump by about one bit while the average moves by less
     than 1e-5; the untilted point is an exact tie. Under a second."""
     t0 = time.monotonic()
-    report = discontinuity_scan(or_distribution, [-1e-6, 0.0, 1e-6], OR_NODE)
+    by_delta = {delta: run_or_demo(delta) for delta in (-1e-6, 0.0, 1e-6)}
     elapsed = time.monotonic() - t0
 
-    assert report.max_jump >= 0.99
-    for jump in report.jumps:
-        assert jump.avg_abs_change < 1e-5
-    by_param = {p.param: p for p in report.points}
-    assert all(r.tied for r in by_param[0.0].rows)
-    assert not any(r.tied for r in by_param[-1e-6].rows)
-    assert not any(r.tied for r in by_param[1e-6].rows)
+    def local_values(demo):
+        return {(r["x"], r["a1"], r["a2"]): r["local_value"] for r in demo["rows"]}
+
+    demos = list(by_delta.values())
+    jumps = []
+    for lo, hi in zip(demos, demos[1:]):
+        lo_values, hi_values = local_values(lo), local_values(hi)
+        assert lo_values.keys() == hi_values.keys()
+        jumps += [abs(hi_values[obs] - lo_values[obs]) for obs in lo_values]
+        assert abs(hi["average"] - lo["average"]) < 1e-5
+    assert max(jumps) >= 0.99
+    assert all(r["tied"] for r in by_delta[0.0]["rows"])
+    assert not any(r["tied"] for r in by_delta[-1e-6]["rows"])
+    assert not any(r["tied"] for r in by_delta[1e-6]["rows"])
     # minus tilt chooses the other source on every row
-    assert {r.chosen for r in by_param[-1e-6].rows} == {"{2}"}
-    assert {r.chosen for r in by_param[1e-6].rows} == {"{1}"}
-    for p in report.points:
-        assert p.average == pytest.approx(0.3112781244591328, abs=1e-5)
-    assert by_param[1e-6].average == pytest.approx(0.31127712446057565, abs=1e-12)
-    assert by_param[-1e-6].average == pytest.approx(0.31127712446057565, abs=1e-12)
+    assert {r["chosen_source"] for r in by_delta[-1e-6]["rows"]} == {"A2"}
+    assert {r["chosen_source"] for r in by_delta[1e-6]["rows"]} == {"A1"}
+    for demo in demos:
+        assert demo["average"] == pytest.approx(0.3112781244591328, abs=1e-5)
+    assert by_delta[1e-6]["average"] == pytest.approx(0.31127712446057565, abs=1e-12)
+    assert by_delta[-1e-6]["average"] == pytest.approx(0.31127712446057565, abs=1e-12)
     assert elapsed < 1.0
 
 
@@ -127,11 +133,11 @@ def test_c4_synergy_separates_dynamics(batches):
     short-history estimate exceeds the long-history one."""
     per_seed, _ = batches
     for seed, results in per_seed.items():
-        lowest_chaotic = min(results[r].m_x for r in CHAOTIC)
-        highest_complex = max(results[r].m_x for r in COMPLEX)
+        lowest_chaotic = min(results[r]["m_x"] for r in CHAOTIC)
+        highest_complex = max(results[r]["m_x"] for r in COMPLEX)
         assert lowest_chaotic > highest_complex, seed
         for rule in COMPLEX:
-            assert results[rule].m_x_k1 > results[rule].m_x, (seed, rule)
+            assert results[rule]["m_x_k1"] > results[rule]["m_x"], (seed, rule)
 
 
 def test_c5_gate_decompositions_match_oracle():

@@ -215,6 +215,24 @@ def test_or_demo_report_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_table1_and_or_demo_stdout_bytes_are_pinned(capsys):
+    # sha256 of the printed text; no other test pins these bytes.
+    table1 = ["table1", "--rules", "110,30", "--runs", "2", "--width", "14",
+              "--steps", "12", "--k", "2", "--seed", "0"]
+    for argv, digest in (
+        (table1, "a3341c428586bfec80976781465aa6355184ddec2cfeab76a1ee1750bdb994f3"),
+        (["or-demo", "--delta=1e-6"],
+         "67319fe741f7062478eca45f15fcfadfe76c9f4b6954b9e262b9eaf43ee01c30"),
+        (["or-demo", "--delta=-1e-6"],
+         "7e688950e071ecae7c6b3fbce7c82dc8446a9d986ba660ed2095093ee6ecf8f1"),
+        (["or-demo", "--delta=0"],
+         "75211cb13f8b11f3c18343c2d9279c837ee6f89cbae9ff3e26e6937b4e20b237"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+
+
 def test_or_demo_default_delta(capsys):
     assert main(["or-demo"]) == 0
     assert "delta=1e-06" in capsys.readouterr().out

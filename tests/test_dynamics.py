@@ -382,9 +382,10 @@ def test_local_te_validates_observation():
 
 def loop_local_mi(dist, obs, xs, ys, cond=()):
     """Reference local MI per row, from sums over the counts mapping."""
+    items = list(dist.counts.items())
+
     def count(row, cols):
-        return sum(c for key, c in dist.counts.items()
-                   if all(key[i] == row[i] for i in cols))
+        return sum(c for key, c in items if all(key[i] == row[i] for i in cols))
     return np.array([
         math.log2(count(row, xs + ys + cond) * count(row, cond))
         - math.log2(count(row, xs + cond) * count(row, ys + cond))

@@ -11,8 +11,8 @@ from synpid.distributions import VariableSpec, count_samples, embed_history
 from synpid.dynamics import DynamicsConfig, ca_distribution, profile, write_profile_csv
 from synpid.eca import run, run_batch
 from synpid.experiments import (
-    AnalyzeConfig, ExperimentConfig, OR_NODE, RuleResult, export_local_profiles,
-    or_distribution, run_or_demo, run_table1, series_distribution,
+    AnalyzeConfig, ExperimentConfig, OR_NODE, export_local_profiles, or_demo_text,
+    or_distribution, run_or_demo, run_table1, series_distribution, table1_text,
 )
 from synpid.pid import i_min, modified_information
 
@@ -48,28 +48,28 @@ def test_experiment_config_checks_rules_before_simulating(monkeypatch, rules):
 
 def test_table_report_content():
     report = run_table1(SMALL, threads=1)
-    assert len(report.results) == 1
-    res = report.results[0]
-    assert res.rule == 110 and res.k == 4
-    assert res.samples == 3 * 24 * (28 - 4)
-    assert res.samples_k1 == 3 * 24 * 27
-    assert len(res.pi) == 3
-    assert math.fsum(res.pi) == pytest.approx(res.total, abs=1e-10)
-    assert res.m_x <= res.pi[1] + res.pi[2] + 1e-10
-    assert all(v >= -1e-9 for v in res.pi)
+    assert len(report["rules"]) == 1
+    res = report["rules"][0]
+    assert res["rule"] == 110 and res["k"] == 4
+    assert res["samples"] == 3 * 24 * (28 - 4)
+    assert res["samples_k1"] == 3 * 24 * 27
+    assert list(res["pi_by_order"]) == ["1", "2", "3"]
+    pi = list(res["pi_by_order"].values())
+    assert math.fsum(pi) == pytest.approx(res["total_information"], abs=1e-10)
+    assert res["m_x"] <= pi[1] + pi[2] + 1e-10
+    assert all(v >= -1e-9 for v in pi)
 
 
 def test_table_report_serialization_is_stable():
     a = run_table1(SMALL, threads=1)
     b = run_table1(SMALL, threads=2)
-    ja = json.dumps(a.to_json_dict(), sort_keys=True)
-    jb = json.dumps(b.to_json_dict(), sort_keys=True)
+    ja = json.dumps(a, sort_keys=True)
+    jb = json.dumps(b, sort_keys=True)
     assert ja == jb  # thread count cannot leak into results
-    doc = a.to_json_dict()
-    assert doc["format"] == "synpid-table1"
-    assert doc["seeds"] == [7, 8, 9]
-    assert doc["rules"][0]["pi_by_order"].keys() == {"1", "2", "3"}
-    text = a.format_text()
+    assert a["format"] == "synpid-table1"
+    assert a["seeds"] == [7, 8, 9]
+    assert a["rules"][0]["pi_by_order"].keys() == {"1", "2", "3"}
+    text = table1_text(a)
     assert text.splitlines()[0].startswith("rule")
     assert " 110 " in text or text.splitlines()[1].startswith(" 110")
 
@@ -79,25 +79,26 @@ def test_table1_rows_equal_separate_counts(k):
     # One count serves both history lengths; the rows equal those of
     # separate k and k=1 counts, also when k is 1 itself.
     cfg = ExperimentConfig(rules=(110, 30), runs=3, width=24, steps=28, k=k, base_seed=7)
-    for rule, res in zip(cfg.rules, run_table1(cfg).results):
+    for rule, res in zip(cfg.rules, run_table1(cfg)["rules"]):
         grids = run_batch(rule, cfg.width, cfg.steps, cfg.base_seed, cfg.runs)
         dist_k, dist_1 = ca_distribution(grids, k), ca_distribution(grids, 1)
         dec_k, dec_1 = modified_information(dist_k, k), modified_information(dist_1, 1)
-        assert res == RuleResult(
-            rule=rule, k=k, pi=tuple(dec_k.hierarchy[o] for o in (1, 2, 3)),
-            m_x=dec_k.m_x, m_x_k1=dec_1.m_x, total=dec_k.total,
-            samples=3 * 24 * (28 - k), samples_k1=3 * 24 * 27)
+        assert res == {
+            "rule": rule, "k": k,
+            "pi_by_order": {str(o): dec_k.hierarchy[o] for o in (1, 2, 3)},
+            "m_x": dec_k.m_x, "m_x_k1": dec_1.m_x, "total_information": dec_k.total,
+            "samples": 3 * 24 * (28 - k), "samples_k1": 3 * 24 * 27}
 
 
 def test_rule_zero_batch_is_information_free():
     # Everything dies after the first step, so next is the constant 0 and
     # carries no information of any kind.
     cfg = ExperimentConfig(rules=(0,), runs=2, width=12, steps=10, k=2, base_seed=0)
-    res = run_table1(cfg, threads=1).results[0]
-    assert res.total == 0.0
-    assert res.m_x == 0.0
-    assert res.m_x_k1 == 0.0
-    assert all(v == 0.0 for v in res.pi)
+    res = run_table1(cfg, threads=1)["rules"][0]
+    assert res["total_information"] == 0.0
+    assert res["m_x"] == 0.0
+    assert res["m_x_k1"] == 0.0
+    assert all(v == 0.0 for v in res["pi_by_order"].values())
 
 
 def test_or_distribution_is_exact():
@@ -115,26 +116,25 @@ def test_or_distribution_is_exact():
 
 def test_or_demo_rows_and_average():
     demo = run_or_demo(1e-6)
-    assert [(r.a1, r.a2, r.x) for r in demo.rows] == [
+    assert [(r["a1"], r["a2"], r["x"]) for r in demo["rows"]] == [
         (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
-    assert demo.average == pytest.approx(
+    assert demo["average"] == pytest.approx(
         i_min(or_distribution(1e-6), OR_NODE), abs=1e-15)
-    assert not demo.any_tie
-    assert all(r.chosen == "A1" for r in demo.rows)
+    assert not demo["any_tie"]
+    assert all(r["chosen_source"] == "A1" for r in demo["rows"])
     tied = run_or_demo(0.0)
-    assert tied.any_tie
-    assert all(r.tied for r in tied.rows)
+    assert tied["any_tie"]
+    assert all(r["tied"] for r in tied["rows"])
 
 
 def test_or_demo_serialization_and_text():
-    demo = run_or_demo(-1e-6)
-    doc = demo.to_json_dict()
+    doc = run_or_demo(-1e-6)
     assert doc["format"] == "synpid-or-demo"
     assert doc["node"] == "{1}{2}"
     assert len(doc["rows"]) == 4
     assert {r["chosen_source"] for r in doc["rows"]} <= {"A1", "A2"}
     json.dumps(doc)  # everything must be JSON-clean
-    text = demo.format_text()
+    text = or_demo_text(doc)
     assert "argmin" in text and text.endswith("bits")
 
 

@@ -139,6 +139,8 @@ def test_antichain_rejects_empty_and_bad_elements():
         Antichain([{0}])
     with pytest.raises(ValueError):
         Antichain([{1, "a"}])
+    with pytest.raises(ValueError, match="must be integers"):
+        Antichain([{1.5}, {2}])
 
 
 def test_antichain_is_immutable():

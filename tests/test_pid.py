@@ -12,7 +12,7 @@ from synpid.distributions import (
 from synpid.experiments import or_distribution
 from synpid.lattice import Antichain, build_lattice
 from synpid.pid import (
-    TIE_TOLERANCE, _specinfo_table, argmin_table, decomposition_report, discontinuity_scan,
+    TIE_TOLERANCE, _specinfo_table, argmin_table, decomposition_report,
     i_min, local_i_min, modified_information, partial_terms,
     specific_information,
 )
@@ -132,6 +132,8 @@ def test_specific_information_errors():
         specific_information(d, 5, {1})
     with pytest.raises(ValueError, match="out of range"):
         specific_information(d, 0, {9})
+    with pytest.raises(ValueError, match="must be integers"):
+        specific_information(d, 0, {1.5})
     lopsided = JointDistribution(
         (VariableSpec("x", 2, "destination-next"), VariableSpec("a1", 2)),
         {(0, 0): 1, (0, 1): 1})
@@ -199,6 +201,8 @@ def test_i_min_argument_forms():
         i_min(d, [])
     with pytest.raises(ValueError):
         i_min(d, [set()])
+    with pytest.raises(ValueError, match="must be integers"):
+        i_min(d, [{1.5}])
 
 
 # -- argmin choices and localization ----------------------------------------
@@ -383,56 +387,6 @@ def test_i_partial_nonnegative_on_random_counts():
         _, i_partial = partial_terms(dist, lat)
         for node, v in zip(lat.nodes, i_partial):
             assert v >= -1e-9, (node.label, v)
-
-
-# -- discontinuity scans ----------------------------------------------------
-
-def test_scan_detects_localization_jump():
-    report = discontinuity_scan(or_distribution, [-1e-6, 0.0, 1e-6], BOTTOM2)
-    assert report.node_label == "{1}{2}"
-    assert report.max_jump > 0.99
-    assert report.any_tie  # the delta = 0 point is tied
-    assert all(j.avg_abs_change < 1e-5 for j in report.jumps)
-    # the average itself moves smoothly
-    averages = [p.average for p in report.points]
-    assert max(averages) - min(averages) < 1e-5
-
-
-def test_scan_rows_track_choices():
-    report = discontinuity_scan(or_distribution, [1e-6], BOTTOM2)
-    rows = {r.observation: r for r in report.points[0].rows}
-    assert set(rows) == {(0, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)}
-    assert rows[(1, 0, 1)].chosen == "{1}"
-    assert rows[(1, 0, 1)].value == pytest.approx(math.log2(2 / 3), abs=1e-4)
-    assert rows[(1, 1, 0)].value == pytest.approx(math.log2(4 / 3), abs=1e-4)
-    assert not any(r.tied for r in report.points[0].rows)
-
-
-def test_scan_custom_local_function():
-    report = discontinuity_scan(
-        or_distribution, [0.0, 1e-3], BOTTOM2,
-        local_fn=lambda d, obs: local_mi(d, {0: obs[0]}, {1: obs[1], 2: obs[2]}))
-    for point in report.points:
-        for row in point.rows:
-            assert row.chosen is None
-            assert not row.tied
-    assert report.max_jump < 0.02  # joint local MI moves continuously here
-
-
-def test_scan_rejects_support_changes():
-    def builder(p):
-        counts = dict(pid_oracle.or_table(0.0))
-        if p > 0.5:
-            counts.pop((1, 1, 1))
-        variables = (
-            VariableSpec("x", 2, "destination-next"),
-            VariableSpec("a1", 2), VariableSpec("a2", 2))
-        return JointDistribution(variables, counts)
-
-    with pytest.raises(ValueError, match="support changed"):
-        discontinuity_scan(builder, [0.0, 1.0], BOTTOM2)
-    with pytest.raises(ValueError, match="at least one parameter"):
-        discontinuity_scan(builder, [], BOTTOM2)
 
 
 def test_tie_tolerance_is_tiny():
