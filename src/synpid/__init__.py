@@ -32,7 +32,7 @@ from .dynamics import (
     profile,
     transfer_entropy,
 )
-from .eca import RuleTable, SpacetimeGrid, decode_rule, encode_rule, run
+from .eca import SpacetimeGrid, check_rule, run
 from .experiments import (
     ExperimentConfig,
     export_local_profiles,
@@ -61,7 +61,6 @@ __all__ = [
     "LocalProfile",
     "PidDecomposition",
     "RedundancyLattice",
-    "RuleTable",
     "SpacetimeGrid",
     "VariableSpec",
     "active_info_storage",
@@ -72,11 +71,10 @@ __all__ = [
     "ca_distributions",
     "ca_samples",
     "ca_variables",
+    "check_rule",
     "count_samples",
-    "decode_rule",
     "decomposition_report",
     "embed_history",
-    "encode_rule",
     "export_local_profiles",
     "i_min",
     "local_ais",

@@ -35,9 +35,10 @@ def _type_rule(text):
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"rule must be an integer, got {text!r}")
-    if not 0 <= v <= 255:
-        raise argparse.ArgumentTypeError(f"rule must be in 0..255, got {v}")
-    return v
+    try:
+        return eca.check_rule(v)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _type_rules(text):

@@ -37,7 +37,7 @@ from .distributions import (
     JointDistribution, VariableSpec, _count_codes, _grouped, _radix_multipliers, avg_mi,
     local_mi, merge,
 )
-from .eca import SpacetimeGrid
+from .eca import SpacetimeGrid, _integer
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,7 @@ class DynamicsConfig:
     sources: tuple[str, ...] = ("left", "right")
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer("k", self.k))
         if self.k < 1:
             raise ValueError(f"history length k must be >= 1, got {self.k}")
         if self.destination in self.sources:
@@ -326,17 +327,16 @@ def local_separable(dist: JointDistribution, config: DynamicsConfig, observation
 class LocalProfile:
     """Per-site local values of one measure on one displayed grid.
 
-    ``values`` has the grid's shape; rows before ``start`` (times without a
+    ``values`` has the grid's shape; rows before ``k`` (times without a
     full history window) are NaN.
     """
 
     measure: str
     k: int
-    start: int
     values: np.ndarray = field(repr=False, compare=False)
 
     def defined_values(self) -> np.ndarray:
-        return self.values[self.start:]
+        return self.values[self.k:]
 
 
 def profile_measures(config: DynamicsConfig) -> tuple[str, ...]:
@@ -365,7 +365,7 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid, config: DynamicsConfig
         local = local_te(dist, config, measure[len("local_te_"):], (), samples)
     values = np.full(grid.cells.shape, np.nan)
     values[config.k:] = local.reshape(-1, grid.cells.shape[1])
-    return LocalProfile(measure, config.k, config.k, values)
+    return LocalProfile(measure, config.k, values)
 
 
 def write_profile_csv(prof: LocalProfile, path) -> None:
@@ -378,7 +378,7 @@ def write_profile_csv(prof: LocalProfile, path) -> None:
     cell_fields = [f"{c}," for c in range(data.shape[1])]
     with open(path, "w", newline="") as f:
         f.write("cell,time,value\r\n")
-        for t, row in enumerate(which.reshape(data.shape).tolist(), start=prof.start):
+        for t, row in enumerate(which.reshape(data.shape).tolist(), start=prof.k):
             time_field = f"{t},"
             f.write("".join([c + time_field + values[i] for c, i in zip(cell_fields, row)]))
 
@@ -399,7 +399,7 @@ def write_profile_pgm(prof: LocalProfile, path) -> None:
     steps, width = prof.values.shape
     header = (
         f"P5\n"
-        f"# {prof.measure} k={prof.k}; rows are times {prof.start}..{steps - 1}; "
+        f"# {prof.measure} k={prof.k}; rows are times {prof.k}..{steps - 1}; "
         f"value_bits = {vmin!r} + gray * ({vmax!r} - {vmin!r}) / 65535\n"
         f"{width} {data.shape[0]}\n65535\n"
     )

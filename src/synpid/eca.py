@@ -19,44 +19,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Neighborhood tuples in Wolfram order, highest bit first.
-NEIGHBORHOODS = tuple(
-    (b >> 2 & 1, b >> 1 & 1, b & 1) for b in range(7, -1, -1)
-)
+
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int; floats, strings, bools and None are refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-@dataclass(frozen=True)
-class RuleTable:
-    """A decoded update rule: neighborhood tuple -> next cell value."""
-
-    rule_number: int
-    outputs: dict[tuple[int, int, int], int] = field(compare=False)
-
-
-def decode_rule(rule_number: int) -> RuleTable:
-    """Expand a Wolfram rule number into an explicit neighborhood table."""
-    if not isinstance(rule_number, (int, np.integer)) or isinstance(rule_number, bool):
-        raise ValueError(f"rule number must be an integer, got {rule_number!r}")
-    if not 0 <= rule_number <= 255:
-        raise ValueError(f"rule number must be in [0, 255], got {rule_number}")
-    outputs = {
-        (l, c, r): (int(rule_number) >> (4 * l + 2 * c + r)) & 1
-        for (l, c, r) in NEIGHBORHOODS
-    }
-    return RuleTable(int(rule_number), outputs)
-
-
-def encode_rule(table: RuleTable) -> int:
-    """Inverse of decode_rule; packs the outputs back into a rule number."""
-    n = 0
-    for hood, v in table.outputs.items():
-        if hood not in NEIGHBORHOODS:
-            raise ValueError(f"rule neighborhoods must be triples of bits, got {hood!r}")
-        l, c, r = hood
-        if v not in (0, 1):
-            raise ValueError(f"rule outputs must be bits, got {v!r}")
-        n |= v << (4 * l + 2 * c + r)
-    return n
+def check_rule(rule) -> int:
+    """A Wolfram rule number as a plain int; anything else is refused."""
+    rule = _integer("rule number", rule)
+    if not 0 <= rule <= 255:
+        raise ValueError(f"rule number must be in [0, 255], got {rule}")
+    return rule
 
 
 @dataclass(frozen=True)
@@ -75,16 +51,16 @@ class SpacetimeGrid:
         return bool(np.array_equal(self.cells, again.cells))
 
 
-def run(rule: RuleTable | int, width: int, steps: int, seed: int) -> SpacetimeGrid:
+def run(rule: int, width: int, steps: int, seed: int) -> SpacetimeGrid:
     """Simulate ``steps`` rows of a width-cell ring from a seeded random row.
 
-    ``rule`` may be a RuleTable or a bare rule number. Row 0 is the random
-    initial condition; rows 1..steps-1 are synchronous updates.
+    Row 0 is the random initial condition; rows 1..steps-1 are synchronous
+    updates.
     """
     return run_batch(rule, width, steps, seed, 1)[0]
 
 
-def run_batch(rule: RuleTable | int, width: int, steps: int,
+def run_batch(rule: int, width: int, steps: int,
               base_seed: int, runs: int) -> list[SpacetimeGrid]:
     """Repeat runs with the fixed seed policy: run i uses base_seed + i.
 
@@ -96,11 +72,8 @@ def run_batch(rule: RuleTable | int, width: int, steps: int,
     the rule number. The pad cells between runs get junk bits, which the
     next step's wrap copy overwrites. Each grid's ``cells`` is a read-only,
     non-contiguous (steps, width) view of that batch.
-
-    A RuleTable is checked by ``encode_rule`` before any step.
     """
-    if not isinstance(rule, RuleTable):
-        rule = decode_rule(rule)
+    rule = check_rule(rule)
     if width < 3:
         raise ValueError(f"width must be at least 3, got {width}")
     if steps < 1:
@@ -109,7 +82,7 @@ def run_batch(rule: RuleTable | int, width: int, steps: int,
         raise ValueError(f"runs must be at least 1, got {runs}")
     if base_seed < 0:
         raise ValueError(f"seed must be >= 0, got {base_seed}")
-    rule_bits = np.uint8(encode_rule(rule))
+    rule_bits = np.uint8(rule)
     ring = np.empty((steps, runs, width + 2), dtype=np.uint8)
     ring[0, :, 1:-1] = [np.random.default_rng(base_seed + i).integers(0, 2, size=width,
                                                                       dtype=np.uint8)
@@ -128,7 +101,7 @@ def run_batch(rule: RuleTable | int, width: int, steps: int,
         np.right_shift(rule_bits, hood, out=nxt)
         nxt &= 1
     ring.setflags(write=False)
-    return [SpacetimeGrid(rule.rule_number, width, steps, int(base_seed + i), ring[:, i, 1:-1])
+    return [SpacetimeGrid(rule, width, steps, int(base_seed + i), ring[:, i, 1:-1])
             for i in range(runs)]
 
 

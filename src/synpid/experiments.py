@@ -41,11 +41,11 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(int(r) for r in self.rules))
+        object.__setattr__(self, "rules", tuple(map(eca.check_rule, self.rules)))
         if not self.rules:
             raise ValueError("need at least one rule")
-        for rule in self.rules:
-            eca.decode_rule(rule)
+        for name in ("runs", "width", "steps", "k", "base_seed"):
+            object.__setattr__(self, name, eca._integer(name, getattr(self, name)))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.width < 3:
@@ -147,19 +147,18 @@ def run_or_demo(delta: float) -> dict:
     """The ``synpid-or-demo`` report: the two-singleton redundancy node
     localized across the OR gate's rows."""
     dist = or_distribution(delta)
-    table = argmin_table(dist, OR_NODE)
+    choice, tied = argmin_table(dist, OR_NODE)
     rows = []
     for a1 in (0, 1):
         for a2 in (0, 1):
             x = a1 | a2
             obs = (x, a1, a2)
-            choice = table[x]
             rows.append({
                 "a1": a1, "a2": a2, "x": x,
                 "probability": float(dist.counts[obs]),
-                "chosen_source": f"A{min(OR_NODE.subsets[choice.subset_index])}",
+                "chosen_source": f"A{min(OR_NODE.subsets[choice[x]])}",
                 "local_value": local_i_min(dist, OR_NODE, obs),
-                "tied": choice.tied,
+                "tied": bool(tied[x]),
             })
     return {
         "format": "synpid-or-demo",

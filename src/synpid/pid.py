@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -113,6 +114,10 @@ def specific_information(dist: JointDistribution, x: int, subset) -> float:
     """
     subset = source_subset(subset)
     xi = _destination(dist)
+    try:
+        x = index(x)
+    except TypeError:
+        raise ValueError(f"destination outcome must be an integer, got {x!r}") from None
     if not 0 <= x < dist.variables[xi].arity:
         raise ValueError(f"destination outcome {x} out of range")
     table = _specinfo_table(dist, subset)
@@ -134,30 +139,19 @@ def i_min(dist: JointDistribution, node) -> float:
     return float(np.dot(c_x[observed] / dist.total, mins))
 
 
-@dataclass(frozen=True)
-class ArgminChoice:
-    """Which subset minimizes specific information for one destination outcome."""
+def argmin_table(dist: JointDistribution, node) -> tuple[np.ndarray, np.ndarray]:
+    """(choice, tied) over destination outcomes: the index of the subset
+    minimizing specific information, -1 where the outcome is unobserved,
+    and whether another subset came within TIE_TOLERANCE.
 
-    outcome: int
-    subset_index: int
-    specific_info: float
-    tied: bool
-
-
-def argmin_table(dist: JointDistribution, node) -> dict[int, ArgminChoice]:
-    """Minimizing subset per observed destination outcome, with tie flags.
-
-    Ties within TIE_TOLERANCE resolve to the lowest subset index in the
-    node's canonical order and are reported, not hidden.
+    Ties resolve to the lowest subset index in the node's canonical order
+    and are reported, not hidden.
     """
     tables, c_x = _node_tables(dist, node)
-    out = {}
-    for x in np.flatnonzero(c_x > 0).tolist():
-        column = tables[:, x]
-        best = float(np.min(column))
-        near = np.nonzero(column <= best + TIE_TOLERANCE)[0]
-        out[x] = ArgminChoice(x, int(near[0]), best, len(near) > 1)
-    return out
+    # Unobserved columns are NaN, so no subset is near their minimum.
+    near = tables <= np.min(tables, axis=0) + TIE_TOLERANCE
+    choice = np.where(c_x > 0, np.argmax(near, axis=0), -1)
+    return choice, np.count_nonzero(near, axis=0) > 1
 
 
 def local_i_min(dist: JointDistribution, node, observation) -> float:
@@ -176,8 +170,8 @@ def local_i_min(dist: JointDistribution, node, observation) -> float:
     if obs not in dist.counts:
         raise ValueError(f"observation {obs} was never counted")
     xi = _destination(dist)
-    choice = argmin_table(dist, node)[obs[xi]]
-    cols = _source_columns(dist, subsets[choice.subset_index])
+    choice, _ = argmin_table(dist, node)
+    cols = _source_columns(dist, subsets[choice[int(obs[xi])]])
     return local_mi(dist, {xi: obs[xi]}, {c: obs[c] for c in cols})
 
 
@@ -228,13 +222,11 @@ class PidDecomposition:
     hierarchy: dict[int, float]
 
 
-def modified_information(dist: JointDistribution, k: int,
-                         sources=None) -> PidDecomposition:
+def modified_information(dist: JointDistribution, k: int) -> PidDecomposition:
     """Decompose I(next; hist, sources) and collect the synergy-only mass.
 
     The history variable is required and acts as source A_1; the remaining
-    sources follow in declared order. ``sources`` may restate their names
-    for validation but cannot select a subset.
+    sources follow in declared order.
     """
     xi = _destination(dist)
     hi = dist.index_of_role("destination-history")
@@ -248,10 +240,6 @@ def modified_information(dist: JointDistribution, k: int,
             f"base-{dest.arity} alphabet")
     declared = [dist.variables[i].name for i in range(len(dist.variables))
                 if i != xi and i != hi]
-    if sources is not None and list(sources) != declared:
-        raise ValueError(
-            f"sources {list(sources)} must match the distribution's source "
-            f"variables {declared} in order")
     r = 1 + len(declared)
     lattice = build_lattice(r)
     i_cap, i_partial = partial_terms(dist, lattice)

@@ -440,7 +440,7 @@ def test_profile_shape_and_nan_margin(profiled):
     assert prof.values.shape == grid.cells.shape
     assert np.isnan(prof.values[:2]).all()
     assert np.isfinite(prof.defined_values()).all()
-    assert prof.start == 2 and prof.k == 2
+    assert prof.k == 2
 
 
 def test_profile_mean_recovers_average(profiled):
@@ -503,12 +503,12 @@ def test_profile_csv_round_trip(profiled, tmp_path):
 def test_profile_csv_bytes_match_csv_writer(tmp_path):
     values = np.full((4, 3), np.nan)
     values[2:] = [[1e-05, -0.0, 1e16], [0.1 + 0.2, -2.5, -1e-300]]
-    prof = LocalProfile("local_ais", 2, 2, values)
+    prof = LocalProfile("local_ais", 2, values)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["cell", "time", "value"])
-        for t in range(prof.start, values.shape[0]):
+        for t in range(prof.k, values.shape[0]):
             for c in range(values.shape[1]):
                 writer.writerow([c, t, repr(float(values[t, c]))])
     path = tmp_path / "prof.csv"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,25 @@ def test_experiment_config_checks_rules_before_simulating(monkeypatch, rules):
     monkeypatch.setattr(experiments.eca, "run_batch", simulate)
     with pytest.raises(ValueError, match=r"rule number must be in \[0, 255\], got"):
         run_table1(ExperimentConfig(rules=rules, runs=1, width=8, steps=4, k=1))
+
+
+@pytest.mark.parametrize("rules", [(30.7,), ("110",), (True,), (30, None)])
+def test_experiment_config_refuses_non_integer_rules(rules):
+    with pytest.raises(ValueError, match="rule number must be an integer"):
+        ExperimentConfig(rules=rules)
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True])
+@pytest.mark.parametrize("name", ["runs", "width", "steps", "k", "base_seed"])
+def test_experiment_config_refuses_non_integer_fields(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        ExperimentConfig(rules=(30,), **{name: value})
+
+
+def test_experiment_config_stores_plain_ints():
+    cfg = ExperimentConfig(rules=(np.uint8(30),), runs=np.int64(2), k=np.int32(3))
+    assert json.dumps(cfg.to_json_dict()) == json.dumps(
+        ExperimentConfig(rules=(30,), runs=2, k=3).to_json_dict())
 
 
 def test_table_report_content():
@@ -222,6 +242,13 @@ def test_series_distribution_equals_counted_rows(data):
 def test_analyze_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
         AnalyzeConfig(**kwargs)
+
+
+@pytest.mark.parametrize("k", [2.0, 1.5, True])
+@pytest.mark.parametrize("config", [DynamicsConfig, AnalyzeConfig])
+def test_configs_refuse_a_non_integer_k(config, k):
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+        config(k, "d", ("s",))
 
 
 def test_series_distribution_refuses_a_state_space_past_64_bits():

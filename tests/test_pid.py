@@ -134,6 +134,10 @@ def test_specific_information_errors():
         specific_information(d, 0, {9})
     with pytest.raises(ValueError, match="must be integers"):
         specific_information(d, 0, {1.5})
+    for x in (0.5, 1.0):
+        with pytest.raises(ValueError, match=f"destination outcome must be an integer, got {x}"):
+            specific_information(or_distribution(0.0), x, {1})
+    assert specific_information(d, np.int64(1), {1}) == specific_information(d, 1, {1})
     lopsided = JointDistribution(
         (VariableSpec("x", 2, "destination-next"), VariableSpec("a1", 2)),
         {(0, 0): 1, (0, 1): 1})
@@ -208,20 +212,61 @@ def test_i_min_argument_forms():
 # -- argmin choices and localization ----------------------------------------
 
 def test_argmin_ties_on_symmetric_or():
-    table = argmin_table(gate_distribution("or"), BOTTOM2)
-    assert set(table) == {0, 1}
-    for choice in table.values():
-        assert choice.tied
-        assert choice.subset_index == 0  # canonical tie break
+    choice, tied = argmin_table(gate_distribution("or"), BOTTOM2)
+    assert tied.tolist() == [True, True]
+    assert choice.tolist() == [0, 0]  # canonical tie break
 
 
 def test_argmin_tilt_resolves_ties():
     plus = argmin_table(or_distribution(1e-6), BOTTOM2)
     minus = argmin_table(or_distribution(-1e-6), BOTTOM2)
-    assert not plus[1].tied and not minus[1].tied
-    assert plus[1].subset_index == 0   # A1 is the weaker predictor
-    assert minus[1].subset_index == 1  # tilting the other way flips it
-    assert plus[1].specific_info == pytest.approx(OR_SPEC_X1_A1, abs=1e-4)
+    assert not plus[1][1] and not minus[1][1]
+    assert plus[0][1] == 0   # A1 is the weaker predictor
+    assert minus[0][1] == 1  # tilting the other way flips it
+    chosen = BOTTOM2.subsets[plus[0][1]]
+    assert specific_information(or_distribution(1e-6), 1, chosen) == pytest.approx(
+        OR_SPEC_X1_A1, abs=1e-4)
+
+
+def _with_copied_source(dist):
+    """``dist`` with one more source that repeats source 1, so every node
+    holding both {1} and {r+1} scores them exactly alike."""
+    variables = (*dist.variables, VariableSpec("copy", dist.variables[1].arity))
+    return JointDistribution(variables, {(*key, key[1]): c for key, c in dist.counts.items()})
+
+
+def test_argmin_table_matches_oracle_on_every_node():
+    rng = np.random.default_rng(53)
+    cases = [random_distribution(rng, r=2) for _ in range(10)]
+    cases += [random_distribution(rng, r=3) for _ in range(3)]
+    cases += [_with_copied_source(random_distribution(rng, r=2)) for _ in range(3)]
+    cases.append(JointDistribution(  # destination outcome 1 is never seen
+        (VariableSpec("x", 3, "destination-next"), VariableSpec("a1", 2), VariableSpec("a2", 2)),
+        {(0, 0, 0): 1, (2, 1, 0): 1, (2, 1, 1): 2}))
+    seen = {"clear": 0, "tied": 0, "unobserved": 0}
+    for dist in cases:
+        table = to_prob_table(dist)
+        observed = {x for (x,) in dist.marginal_counts((0,))}
+        for node in build_lattice(len(dist.variables) - 1).nodes:
+            choice, tied = argmin_table(dist, node)
+            for x in range(dist.variables[0].arity):
+                if x not in observed:
+                    seen["unobserved"] += 1
+                    assert choice[x] == -1 and not tied[x]
+                    continue
+                spec = [pid_oracle.specific_info(table, x, tuple(sorted(s)))
+                        for s in node.subsets]
+                best = min(spec)
+                gap = min((v - best for i, v in enumerate(spec) if i != spec.index(best)),
+                          default=math.inf)
+                if gap > 1e-9:
+                    seen["clear"] += 1
+                    assert choice[x] == spec.index(best) and not tied[x]
+                elif gap < 1e-13:
+                    seen["tied"] += 1
+                    lowest = min(i for i, v in enumerate(spec) if v - best < 1e-13)
+                    assert tied[x] and choice[x] == lowest
+    assert all(seen.values()), seen
 
 
 def test_local_i_min_single_subset_equals_local_mi():
@@ -349,7 +394,7 @@ def test_modified_information_xor_dynamics():
 
 
 def test_modified_information_hierarchy_reconciles():
-    dec = modified_information(xor_dynamics(), k=1, sources=["s"])
+    dec = modified_information(xor_dynamics(), k=1)
     assert math.fsum(dec.hierarchy.values()) == pytest.approx(dec.total, abs=1e-10)
     oracle_h = pid_oracle.hierarchy(
         {frozenset(n.subsets): v for n, v in zip(dec.lattice.nodes, dec.i_partial)}, 2)
@@ -364,8 +409,6 @@ def test_modified_information_validation():
         modified_information(xor_dynamics(), k=2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         modified_information(xor_dynamics(), k=0)
-    with pytest.raises(ValueError, match="must match"):
-        modified_information(xor_dynamics(), k=1, sources=["wrong"])
 
 
 def test_decomposition_report_shape():
