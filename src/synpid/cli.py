@@ -20,10 +20,10 @@ import warnings
 import numpy as np
 
 from . import eca
-from .dynamics import DynamicsConfig, profile_measures
+from .dynamics import profile_measures
 from .experiments import (
-    AnalyzeConfig, ExperimentConfig, export_local_profiles, or_demo_text, run_analyze,
-    run_or_demo, run_table1, table1_text,
+    AnalyzeConfig, ExperimentConfig, check_delta, export_local_profiles, or_demo_text,
+    run_analyze, run_or_demo, run_table1, table1_text,
 )
 from .lattice import build_lattice
 
@@ -60,9 +60,10 @@ def _type_delta(text):
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"delta must be a number, got {text!r}")
-    if not abs(v) < 0.25:
-        raise argparse.ArgumentTypeError(f"|delta| must be < 0.25, got {v}")
-    return v
+    try:
+        return check_delta(v)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _type_names(text):
@@ -197,7 +198,7 @@ def cmd_profile(args) -> int:
     s = Settings(args)
     rule = s.integer("rule")
     config = _experiment_config(s, (rule,))
-    measures = s.names("measures", profile_measures(DynamicsConfig(k=1)))
+    measures = s.names("measures", profile_measures())
     written = export_local_profiles(rule, config, measures, str(s.require("out")))
     for m in measures:
         print(f"{m}: {written[m]['csv']}, {written[m]['pgm']}")
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", type=_type_rule)
     p.add_argument("--measures", type=_type_names,
                    help="comma-separated subset of "
-                        + ",".join(profile_measures(DynamicsConfig(k=1))))
+                        + ",".join(profile_measures()))
     batch(p)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_profile)

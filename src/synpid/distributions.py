@@ -282,13 +282,19 @@ class JointDistribution:
                     [parent.index(c) for c in cols])[0]
         return self._marginals[cols]
 
-    def probability(self, assignment: Mapping[int, int]) -> float:
-        """Marginal probability of a partial assignment {index: symbol}."""
-        if self.total == 0:
-            raise ValueError("empty distribution")
-        cols = tuple(sorted(assignment))
-        key = tuple(int(assignment[c]) for c in cols)
-        return self.marginal_counts(cols).get(key, 0.0) / self.total
+
+def history_length(dist: JointDistribution) -> int:
+    """The k of a (next, hist, sources...) layout: the history's arity must
+    be the destination's arity to the power k >= 1."""
+    base = dist.variables[dist.index_of_role("destination-next")].arity
+    arity = dist.variables[dist.index_of_role("destination-history")].arity
+    k, states = 1, base
+    while states < arity:
+        k, states = k + 1, states * base
+    if states != arity:
+        raise ValueError(f"history arity {arity} is not a power of the "
+                         f"destination arity {base}")
+    return k
 
 
 # -- construction -----------------------------------------------------------

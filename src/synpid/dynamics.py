@@ -9,7 +9,9 @@ k-step past packed into a single symbol, and each ``y_j`` is the single
 previous value of one neighbor. For a standard two-neighbor ring the sources
 are the left and right neighbors. All cells and all times with a full
 history window are pooled; the first k time steps of a run never appear as
-destinations.
+destinations. The measures read this layout, k included, from the roles of
+the distribution's variables; the sources are its "source" variables in
+declared order.
 
 Measures, all in bits:
 
@@ -35,28 +37,9 @@ import numpy as np
 
 from .distributions import (
     JointDistribution, VariableSpec, _count_codes, _grouped, _radix_multipliers, avg_mi,
-    local_mi, merge,
+    history_length, local_mi, merge,
 )
-from .eca import SpacetimeGrid, _integer
-
-
-@dataclass(frozen=True)
-class DynamicsConfig:
-    """Names the destination and its causal sources for one analysis."""
-
-    k: int
-    destination: str = "next"
-    sources: tuple[str, ...] = ("left", "right")
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", _integer("k", self.k))
-        if self.k < 1:
-            raise ValueError(f"history length k must be >= 1, got {self.k}")
-        if self.destination in self.sources:
-            raise ValueError("destination cannot be one of its own sources: "
-                             "names must be distinct")
-        if len(set(self.sources)) != len(self.sources):
-            raise ValueError(f"duplicate source names: {self.sources}")
+from .eca import SpacetimeGrid
 
 
 def _offset_name(offset: int) -> str:
@@ -238,37 +221,37 @@ def ca_distributions(grids, ks, offsets=(-1, 1)) -> list[JointDistribution]:
     return [out[k] for k in ks]
 
 
-def _indices(dist: JointDistribution, config: DynamicsConfig):
-    xi = dist.index_of(config.destination)
-    hi = dist.index_of_role("destination-history")
-    dest_arity = dist.variables[xi].arity
-    if dist.variables[hi].arity != dest_arity ** config.k:
-        raise ValueError(
-            f"history arity {dist.variables[hi].arity} does not match "
-            f"k={config.k} over a base-{dest_arity} alphabet")
-    return xi, hi
+def _indices(dist: JointDistribution):
+    return dist.index_of_role("destination-next"), dist.index_of_role("destination-history")
 
 
-def active_info_storage(dist: JointDistribution, config: DynamicsConfig) -> float:
+def active_info_storage(dist: JointDistribution) -> float:
     """Average mutual information between a cell's k-step past and its next value."""
-    xi, hi = _indices(dist, config)
+    xi, hi = _indices(dist)
     return avg_mi(dist, (xi,), (hi,))
 
 
 def local_ais(dist: JointDistribution, history, next_value):
     """Local storage at one (history, next) configuration; arrays give arrays."""
-    xi = dist.index_of_role("destination-next")
-    hi = dist.index_of_role("destination-history")
+    xi, hi = _indices(dist)
     return local_mi(dist, {xi: next_value}, {hi: history})
 
 
-def _source_indices(dist, config, source, conditionals):
-    if source not in config.sources:
-        raise ValueError(f"{source!r} is not a configured source {config.sources}")
+def _sources(dist: JointDistribution) -> tuple[str, ...]:
+    """The names of the source variables, in declared order."""
+    return tuple(v.name for v in dist.variables if v.role == "source")
+
+
+def _source_indices(dist, source, conditionals):
+    sources = _sources(dist)
+    if source not in sources:
+        raise ValueError(f"{source!r} is not a source variable {sources}")
+    if isinstance(conditionals, str):
+        raise ValueError(f"conditionals must be a sequence of names, got {conditionals!r}")
     conditionals = tuple(conditionals)
     for c in conditionals:
-        if c not in config.sources:
-            raise ValueError(f"conditional {c!r} is not a configured source")
+        if c not in sources:
+            raise ValueError(f"conditional {c!r} is not a source variable")
         if c == source:
             raise ValueError(f"source {source!r} cannot condition on itself")
     if len(set(conditionals)) != len(conditionals):
@@ -276,16 +259,15 @@ def _source_indices(dist, config, source, conditionals):
     return dist.index_of(source), tuple(dist.index_of(c) for c in conditionals)
 
 
-def transfer_entropy(dist: JointDistribution, config: DynamicsConfig,
-                     source: str, conditionals=()) -> float:
+def transfer_entropy(dist: JointDistribution, source: str, conditionals=()) -> float:
     """Average transfer entropy from ``source``, given the destination's past.
 
     With no conditionals this is the apparent flavor; conditioning on every
     other source makes it complete. The result is invariant to the order of
     ``conditionals``.
     """
-    xi, hi = _indices(dist, config)
-    si, ci = _source_indices(dist, config, source, conditionals)
+    xi, hi = _indices(dist)
+    si, ci = _source_indices(dist, source, conditionals)
     return avg_mi(dist, (xi,), (si,), (hi,) + ci)
 
 
@@ -297,17 +279,16 @@ def _observations(dist: JointDistribution, observation) -> np.ndarray:
     return obs
 
 
-def local_te(dist: JointDistribution, config: DynamicsConfig, source: str,
-             conditionals, observation):
+def local_te(dist: JointDistribution, source: str, conditionals, observation):
     """Local transfer entropy at one observation tuple, or per row of a matrix."""
-    xi, hi = _indices(dist, config)
-    si, ci = _source_indices(dist, config, source, conditionals)
+    xi, hi = _indices(dist)
+    si, ci = _source_indices(dist, source, conditionals)
     obs = _observations(dist, observation)
     cond = {hi: obs[..., hi], **{c: obs[..., c] for c in ci}}
     return local_mi(dist, {xi: obs[..., xi]}, {si: obs[..., si]}, cond)
 
 
-def local_separable(dist: JointDistribution, config: DynamicsConfig, observation):
+def local_separable(dist: JointDistribution, observation):
     """Local storage plus every apparent local transfer at one observation.
 
     The summands overlap, so this is a heuristic locator of nontrivial
@@ -316,10 +297,10 @@ def local_separable(dist: JointDistribution, config: DynamicsConfig, observation
     (m, nvars) observation matrix gives one value per row.
     """
     obs = _observations(dist, observation)
-    xi, hi = _indices(dist, config)
+    xi, hi = _indices(dist)
     total = local_mi(dist, {xi: obs[..., xi]}, {hi: obs[..., hi]})
-    for s in config.sources:
-        total += local_te(dist, config, s, (), obs)
+    for s in _sources(dist):
+        total += local_te(dist, s, (), obs)
     return total
 
 
@@ -339,33 +320,33 @@ class LocalProfile:
         return self.values[self.k:]
 
 
-def profile_measures(config: DynamicsConfig) -> tuple[str, ...]:
+def profile_measures(offsets=(-1, 1)) -> tuple[str, ...]:
     return ("local_ais",
-            *(f"local_te_{s}" for s in config.sources),
+            *(f"local_te_{_offset_name(o)}" for o in offsets),
             "local_separable")
 
 
-def profile(dist: JointDistribution, grid: SpacetimeGrid, config: DynamicsConfig,
-            measure: str, offsets=(-1, 1)) -> LocalProfile:
+def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str,
+            offsets=(-1, 1)) -> LocalProfile:
     """Evaluate one local measure at every site of ``grid``.
 
     Probabilities come from ``dist`` (typically pooled over many runs, with
     the displayed grid among them, so every configuration is observed).
     """
-    allowed = profile_measures(config)
+    allowed = profile_measures(offsets)
     if measure not in allowed:
         raise ValueError(f"unknown measure {measure!r}, expected one of {allowed}")
-    samples = ca_samples(grid, config.k, offsets)
-    xi, hi = _indices(dist, config)
+    k = history_length(dist)
+    samples = ca_samples(grid, k, offsets)
     if measure == "local_ais":
-        local = local_mi(dist, {xi: samples[:, xi]}, {hi: samples[:, hi]})
+        local = local_ais(dist, samples[:, 1], samples[:, 0])
     elif measure == "local_separable":
-        local = local_separable(dist, config, samples)
+        local = local_separable(dist, samples)
     else:
-        local = local_te(dist, config, measure[len("local_te_"):], (), samples)
+        local = local_te(dist, measure[len("local_te_"):], (), samples)
     values = np.full(grid.cells.shape, np.nan)
-    values[config.k:] = local.reshape(-1, grid.cells.shape[1])
-    return LocalProfile(measure, config.k, values)
+    values[k:] = local.reshape(-1, grid.cells.shape[1])
+    return LocalProfile(measure, k, values)
 
 
 def write_profile_csv(prof: LocalProfile, path) -> None:

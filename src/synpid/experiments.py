@@ -20,8 +20,8 @@ import numpy as np
 from . import eca
 from .distributions import JointDistribution, VariableSpec, _radix_multipliers, count_samples
 from .dynamics import (
-    DynamicsConfig, active_info_storage, ca_distribution, ca_distributions, profile,
-    profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
+    active_info_storage, ca_distribution, ca_distributions, profile, profile_measures,
+    transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from .lattice import MAX_SOURCES, Antichain
 from .pid import (
@@ -89,8 +89,8 @@ def _rule_row(rule: int, config: ExperimentConfig) -> dict:
     dist_k, dist_1 = ca_distributions(
         eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs),
         (config.k, 1))
-    dec_k = modified_information(dist_k, config.k)
-    dec_1 = modified_information(dist_1, 1)
+    dec_k = modified_information(dist_k)
+    dec_1 = modified_information(dist_1)
     return {
         "rule": rule,
         "k": config.k,
@@ -121,14 +121,20 @@ def table1_text(report: dict) -> str:
 OR_NODE = Antichain([{1}, {2}])
 
 
+def check_delta(delta: float) -> float:
+    """The OR gate's tilt, refused unless |delta| < 0.25 keeps every row positive."""
+    if not abs(delta) < 0.25:
+        raise ValueError(f"|delta| must be < 0.25, got {delta}")
+    return delta
+
+
 def or_distribution(delta: float) -> JointDistribution:
     """Analytic OR-gate table with the mixed input rows tilted by delta.
 
     Bypasses counting: probabilities are set exactly, which is what lets a
     1e-6 tilt act on the decomposition without being rounded away.
     """
-    if not abs(delta) < 0.25:
-        raise ValueError(f"|delta| must be < 0.25, got {delta}")
+    check_delta(delta)
     variables = (
         VariableSpec("x", 2, "destination-next"),
         VariableSpec("a1", 2, "source"),
@@ -196,8 +202,7 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
     Returns {measure: {"csv": path, "pgm": path}}. ``threads`` is accepted
     for compatibility and has no effect.
     """
-    dyncfg = DynamicsConfig(k=config.k)
-    allowed = profile_measures(dyncfg)
+    allowed = profile_measures()
     measures = tuple(measures)
     for m in measures:
         if m not in allowed:
@@ -209,7 +214,7 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
     os.makedirs(out_dir, exist_ok=True)
     written = {}
     for m in measures:
-        prof = profile(dist_k, grids[0], dyncfg, m)
+        prof = profile(dist_k, grids[0], m)
         csv_path = os.path.join(out_dir, f"rule{rule}_{m}.csv")
         pgm_path = os.path.join(out_dir, f"rule{rule}_{m}.pgm")
         write_profile_csv(prof, csv_path)
@@ -220,13 +225,30 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
 
 # -- user time series -------------------------------------------------------
 
-class AnalyzeConfig(DynamicsConfig):
+@dataclass(frozen=True)
+class AnalyzeConfig:
     """The columns of one series analysis, checked before any data is read:
-    at least one source, and few enough for the redundancy lattice. It adds
-    no fields, so it reuses the frozen dataclass methods of DynamicsConfig."""
+    a history length, a destination and distinct named sources, at least
+    one and few enough for the redundancy lattice."""
+
+    k: int
+    destination: str
+    sources: tuple[str, ...]
 
     def __post_init__(self):
-        super().__post_init__()
+        object.__setattr__(self, "k", eca._integer("k", self.k))
+        if self.k < 1:
+            raise ValueError(f"history length k must be >= 1, got {self.k}")
+        if (not isinstance(self.sources, (tuple, list))
+                or not all(isinstance(s, str) and s for s in self.sources)):
+            raise ValueError(f"sources must be a sequence of nonempty names, "
+                             f"got {self.sources!r}")
+        object.__setattr__(self, "sources", tuple(self.sources))
+        if self.destination in self.sources:
+            raise ValueError("destination cannot be one of its own sources: "
+                             "names must be distinct")
+        if len(set(self.sources)) != len(self.sources):
+            raise ValueError(f"duplicate source names: {self.sources}")
         r = 1 + len(self.sources)
         if r == 1:
             raise ValueError("need at least one source column")
@@ -279,8 +301,8 @@ def run_analyze(columns: Mapping, config: AnalyzeConfig) -> dict:
     """Storage, transfer and the decomposition of ``series_distribution``:
     the ``synpid-analyze`` report, less its ``input`` field."""
     dist, alphabets = series_distribution(columns, config)
-    te = {name: {"apparent": transfer_entropy(dist, config, name),
-                 "complete": transfer_entropy(dist, config, name,
+    te = {name: {"apparent": transfer_entropy(dist, name),
+                 "complete": transfer_entropy(dist, name,
                                               [o for o in config.sources if o != name])}
           for name in config.sources}
     return {
@@ -293,7 +315,7 @@ def run_analyze(columns: Mapping, config: AnalyzeConfig) -> dict:
         "alphabets": alphabets,
         "distinct_states": len(dist),
         "estimation_bias_scale": len(dist) / (2.0 * dist.total * math.log(2.0)),
-        "active_info_storage": active_info_storage(dist, config),
+        "active_info_storage": active_info_storage(dist),
         "transfer_entropy": te,
-        "decomposition": decomposition_report(modified_information(dist, config.k)),
+        "decomposition": decomposition_report(modified_information(dist)),
     }

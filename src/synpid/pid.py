@@ -36,7 +36,7 @@ from operator import index
 
 import numpy as np
 
-from .distributions import JointDistribution, local_mi
+from .distributions import JointDistribution, history_length, local_mi
 from .lattice import Antichain, RedundancyLattice, build_lattice, source_subset
 
 #: Specific-information gaps at or below this are treated as ties.
@@ -222,22 +222,15 @@ class PidDecomposition:
     hierarchy: dict[int, float]
 
 
-def modified_information(dist: JointDistribution, k: int) -> PidDecomposition:
+def modified_information(dist: JointDistribution) -> PidDecomposition:
     """Decompose I(next; hist, sources) and collect the synergy-only mass.
 
     The history variable is required and acts as source A_1; the remaining
-    sources follow in declared order.
+    sources follow in declared order. k is read from the history's arity.
     """
     xi = _destination(dist)
     hi = dist.index_of_role("destination-history")
-    dest = dist.variables[xi]
-    hist = dist.variables[hi]
-    if k < 1:
-        raise ValueError(f"history length k must be >= 1, got {k}")
-    if hist.arity != dest.arity ** k:
-        raise ValueError(
-            f"history arity {hist.arity} does not match k={k} over a "
-            f"base-{dest.arity} alphabet")
+    k = history_length(dist)
     declared = [dist.variables[i].name for i in range(len(dist.variables))
                 if i != xi and i != hi]
     r = 1 + len(declared)
@@ -255,7 +248,7 @@ def modified_information(dist: JointDistribution, k: int) -> PidDecomposition:
         i_cap=i_cap,
         i_partial=i_partial,
         k=k,
-        source_names=(hist.name, *declared),
+        source_names=(dist.variables[hi].name, *declared),
         total=float(i_cap[-1]),
         m_x=m_x,
         hierarchy=hierarchy,

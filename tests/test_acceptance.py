@@ -17,7 +17,7 @@ import pid_oracle
 from support import gate_distribution, random_distribution, to_prob_table
 from synpid.distributions import JointDistribution, avg_mi, local_mi
 from synpid.dynamics import (
-    DynamicsConfig, active_info_storage, ca_distribution, local_ais, local_separable,
+    active_info_storage, ca_distribution, local_ais, local_separable,
     local_te, profile, transfer_entropy,
 )
 from synpid.eca import run
@@ -196,10 +196,9 @@ def test_c6_lattice_and_measure_invariants():
     for rule, k in product((18, 22, 30, 54, 110), (1, 2, 3)):
         grid = run(rule, 20, 24, seed=rule + k)
         dist = ca_distribution([grid], k)
-        cfg = DynamicsConfig(k=k)
-        lhs = (active_info_storage(dist, cfg)
-               + transfer_entropy(dist, cfg, "left")
-               + transfer_entropy(dist, cfg, "right", ("left",)))
+        lhs = (active_info_storage(dist)
+               + transfer_entropy(dist, "left")
+               + transfer_entropy(dist, "right", ("left",)))
         assert lhs == pytest.approx(avg_mi(dist, (0,), (1, 2, 3)), abs=1e-10)
 
 
@@ -209,25 +208,24 @@ def test_c7_local_averages_reconcile():
     information, and localized redundancy on tie-free distributions."""
     grid = run(110, 30, 40, seed=22)
     dist = ca_distribution([grid], 2)
-    cfg = DynamicsConfig(k=2)
     n = dist.total
 
     def wmean(fn):
         return math.fsum(c / n * fn(obs) for obs, c in dist.counts.items())
 
     assert wmean(lambda o: local_ais(dist, o[1], o[0])) == pytest.approx(
-        active_info_storage(dist, cfg), abs=1e-10)
+        active_info_storage(dist), abs=1e-10)
     for source in ("left", "right"):
         other = "right" if source == "left" else "left"
-        assert wmean(lambda o: local_te(dist, cfg, source, (), o)) == pytest.approx(
-            transfer_entropy(dist, cfg, source), abs=1e-10)
+        assert wmean(lambda o: local_te(dist, source, (), o)) == pytest.approx(
+            transfer_entropy(dist, source), abs=1e-10)
         assert wmean(
-            lambda o: local_te(dist, cfg, source, (other,), o)) == pytest.approx(
-            transfer_entropy(dist, cfg, source, (other,)), abs=1e-10)
-    assert wmean(lambda o: local_separable(dist, cfg, o)) == pytest.approx(
-        active_info_storage(dist, cfg)
-        + transfer_entropy(dist, cfg, "left")
-        + transfer_entropy(dist, cfg, "right"), abs=1e-10)
+            lambda o: local_te(dist, source, (other,), o)) == pytest.approx(
+            transfer_entropy(dist, source, (other,)), abs=1e-10)
+    assert wmean(lambda o: local_separable(dist, o)) == pytest.approx(
+        active_info_storage(dist)
+        + transfer_entropy(dist, "left")
+        + transfer_entropy(dist, "right"), abs=1e-10)
 
     for tie_free in (gate_distribution("xor"), gate_distribution("copy2"),
                      or_distribution(1e-3)):
@@ -246,7 +244,7 @@ def test_c8_storage_profile_sign_structure():
         [run(54, config.width, config.steps, seed) for seed in config.seeds()],
         config.k)
     display = run(54, config.width, config.steps, config.base_seed)
-    prof = profile(dist, display, DynamicsConfig(k=config.k), "local_ais")
+    prof = profile(dist, display, "local_ais")
     values = prof.defined_values()
     assert np.isfinite(values).all()
     positive = np.count_nonzero(values > 0)

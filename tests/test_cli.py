@@ -89,6 +89,18 @@ def test_console_script_is_installed():
         assert installed.stdout == reference.stdout, script
 
 
+def test_readme_library_example_runs():
+    # The README's first python block, as written: its signatures cannot
+    # drift from the code's.
+    text = (REPO_ROOT / "README.md").read_text()
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    dec = namespace["dec"]
+    assert dec.k == 16 and dec.lattice.r == 3
+    assert namespace["tc"] >= 0 and 0 < dec.m_x <= dec.total
+
+
 def test_malformed_flags_exit_2():
     for argv in (
         [],                                   # missing subcommand
@@ -585,12 +597,16 @@ def test_config_file_drives_table1_geometry(tmp_path):
      "'measures' must be a string or a list of strings, got 5"),
     ("analyze", {"input": "x.csv", "destination": "d", "sources": ["s", 2]},
      "'sources' must be a string or a list of strings, got ['s', 2]"),
+    # An out-of-range number is refused by the gate's own check, message and all.
+    ("or-demo", {"delta": 0.3}, "|delta| must be < 0.25, got 0.3"),
 ])
 def test_config_integers_name_their_key(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"synpid: error: config value {message}\n"
+    if not message.startswith("|delta|"):
+        message = f"config value {message}"
+    assert capsys.readouterr().err == f"synpid: error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

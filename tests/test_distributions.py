@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from support import random_distribution
 from synpid.distributions import (
     JointDistribution, Marginal, VariableSpec, _count_codes, _radix_multipliers, avg_mi,
-    count_samples, embed_history, local_mi, merge, unpack_history,
+    count_samples, embed_history, history_length, local_mi, merge, unpack_history,
 )
 from synpid.dynamics import ca_distribution
 from synpid.eca import run_batch
@@ -61,6 +61,26 @@ def test_embed_unpack_round_trip(series, data):
     assert list(window) == [series[t - j] for j in range(k)]
 
 
+def layout(base, hist_arity):
+    return JointDistribution((VariableSpec("x", base, "destination-next"),
+                              VariableSpec("h", hist_arity, "destination-history"),
+                              VariableSpec("s", 2)))
+
+
+@pytest.mark.parametrize("base, k", [(2, 1), (2, 16), (3, 5), (5, 1), (3, 37)])
+def test_history_length_reads_k_from_the_arities(base, k):
+    # The float log of 3**37 to base 3 is 36.99999999999999.
+    assert history_length(layout(base, base ** k)) == k
+
+
+@pytest.mark.parametrize("base, hist_arity", [(2, 6), (4, 8), (3, 2), (2, 3), (3, 3 ** 36 + 1)])
+def test_history_length_refuses_a_non_power(base, hist_arity):
+    # 8 is a power of 2 but not of 4; 3**36 + 1 has a float log of exactly 36.
+    with pytest.raises(ValueError, match=f"history arity {hist_arity} is not a power of "
+                                         f"the destination arity {base}"):
+        history_length(layout(base, hist_arity))
+
+
 # -- counting and merging ---------------------------------------------------
 
 def test_count_samples_tallies():
@@ -68,7 +88,6 @@ def test_count_samples_tallies():
     dist = count_samples(v, [(0, 1), (0, 1), (1, 2)])
     assert dist.counts == {(0, 1): 2, (1, 2): 1}
     assert dist.total == 3.0
-    assert dist.probability({0: 0}) == pytest.approx(2 / 3)
 
 
 def test_count_samples_accepts_arrays():
@@ -363,7 +382,7 @@ def test_float_symbols_match_only_whole_values():
 def test_pickle_leaves_out_the_memoized_marginals():
     dist = ca_distribution(run_batch(30, 24, 40, 0, 3), 4)
     before = pickle.dumps(dist)
-    modified_information(dist, 4)
+    modified_information(dist)
     assert len(dist._marginals) > 1
     after = pickle.dumps(dist)
     assert len(after) == len(before)
@@ -374,7 +393,7 @@ def test_pickle_leaves_out_the_memoized_marginals():
         assert not arr.flags.writeable
     with pytest.raises(AttributeError):
         copy.total = 0.0
-    assert modified_information(copy, 4).m_x == modified_information(dist, 4).m_x
+    assert modified_information(copy).m_x == modified_information(dist).m_x
 
 
 def test_distribution_cannot_drift_from_its_marginals():

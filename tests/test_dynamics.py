@@ -11,10 +11,11 @@ import pid_oracle
 from support import random_distribution, to_prob_table
 from synpid import dynamics
 from synpid.distributions import (
-    JointDistribution, VariableSpec, _count_codes, avg_mi, count_samples, local_mi, merge,
+    JointDistribution, VariableSpec, _count_codes, avg_mi, count_samples, history_length,
+    local_mi, merge,
 )
 from synpid.dynamics import (
-    DynamicsConfig, LocalProfile, active_info_storage, ca_distribution, ca_distributions,
+    LocalProfile, active_info_storage, ca_distribution, ca_distributions,
     ca_samples, ca_variables, local_ais, local_separable, local_te, profile,
     profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
@@ -28,8 +29,6 @@ def analytic_dist(next_of, k=1):
         counts[(next_of(h, l, r), h, l, r)] = 1
     return JointDistribution(ca_variables(k), counts)
 
-
-CFG1 = DynamicsConfig(k=1)
 
 
 # -- sample extraction ------------------------------------------------------
@@ -129,6 +128,7 @@ def test_ca_distribution_equals_counted_samples(data):
     ref = count_samples(ca_variables(k, offsets),
                         np.concatenate([ca_samples(g, k, offsets, start) for g in grids]))
     assert_same_distribution(fast, ref)
+    assert history_length(fast) == k
 
 
 def test_ca_distribution_reads_batch_views_like_contiguous_grids():
@@ -249,48 +249,47 @@ def test_ca_distribution_rejects_non_binary_cells():
 
 def test_ais_zero_when_past_is_uninformative():
     dist = analytic_dist(lambda h, l, r: l)
-    assert active_info_storage(dist, CFG1) == 0.0
+    assert active_info_storage(dist) == 0.0
 
 
 def test_ais_one_bit_for_alternation():
     grid = run(51, 5, 101, seed=3)  # rule 51 complements every cell
     dist = ca_distribution([grid], 1)
-    assert active_info_storage(dist, CFG1) == pytest.approx(1.0, abs=1e-12)
+    assert active_info_storage(dist) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ais_matches_oracle_mi():
     grid = run(204, 8, 30, seed=5)  # identity rule: next equals own past
     dist = ca_distribution([grid], 2)
     table = to_prob_table(dist)
-    assert active_info_storage(dist, DynamicsConfig(k=2)) == pytest.approx(
+    assert active_info_storage(dist) == pytest.approx(
         pid_oracle.mutual_info(table, (0,), (1,)), abs=1e-10)
-    assert transfer_entropy(dist, DynamicsConfig(k=2), "left") == pytest.approx(
+    assert transfer_entropy(dist, "left") == pytest.approx(
         0.0, abs=1e-12)
 
 
 def test_te_one_bit_for_pure_copy():
     dist = analytic_dist(lambda h, l, r: l)
-    assert transfer_entropy(dist, CFG1, "left") == 1.0
-    assert transfer_entropy(dist, CFG1, "right") == 0.0
-    assert transfer_entropy(dist, CFG1, "left", ("right",)) == 1.0
+    assert transfer_entropy(dist, "left") == 1.0
+    assert transfer_entropy(dist, "right") == 0.0
+    assert transfer_entropy(dist, "left", ("right",)) == 1.0
 
 
 def test_xor_source_is_invisible_apparently():
     dist = analytic_dist(lambda h, l, r: l ^ r)
-    assert transfer_entropy(dist, CFG1, "left") == 0.0
-    assert transfer_entropy(dist, CFG1, "right") == 0.0
-    assert transfer_entropy(dist, CFG1, "left", ("right",)) == 1.0
-    assert transfer_entropy(dist, CFG1, "right", ("left",)) == 1.0
+    assert transfer_entropy(dist, "left") == 0.0
+    assert transfer_entropy(dist, "right") == 0.0
+    assert transfer_entropy(dist, "left", ("right",)) == 1.0
+    assert transfer_entropy(dist, "right", ("left",)) == 1.0
 
 
 def test_chain_rule_on_automaton_grids():
     for rule in (110, 30, 54):
         grid = run(rule, 30, 30, seed=8)
         dist = ca_distribution([grid], 3)
-        cfg = DynamicsConfig(k=3)
-        lhs = (active_info_storage(dist, cfg)
-               + transfer_entropy(dist, cfg, "left")
-               + transfer_entropy(dist, cfg, "right", ("left",)))
+        lhs = (active_info_storage(dist)
+               + transfer_entropy(dist, "left")
+               + transfer_entropy(dist, "right", ("left",)))
         rhs = avg_mi(dist, (0,), (1, 2, 3))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -299,9 +298,8 @@ def test_conditional_order_is_irrelevant():
     grid = run(110, 20, 25, seed=9)
     offsets = (-1, 1, 2)
     dist = ca_distribution([grid], 2, offsets=offsets)
-    cfg = DynamicsConfig(k=2, sources=("left", "right", "off+2"))
-    a = transfer_entropy(dist, cfg, "left", ("right", "off+2"))
-    b = transfer_entropy(dist, cfg, "left", ("off+2", "right"))
+    a = transfer_entropy(dist, "left", ("right", "off+2"))
+    b = transfer_entropy(dist, "left", ("off+2", "right"))
     assert a == b
 
 
@@ -312,27 +310,28 @@ def test_longer_history_stores_no_less():
     values = []
     for k in range(1, 6):
         dist = ca_distribution([grid], k, start=5)
-        values.append(active_info_storage(dist, DynamicsConfig(k=k)))
+        values.append(active_info_storage(dist))
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
 
 
 def test_source_and_conditional_validation():
     dist = analytic_dist(lambda h, l, r: l)
-    with pytest.raises(ValueError, match="not a configured source"):
-        transfer_entropy(dist, CFG1, "up")
+    with pytest.raises(ValueError, match="not a source variable"):
+        transfer_entropy(dist, "up")
+    # The destination and its history are variables, but not sources.
+    for name in ("next", "hist"):
+        with pytest.raises(ValueError, match=f"'{name}' is not a source variable"):
+            transfer_entropy(dist, name)
+        with pytest.raises(ValueError, match=f"conditional '{name}' is not a source"):
+            transfer_entropy(dist, "left", (name,))
+    # A bare string is not read as a sequence of one-letter names.
+    with pytest.raises(ValueError, match="conditionals must be a sequence of names"):
+        transfer_entropy(dist, "left", "right")
     with pytest.raises(ValueError, match="condition on itself"):
-        transfer_entropy(dist, CFG1, "left", ("left",))
+        transfer_entropy(dist, "left", ("left",))
     with pytest.raises(ValueError, match="duplicate conditionals"):
-        transfer_entropy(dist, CFG1, "left", ("right", "right"))
-    with pytest.raises(ValueError, match="does not match"):
-        active_info_storage(dist, DynamicsConfig(k=2))
-    with pytest.raises(ValueError):
-        DynamicsConfig(k=0)
-    with pytest.raises(ValueError, match="own sources"):
-        DynamicsConfig(k=1, destination="left")
-    with pytest.raises(ValueError, match="duplicate source"):
-        DynamicsConfig(k=1, sources=("left", "left"))
+        transfer_entropy(dist, "left", ("right", "right"))
 
 
 # -- local measures ---------------------------------------------------------
@@ -348,36 +347,34 @@ def test_local_ais_sign_structure():
 
 def test_local_values_average_to_globals():
     grid = run(110, 25, 30, seed=13)
-    cfg = DynamicsConfig(k=2)
     dist = ca_distribution([grid], 2)
     n = dist.total
     ais = sum(c / n * local_ais(dist, o[1], o[0]) for o, c in dist.counts.items())
-    assert ais == pytest.approx(active_info_storage(dist, cfg), abs=1e-10)
-    te = sum(c / n * local_te(dist, cfg, "left", (), o) for o, c in dist.counts.items())
-    assert te == pytest.approx(transfer_entropy(dist, cfg, "left"), abs=1e-10)
-    cte = sum(c / n * local_te(dist, cfg, "left", ("right",), o)
+    assert ais == pytest.approx(active_info_storage(dist), abs=1e-10)
+    te = sum(c / n * local_te(dist, "left", (), o) for o, c in dist.counts.items())
+    assert te == pytest.approx(transfer_entropy(dist, "left"), abs=1e-10)
+    cte = sum(c / n * local_te(dist, "left", ("right",), o)
               for o, c in dist.counts.items())
     assert cte == pytest.approx(
-        transfer_entropy(dist, cfg, "left", ("right",)), abs=1e-10)
+        transfer_entropy(dist, "left", ("right",)), abs=1e-10)
 
 
 def test_local_separable_is_the_sum_of_parts():
     grid = run(54, 20, 25, seed=15)
     dist = ca_distribution([grid], 2)
-    cfg = DynamicsConfig(k=2)
     for obs in list(dist.counts)[:10]:
         expect = (local_ais(dist, obs[1], obs[0])
-                  + local_te(dist, cfg, "left", (), obs)
-                  + local_te(dist, cfg, "right", (), obs))
-        assert local_separable(dist, cfg, obs) == pytest.approx(expect, abs=1e-12)
+                  + local_te(dist, "left", (), obs)
+                  + local_te(dist, "right", (), obs))
+        assert local_separable(dist, obs) == pytest.approx(expect, abs=1e-12)
 
 
 def test_local_te_validates_observation():
     dist = analytic_dist(lambda h, l, r: l)
     with pytest.raises(ValueError, match="cover all"):
-        local_te(dist, CFG1, "left", (), (0, 0))
+        local_te(dist, "left", (), (0, 0))
     with pytest.raises(ValueError, match="zero probability"):
-        local_te(dist, CFG1, "left", (), (1, 0, 0, 0))  # copy forbids next != left
+        local_te(dist, "left", (), (1, 0, 0, 0))  # copy forbids next != left
 
 
 def loop_local_mi(dist, obs, xs, ys, cond=()):
@@ -411,17 +408,17 @@ def test_matrix_local_values_match_dict_loop(seed):
         loop_local_mi(dist, obs, (0,), (2,), (1, 3)), **close)
     te_left = loop_local_mi(dist, obs, (0,), (2,), (1,))
     te_right = loop_local_mi(dist, obs, (0,), (3,), (1,))
-    np.testing.assert_allclose(local_te(dist, CFG1, "left", (), obs), te_left, **close)
-    np.testing.assert_allclose(local_te(dist, CFG1, "right", ("left",), obs),
+    np.testing.assert_allclose(local_te(dist, "left", (), obs), te_left, **close)
+    np.testing.assert_allclose(local_te(dist, "right", ("left",), obs),
                                loop_local_mi(dist, obs, (0,), (3,), (1, 2)), **close)
     np.testing.assert_allclose(
-        local_separable(dist, CFG1, obs),
+        local_separable(dist, obs),
         loop_local_mi(dist, obs, (0,), (1,)) + te_left + te_right, **close)
     # storage first, then each transfer in source order, bit for bit
     in_order = (local_ais(dist, obs[:, 1], obs[:, 0])
-                + local_te(dist, CFG1, "left", (), obs)
-                + local_te(dist, CFG1, "right", (), obs))
-    assert np.array_equal(local_separable(dist, CFG1, obs), in_order)
+                + local_te(dist, "left", (), obs)
+                + local_te(dist, "right", (), obs))
+    assert np.array_equal(local_separable(dist, obs), in_order)
 
 
 # -- spacetime profiles -----------------------------------------------------
@@ -430,13 +427,12 @@ def test_matrix_local_values_match_dict_loop(seed):
 def profiled():
     grid = run(110, 20, 24, seed=17)
     dist = ca_distribution([grid], 2)
-    cfg = DynamicsConfig(k=2)
-    return grid, dist, cfg
+    return grid, dist
 
 
 def test_profile_shape_and_nan_margin(profiled):
-    grid, dist, cfg = profiled
-    prof = profile(dist, grid, cfg, "local_ais")
+    grid, dist = profiled
+    prof = profile(dist, grid, "local_ais")
     assert prof.values.shape == grid.cells.shape
     assert np.isnan(prof.values[:2]).all()
     assert np.isfinite(prof.defined_values()).all()
@@ -445,51 +441,51 @@ def test_profile_shape_and_nan_margin(profiled):
 
 def test_profile_mean_recovers_average(profiled):
     # The displayed grid is the only pooled grid, so sites are the samples.
-    grid, dist, cfg = profiled
-    prof = profile(dist, grid, cfg, "local_ais")
+    grid, dist = profiled
+    prof = profile(dist, grid, "local_ais")
     assert prof.defined_values().mean() == pytest.approx(
-        active_info_storage(dist, cfg), abs=1e-10)
-    te = profile(dist, grid, cfg, "local_te_left")
+        active_info_storage(dist), abs=1e-10)
+    te = profile(dist, grid, "local_te_left")
     assert te.defined_values().mean() == pytest.approx(
-        transfer_entropy(dist, cfg, "left"), abs=1e-10)
+        transfer_entropy(dist, "left"), abs=1e-10)
 
 
 def test_profile_separable_is_elementwise_sum(profiled):
-    grid, dist, cfg = profiled
-    parts = [profile(dist, grid, cfg, m).defined_values()
+    grid, dist = profiled
+    parts = [profile(dist, grid, m).defined_values()
              for m in ("local_ais", "local_te_left", "local_te_right")]
-    sep = profile(dist, grid, cfg, "local_separable").defined_values()
+    sep = profile(dist, grid, "local_separable").defined_values()
     assert np.allclose(sep, parts[0] + parts[1] + parts[2], atol=1e-12)
 
 
 def test_profile_equals_per_site_scalar_calls(profiled):
-    grid, dist, cfg = profiled
+    grid, dist = profiled
     width = grid.cells.shape[1]
     scalar = {
         "local_ais": lambda o: local_ais(dist, o[1], o[0]),
-        "local_te_left": lambda o: local_te(dist, cfg, "left", (), o),
-        "local_te_right": lambda o: local_te(dist, cfg, "right", (), o),
-        "local_separable": lambda o: local_separable(dist, cfg, o),
+        "local_te_left": lambda o: local_te(dist, "left", (), o),
+        "local_te_right": lambda o: local_te(dist, "right", (), o),
+        "local_separable": lambda o: local_separable(dist, o),
     }
     for measure, site in scalar.items():
         expect = np.full(grid.cells.shape, np.nan)
-        for i, row in enumerate(ca_samples(grid, cfg.k)):
-            expect[cfg.k + i // width, i % width] = site(tuple(int(v) for v in row))
-        got = profile(dist, grid, cfg, measure).values
+        for i, row in enumerate(ca_samples(grid, 2)):
+            expect[2 + i // width, i % width] = site(tuple(int(v) for v in row))
+        got = profile(dist, grid, measure).values
         assert np.array_equal(got, expect, equal_nan=True), measure
 
 
 def test_profile_measure_names(profiled):
-    grid, dist, cfg = profiled
-    assert profile_measures(cfg) == (
+    grid, dist = profiled
+    assert profile_measures() == (
         "local_ais", "local_te_left", "local_te_right", "local_separable")
     with pytest.raises(ValueError, match="unknown measure"):
-        profile(dist, grid, cfg, "local_entropy")
+        profile(dist, grid, "local_entropy")
 
 
 def test_profile_csv_round_trip(profiled, tmp_path):
-    grid, dist, cfg = profiled
-    prof = profile(dist, grid, cfg, "local_ais")
+    grid, dist = profiled
+    prof = profile(dist, grid, "local_ais")
     path = tmp_path / "prof.csv"
     write_profile_csv(prof, path)
     lines = path.read_text().strip().splitlines()
@@ -518,8 +514,8 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path):
 
 
 def test_profile_pgm_round_trip(profiled, tmp_path):
-    grid, dist, cfg = profiled
-    prof = profile(dist, grid, cfg, "local_te_right")
+    grid, dist = profiled
+    prof = profile(dist, grid, "local_te_right")
     path = tmp_path / "prof.pgm"
     write_profile_pgm(prof, path)
     p5, comment, dims, maxval, payload = path.read_bytes().split(b"\n", 4)
@@ -542,7 +538,7 @@ def test_profile_pgm_round_trip(profiled, tmp_path):
 def test_profile_pgm_flat_data(tmp_path):
     grid = run(51, 5, 11, seed=3)
     dist = ca_distribution([grid], 1)
-    prof = profile(dist, grid, CFG1, "local_ais")  # constant 1 bit everywhere
+    prof = profile(dist, grid, "local_ais")  # constant 1 bit everywhere
     path = tmp_path / "flat.pgm"
     write_profile_pgm(prof, path)
     payload = path.read_bytes().split(b"\n", 4)[4]

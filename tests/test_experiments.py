@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from synpid import experiments
-from synpid.distributions import VariableSpec, count_samples, embed_history
-from synpid.dynamics import DynamicsConfig, ca_distribution, profile, write_profile_csv
+from synpid.distributions import VariableSpec, count_samples, embed_history, history_length
+from synpid.dynamics import ca_distribution, profile, write_profile_csv
 from synpid.eca import run, run_batch
 from synpid.experiments import (
     AnalyzeConfig, ExperimentConfig, OR_NODE, export_local_profiles, or_demo_text,
@@ -102,7 +102,7 @@ def test_table1_rows_equal_separate_counts(k):
     for rule, res in zip(cfg.rules, run_table1(cfg)["rules"]):
         grids = run_batch(rule, cfg.width, cfg.steps, cfg.base_seed, cfg.runs)
         dist_k, dist_1 = ca_distribution(grids, k), ca_distribution(grids, 1)
-        dec_k, dec_1 = modified_information(dist_k, k), modified_information(dist_1, 1)
+        dec_k, dec_1 = modified_information(dist_k), modified_information(dist_1)
         assert res == {
             "rule": rule, "k": k,
             "pi_by_order": {str(o): dec_k.hierarchy[o] for o in (1, 2, 3)},
@@ -179,8 +179,7 @@ def test_profiles_display_the_first_pooled_run(tmp_path):
     out = export_local_profiles(54, cfg, ("local_separable",), tmp_path)
     pooled = ca_distribution(run_batch(54, 16, 14, 5, 3), 3)
     ref = tmp_path / "ref.csv"
-    write_profile_csv(profile(pooled, run(54, 16, 14, 5), DynamicsConfig(k=3),
-                              "local_separable"), ref)
+    write_profile_csv(profile(pooled, run(54, 16, 14, 5), "local_separable"), ref)
     assert open(out["local_separable"]["csv"], "rb").read() == ref.read_bytes()
 
 
@@ -228,6 +227,7 @@ def test_series_distribution_equals_counted_rows(data):
     assert dict(dist.counts) == dict(expected.counts)
     assert dist.total == expected.total == n - k
     assert alphabets == expected_alphabets
+    assert history_length(dist) == k
     assert series_distribution(columns, config)[0].counts == expected.counts
 
 
@@ -238,6 +238,11 @@ def test_series_distribution_equals_counted_rows(data):
     ({"k": 1, "destination": "d", "sources": ("s", "s")}, "duplicate source names"),
     ({"k": 1, "destination": "e", "sources": tuple("abcd")},
      "4 sources plus the history give r=5, over the lattice limit of 4"),
+    # A bare string is not read as a sequence of one-letter names.
+    ({"k": 1, "destination": "d", "sources": "ab"}, "sources must be a sequence"),
+    ({"k": 1, "destination": "d", "sources": ("s", "")}, "sources must be a sequence"),
+    ({"k": 1, "destination": "d", "sources": ("s", 2)}, "sources must be a sequence"),
+    ({"k": 1, "destination": "d", "sources": 5}, "sources must be a sequence"),
 ])
 def test_analyze_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -245,7 +250,7 @@ def test_analyze_config_validation(kwargs, message):
 
 
 @pytest.mark.parametrize("k", [2.0, 1.5, True])
-@pytest.mark.parametrize("config", [DynamicsConfig, AnalyzeConfig])
+@pytest.mark.parametrize("config", [AnalyzeConfig])
 def test_configs_refuse_a_non_integer_k(config, k):
     with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
         config(k, "d", ("s",))

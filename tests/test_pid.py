@@ -368,12 +368,12 @@ def test_partial_terms_cached_per_distribution():
 
 def test_partial_terms_cannot_be_written_into_the_memo():
     d = xor_dynamics()
-    dec = modified_information(d, k=1)
+    dec = modified_information(d)
     for values in (*partial_terms(d, build_lattice(2)), dec.i_cap, dec.i_partial):
         with pytest.raises(ValueError, match="read-only"):
             values[-1] = 5.0
     assert not hasattr(dec.lattice, "i_partial")
-    again = modified_information(d, k=1)
+    again = modified_information(d)
     assert again.m_x == dec.m_x == pytest.approx(1.0, abs=1e-12)
     assert again.i_partial.tolist() == dec.i_partial.tolist()
 
@@ -384,7 +384,7 @@ def test_partial_terms_rejects_mismatched_lattice():
 
 
 def test_modified_information_xor_dynamics():
-    dec = modified_information(xor_dynamics(), k=1)
+    dec = modified_information(xor_dynamics())
     assert dec.m_x == pytest.approx(1.0, abs=1e-12)
     assert dec.total == pytest.approx(1.0, abs=1e-12)
     assert dec.k == 1
@@ -394,7 +394,7 @@ def test_modified_information_xor_dynamics():
 
 
 def test_modified_information_hierarchy_reconciles():
-    dec = modified_information(xor_dynamics(), k=1)
+    dec = modified_information(xor_dynamics())
     assert math.fsum(dec.hierarchy.values()) == pytest.approx(dec.total, abs=1e-10)
     oracle_h = pid_oracle.hierarchy(
         {frozenset(n.subsets): v for n, v in zip(dec.lattice.nodes, dec.i_partial)}, 2)
@@ -404,15 +404,16 @@ def test_modified_information_hierarchy_reconciles():
 
 def test_modified_information_validation():
     with pytest.raises(ValueError, match="destination-history"):
-        modified_information(gate_distribution("xor"), k=1)
-    with pytest.raises(ValueError, match="does not match k"):
-        modified_information(xor_dynamics(), k=2)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        modified_information(xor_dynamics(), k=0)
+        modified_information(gate_distribution("xor"))
+    variables = (VariableSpec("x", 2, "destination-next"),
+                 VariableSpec("h", 3, "destination-history"), VariableSpec("s", 2))
+    with pytest.raises(ValueError, match="history arity 3 is not a power of the "
+                                         "destination arity 2"):
+        modified_information(JointDistribution(variables, {(0, 2, 1): 1, (1, 0, 0): 1}))
 
 
 def test_decomposition_report_shape():
-    report = decomposition_report(modified_information(xor_dynamics(), k=1))
+    report = decomposition_report(modified_information(xor_dynamics()))
     assert report["format"] == "synpid-decomposition"
     assert report["r"] == 2
     assert report["sources"] == ["h", "s"]
