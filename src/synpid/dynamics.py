@@ -326,26 +326,52 @@ def profile_measures(offsets=(-1, 1)) -> tuple[str, ...]:
             "local_separable")
 
 
+def check_measures(measures, offsets=(-1, 1)) -> tuple[str, ...]:
+    """``measures`` as a tuple, once it is nonempty and each is one of
+    ``profile_measures(offsets)``."""
+    allowed = profile_measures(offsets)
+    measures = tuple(measures)
+    for m in measures:
+        if m not in allowed:
+            raise ValueError(f"unknown measure {m!r}, expected one of {allowed}")
+    if not measures:
+        raise ValueError("need at least one measure")
+    return measures
+
+
 def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str,
             offsets=(-1, 1)) -> LocalProfile:
     """Evaluate one local measure at every site of ``grid``.
 
     Probabilities come from ``dist`` (typically pooled over many runs, with
     the displayed grid among them, so every configuration is observed).
+    ``offsets`` must name the distribution's sources in declared order.
+
+    The measure is valued once per distinct configuration of the grid's own
+    sites, in order of first appearance, and gathered back to the sites;
+    each value is the float a per-site call gives. A configuration that
+    ``dist`` never counted raises the zero-probability error of the first
+    such site in (time, cell) order.
     """
-    allowed = profile_measures(offsets)
-    if measure not in allowed:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {allowed}")
+    check_measures((measure,), offsets)
+    names, sources = tuple(_offset_name(o) for o in offsets), _sources(dist)
+    if names != sources:
+        raise ValueError(f"offsets {tuple(offsets)} give sources {names}, "
+                         f"but the distribution's sources are {sources}")
     k = history_length(dist)
     samples = ca_samples(grid, k, offsets)
+    mults = np.array(_radix_multipliers([v.arity for v in dist.variables]), dtype=np.int64)
+    _, first, inverse = np.unique(samples @ mults, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rows = samples[first[order]]
     if measure == "local_ais":
-        local = local_ais(dist, samples[:, 1], samples[:, 0])
+        local = local_ais(dist, rows[:, 1], rows[:, 0])
     elif measure == "local_separable":
-        local = local_separable(dist, samples)
+        local = local_separable(dist, rows)
     else:
-        local = local_te(dist, measure[len("local_te_"):], (), samples)
+        local = local_te(dist, measure[len("local_te_"):], (), rows)
     values = np.full(grid.cells.shape, np.nan)
-    values[k:] = local.reshape(-1, grid.cells.shape[1])
+    values[k:] = local[np.argsort(order)][inverse].reshape(-1, grid.cells.shape[1])
     return LocalProfile(measure, k, values)
 
 

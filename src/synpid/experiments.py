@@ -20,7 +20,7 @@ import numpy as np
 from . import eca
 from .distributions import JointDistribution, VariableSpec, _radix_multipliers, count_samples
 from .dynamics import (
-    active_info_storage, ca_distribution, ca_distributions, profile, profile_measures,
+    active_info_storage, ca_distribution, ca_distributions, check_measures, profile,
     transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from .lattice import MAX_SOURCES, Antichain
@@ -202,13 +202,7 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
     Returns {measure: {"csv": path, "pgm": path}}. ``threads`` is accepted
     for compatibility and has no effect.
     """
-    allowed = profile_measures()
-    measures = tuple(measures)
-    for m in measures:
-        if m not in allowed:
-            raise ValueError(f"unknown measure {m!r}, expected one of {allowed}")
-    if not measures:
-        raise ValueError("need at least one measure")
+    measures = check_measures(measures)
     grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
     dist_k = ca_distribution(grids, config.k)
     os.makedirs(out_dir, exist_ok=True)

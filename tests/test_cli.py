@@ -439,7 +439,8 @@ def test_analyze_refuses_a_history_past_64_bits(tmp_path, capsys, k):
     assert "joint state space too large" in capsys.readouterr().err
 
 
-def test_analyze_smoke_bytes_match_the_benchmark_golden(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("workload", ["table1_default", "profile_rule54", "analyze_r4"])
+def test_smoke_bytes_match_the_benchmark_golden(workload, tmp_path, monkeypatch, capsys):
     # The benchmark's own workload definition: its input, arguments and hashes.
     path = REPO_ROOT / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
@@ -447,11 +448,11 @@ def test_analyze_smoke_bytes_match_the_benchmark_golden(tmp_path, monkeypatch, c
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up
     spec.loader.exec_module(workloads)
     monkeypatch.chdir(tmp_path)
-    workloads.write_analyze_input(0, True)
+    workloads.WORKLOADS[workload].prepare(0, True)
     (tmp_path / "out").mkdir()
-    assert main(workloads.WORKLOADS["analyze_r4"].argv(0, "out", True)) == 0
+    assert main(workloads.WORKLOADS[workload].argv(0, "out", True)) == 0
     capsys.readouterr()
-    golden = workloads.golden("analyze_r4", smoke=True)
+    golden = workloads.golden(workload, smoke=True)
     assert golden
     for name, digest in golden.items():
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest

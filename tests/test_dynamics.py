@@ -16,8 +16,8 @@ from synpid.distributions import (
 )
 from synpid.dynamics import (
     LocalProfile, active_info_storage, ca_distribution, ca_distributions,
-    ca_samples, ca_variables, local_ais, local_separable, local_te, profile,
-    profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
+    ca_samples, ca_variables, check_measures, local_ais, local_separable, local_te,
+    profile, profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from synpid.eca import SpacetimeGrid, run, run_batch
 
@@ -458,21 +458,86 @@ def test_profile_separable_is_elementwise_sum(profiled):
     assert np.allclose(sep, parts[0] + parts[1] + parts[2], atol=1e-12)
 
 
-def test_profile_equals_per_site_scalar_calls(profiled):
-    grid, dist = profiled
-    width = grid.cells.shape[1]
+def per_site_profile(dist, grid, measure):
+    """The reference profile: one scalar call per site, in (time, cell) order.
+
+    ``local_separable`` values its parts in turn, each over every site, so a
+    configuration that some part never counted fails at that part's first
+    such site; the part loops run first to raise that error.
+    """
+    k = history_length(dist)
     scalar = {
         "local_ais": lambda o: local_ais(dist, o[1], o[0]),
         "local_te_left": lambda o: local_te(dist, "left", (), o),
         "local_te_right": lambda o: local_te(dist, "right", (), o),
         "local_separable": lambda o: local_separable(dist, o),
     }
-    for measure, site in scalar.items():
-        expect = np.full(grid.cells.shape, np.nan)
-        for i, row in enumerate(ca_samples(grid, 2)):
-            expect[2 + i // width, i % width] = site(tuple(int(v) for v in row))
-        got = profile(dist, grid, measure).values
-        assert np.array_equal(got, expect, equal_nan=True), measure
+    sites = [tuple(int(v) for v in row) for row in ca_samples(grid, k)]
+    if measure == "local_separable":
+        for part in ("local_ais", "local_te_left", "local_te_right"):
+            for o in sites:
+                scalar[part](o)
+    values = np.full(grid.cells.shape, np.nan)
+    values[k:] = np.reshape([scalar[measure](o) for o in sites], (-1, grid.cells.shape[1]))
+    return values
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    grids = run_batch(110, 16, 30, 1, 3)
+    return grids[0], ca_distribution(grids, 8)
+
+
+def test_profile_equals_per_site_scalar_calls(profiled, pooled):
+    for grid, dist in (profiled, pooled):
+        for measure in profile_measures():
+            got = profile(dist, grid, measure).values
+            assert np.array_equal(got, per_site_profile(dist, grid, measure),
+                                  equal_nan=True), measure
+
+
+@pytest.mark.parametrize("rule, k, runs", [(30, 4, 1), (54, 8, 1), (30, 6, 2)])
+def test_profile_of_a_grid_outside_the_pooled_batch(rule, k, runs):
+    # Pooled from seed 1, displayed from seed 0: some sites are unseen.
+    dist = ca_distribution(run_batch(rule, 16, 30, 1, runs), k)
+    grid = run(rule, 16, 30, 0)
+    for measure in profile_measures():
+        try:
+            expect = per_site_profile(dist, grid, measure)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                profile(dist, grid, measure)
+            assert str(got.value) == str(exc), measure
+        else:
+            got = profile(dist, grid, measure).values
+            assert np.array_equal(got, expect, equal_nan=True), measure
+
+
+def test_profile_values_sites_whose_full_configuration_was_never_counted():
+    # Storage reads only (next, hist), so it is defined at a site whose
+    # (next, hist, left, right) the pooled joint never counted.
+    dist = ca_distribution(run_batch(30, 16, 30, 1, 1), 4)
+    grid = run(30, 16, 30, 0)
+    unseen = dist.counts.index(ca_samples(grid, 4)) < 0
+    assert unseen.sum() == 3
+    values = profile(dist, grid, "local_ais").defined_values().ravel()
+    assert np.isfinite(values[unseen]).all()
+
+
+def test_profile_refuses_offsets_of_another_layout():
+    grids = run_batch(54, 30, 40, 0, 3)
+    dist = ca_distribution(grids, 2)
+    for offsets, measure in [((1, -1), "local_te_left"), ((-2, 2), "local_separable"),
+                             ((-1,), "local_ais")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"offsets {offsets} give sources ") + r".* but the distribution's "
+                r"sources are \('left', 'right'\)"):
+            profile(dist, grids[0], measure, offsets=offsets)
+    wide = ca_distribution(grids, 2, offsets=(-2, 2))
+    prof = profile(wide, grids[0], "local_te_off+2", offsets=(-2, 2))
+    assert np.isfinite(prof.defined_values()).all()
+    with pytest.raises(ValueError, match=r"sources are \('off-2', 'off\+2'\)"):
+        profile(wide, grids[0], "local_ais")
 
 
 def test_profile_measure_names(profiled):
@@ -481,6 +546,12 @@ def test_profile_measure_names(profiled):
         "local_ais", "local_te_left", "local_te_right", "local_separable")
     with pytest.raises(ValueError, match="unknown measure"):
         profile(dist, grid, "local_entropy")
+    assert check_measures(["local_ais"]) == ("local_ais",)
+    assert check_measures(["local_te_off+2"], (-2, 2)) == ("local_te_off+2",)
+    with pytest.raises(ValueError, match="unknown measure 'local_te_left'"):
+        check_measures(["local_te_left"], (-2, 2))
+    with pytest.raises(ValueError, match="need at least one measure"):
+        check_measures([])
 
 
 def test_profile_csv_round_trip(profiled, tmp_path):
