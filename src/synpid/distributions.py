@@ -19,10 +19,14 @@ order, so nothing derived can go stale and results do not depend on
 insertion order or merge order. That is what makes repeated runs
 byte-identical.
 
-History embedding packs the k most recent values of a series into one
-symbol with the most recent value in the lowest digit:
+A destination's history is one symbol: the k most recent values of its
+series, packed with the most recent value in the lowest digit,
 
     symbol = series[t] + base * series[t-1] + ... + base**(k-1) * series[t-k+1]
+
+Callers pack whole series at once (the automaton packers in ``dynamics``,
+``series_distribution`` in ``experiments``); ``history_length`` reads k
+back from the arities.
 """
 
 from __future__ import annotations
@@ -299,36 +303,6 @@ def history_length(dist: JointDistribution) -> int:
 
 # -- construction -----------------------------------------------------------
 
-def embed_history(series, k: int, t: int, base: int = 2) -> int:
-    """Pack the k values of ``series`` ending at index t into one symbol.
-
-    The most recent value lands in the lowest digit. Requires t >= k-1 so
-    the full window exists.
-    """
-    if k < 1:
-        raise ValueError(f"history length k must be >= 1, got {k}")
-    if t < k - 1:
-        raise ValueError(f"need t >= k-1 for a full window, got t={t}, k={k}")
-    symbol = 0
-    for j in range(k):
-        v = int(series[t - j])
-        if not 0 <= v < base:
-            raise ValueError(f"series value {v} out of range for base {base}")
-        symbol += v * base ** j
-    return symbol
-
-
-def unpack_history(symbol: int, k: int, base: int = 2) -> tuple[int, ...]:
-    """Inverse of embed_history: (most recent, ..., oldest)."""
-    if not 0 <= symbol < base ** k:
-        raise ValueError(f"symbol {symbol} out of range for k={k}, base={base}")
-    out = []
-    for _ in range(k):
-        out.append(symbol % base)
-        symbol //= base
-    return tuple(out)
-
-
 def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistribution:
     """Tally a stream of sample tuples into a distribution.
 
@@ -424,6 +398,31 @@ def avg_mi(dist: JointDistribution, xs, ys, cond=()) -> float:
     return float(np.dot(dist.counts.weights, np.log2(ratios)) / dist.total)
 
 
+def _local_values(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int],
+                  cond: Mapping[int, int] | None = None):
+    """``local_mi`` without its zero-probability check: the values, the mask
+    of elements whose configuration was never counted (their values mean
+    nothing), and a function giving the error that names element i's
+    configuration."""
+    cond = dict(cond) if cond else {}
+    x, y = dict(x), dict(y)
+    xs, ys, cs = _mi_columns(dist, x, y, cond)
+    assignment = {**x, **y, **cond}
+    symbols = np.broadcast_arrays(*(np.asarray(v) for v in assignment.values()))
+    obs = np.zeros((symbols[0].size, len(dist.variables)), np.result_type(np.int64, *symbols))
+    obs[:, list(assignment)] = np.stack([s.ravel() for s in symbols], axis=1)
+    c_xyc, c_xc, c_yc, c_c = _mi_counts(dist, obs, xs, ys, cs)
+
+    def error(i: int) -> ValueError:
+        names = {dist.variables[j].name: obs[i, j].item() for j in sorted(assignment)}
+        return ValueError(f"configuration {names} has zero probability")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.log2(c_xyc * c_c) - np.log2(c_xc * c_yc)
+    shape = symbols[0].shape
+    return values.reshape(shape), (c_xyc <= 0).reshape(shape), error
+
+
 def local_mi(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int],
              cond: Mapping[int, int] | None = None):
     """Local mutual information log2 p(x|y,cond) - log2 p(x|cond) in bits.
@@ -433,17 +432,7 @@ def local_mi(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int]
     also be equal-shaped integer arrays, such as columns of an observation
     matrix; the result is then an array of local values, one per element.
     """
-    cond = dict(cond) if cond else {}
-    x, y = dict(x), dict(y)
-    xs, ys, cs = _mi_columns(dist, x, y, cond)
-    assignment = {**x, **y, **cond}
-    symbols = np.broadcast_arrays(*(np.asarray(v) for v in assignment.values()))
-    obs = np.zeros((symbols[0].size, len(dist.variables)), np.result_type(np.int64, *symbols))
-    obs[:, list(assignment)] = np.stack([s.ravel() for s in symbols], axis=1)
-    c_xyc, c_xc, c_yc, c_c = _mi_counts(dist, obs, xs, ys, cs)
-    missing = np.flatnonzero(c_xyc <= 0)
-    if missing.size:
-        names = {dist.variables[i].name: obs[missing[0], i].item() for i in sorted(assignment)}
-        raise ValueError(f"configuration {names} has zero probability")
-    values = (np.log2(c_xyc * c_c) - np.log2(c_xc * c_yc)).reshape(symbols[0].shape)
+    values, unseen, error = _local_values(dist, x, y, cond)
+    if unseen.any():
+        raise error(int(np.argmax(unseen)))
     return float(values) if values.ndim == 0 else values

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    JointDistribution, VariableSpec, _count_codes, _grouped, _radix_multipliers, avg_mi,
-    history_length, local_mi, merge,
+    JointDistribution, VariableSpec, _count_codes, _grouped, _local_values, _radix_multipliers,
+    avg_mi, history_length, local_mi, merge,
 )
 from .eca import SpacetimeGrid
 
@@ -294,14 +294,25 @@ def local_separable(dist: JointDistribution, observation):
     The summands overlap, so this is a heuristic locator of nontrivial
     information processing rather than a measure in its own right; strongly
     negative values are still diagnostic of modification-like events. An
-    (m, nvars) observation matrix gives one value per row.
+    (m, nvars) observation matrix gives one value per row, or the error a
+    call on its first row with an uncounted part raises.
     """
     obs = _observations(dist, observation)
     xi, hi = _indices(dist)
-    total = local_mi(dist, {xi: obs[..., xi]}, {hi: obs[..., hi]})
-    for s in _sources(dist):
-        total += local_te(dist, s, (), obs)
-    return total
+    x, h = {xi: obs[..., xi]}, {hi: obs[..., hi]}
+    parts = [_local_values(dist, x, h)]
+    for s in map(dist.index_of, _sources(dist)):
+        parts.append(_local_values(dist, x, {s: obs[..., s]}, h))
+    # The first row at which any part is undefined fails, with the error of
+    # its first undefined part: what a call on that row alone raises.
+    unseen = np.logical_or.reduce([u for _, u, _ in parts])
+    if unseen.any():
+        row = int(np.argmax(unseen))
+        raise next(error(row) for _, u, error in parts if u.flat[row])
+    total = parts[0][0]
+    for values, _, _ in parts[1:]:
+        total += values
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -339,6 +350,17 @@ def check_measures(measures, offsets=(-1, 1)) -> tuple[str, ...]:
     return measures
 
 
+def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct code's first appearance, in code order,
+    and each code's position among the distinct codes: the ``return_index``
+    and ``return_inverse`` of ``np.unique``, without the stable sort that
+    ``return_index`` costs."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    first = np.full(len(distinct), len(codes))
+    np.minimum.at(first, inverse, np.arange(len(codes)))
+    return first, inverse
+
+
 def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str,
             offsets=(-1, 1)) -> LocalProfile:
     """Evaluate one local measure at every site of ``grid``.
@@ -361,7 +383,7 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str,
     k = history_length(dist)
     samples = ca_samples(grid, k, offsets)
     mults = np.array(_radix_multipliers([v.arity for v in dist.variables]), dtype=np.int64)
-    _, first, inverse = np.unique(samples @ mults, return_index=True, return_inverse=True)
+    first, inverse = _first_seen(samples @ mults)
     order = np.argsort(first)
     rows = samples[first[order]]
     if measure == "local_ais":
@@ -375,19 +397,39 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str,
     return LocalProfile(measure, k, values)
 
 
+def _byte_rows(texts) -> np.ndarray:
+    """ASCII texts as the rows of a uint8 matrix, each padded with NULs to
+    the longest."""
+    rows = np.array([t.encode() for t in texts], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
+
+
 def write_profile_csv(prof: LocalProfile, path) -> None:
     """Rows of (cell, time, value) for every defined site, in the bytes
-    ``csv.writer`` gives: CRLF line ends and each value's ``repr``."""
+    ``csv.writer`` gives: CRLF line ends and each value's ``repr``.
+
+    Each distinct float bit pattern is formatted once, so -0.0 and 0.0 keep
+    their own text. The "cell," fields, the "time," fields and the value
+    texts are NUL-padded byte matrices; one (steps, width, line) array lays
+    out every line, broadcasting the cell and time fields and gathering the
+    value texts, and dropping its NULs leaves the file's body, written at
+    once after the header. None of these texts contains a NUL.
+    """
     data = prof.defined_values()
-    # One repr per distinct bit pattern, so -0.0 and 0.0 keep their own.
+    steps, width = data.shape
     bits, which = np.unique(data.ravel().view(np.int64), return_inverse=True)
-    values = [f"{v!r}\r\n" for v in bits.view(np.float64).tolist()]
-    cell_fields = [f"{c}," for c in range(data.shape[1])]
-    with open(path, "w", newline="") as f:
-        f.write("cell,time,value\r\n")
-        for t, row in enumerate(which.reshape(data.shape).tolist(), start=prof.k):
-            time_field = f"{t},"
-            f.write("".join([c + time_field + values[i] for c, i in zip(cell_fields, row)]))
+    values = _byte_rows([f"{v!r}\r\n" for v in bits.view(np.float64).tolist()])
+    cells = _byte_rows([f"{c}," for c in range(width)])
+    times = _byte_rows([f"{t}," for t in range(prof.k, prof.k + steps)])
+    cell_end = cells.shape[1]
+    time_end = cell_end + times.shape[1]
+    line = np.empty((steps, width, time_end + values.shape[1]), np.uint8)
+    line[:, :, :cell_end] = cells
+    line[:, :, cell_end:time_end] = times[:, None]
+    line[:, :, time_end:] = values[which.reshape(steps, width)]
+    with open(path, "wb") as f:
+        f.write(b"cell,time,value\r\n")
+        f.write(line[line != 0])
 
 
 def write_profile_pgm(prof: LocalProfile, path) -> None:

@@ -259,7 +259,9 @@ def series_distribution(columns: Mapping,
 
     Each column is relabeled 0, 1, ... in that order. Every time t from k-1
     to n-2 gives one sample: the destination at t+1, its k values ending at
-    t packed as ``embed_history`` packs them, and each source at t.
+    t packed into one history symbol (the value at t in the lowest digit,
+    as the module docstring of ``distributions`` states), and each source
+    at t.
     """
     series, alphabets = {}, {}
     for name in (config.destination, *config.sources):

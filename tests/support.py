@@ -47,3 +47,34 @@ def gate_distribution(gate, weights=None):
             w = 0.25 if weights is None else weights[(a, b)]
             counts[(fn(a, b), a, b)] = w
     return JointDistribution(variables, counts)
+
+
+def embed_history(series, k: int, t: int, base: int = 2) -> int:
+    """Pack the k values of ``series`` ending at index t into one symbol, one
+    value at a time: the reference for the library's array packers.
+
+    The most recent value lands in the lowest digit. Requires t >= k-1 so
+    the full window exists.
+    """
+    if k < 1:
+        raise ValueError(f"history length k must be >= 1, got {k}")
+    if t < k - 1:
+        raise ValueError(f"need t >= k-1 for a full window, got t={t}, k={k}")
+    symbol = 0
+    for j in range(k):
+        v = int(series[t - j])
+        if not 0 <= v < base:
+            raise ValueError(f"series value {v} out of range for base {base}")
+        symbol += v * base ** j
+    return symbol
+
+
+def unpack_history(symbol: int, k: int, base: int = 2) -> tuple[int, ...]:
+    """Inverse of embed_history: (most recent, ..., oldest)."""
+    if not 0 <= symbol < base ** k:
+        raise ValueError(f"symbol {symbol} out of range for k={k}, base={base}")
+    out = []
+    for _ in range(k):
+        out.append(symbol % base)
+        symbol //= base
+    return tuple(out)

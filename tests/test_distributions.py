@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from support import random_distribution
+from support import embed_history, random_distribution, unpack_history
 from synpid.distributions import (
     JointDistribution, Marginal, VariableSpec, _count_codes, _radix_multipliers, avg_mi,
-    count_samples, embed_history, history_length, local_mi, merge, unpack_history,
+    count_samples, history_length, local_mi, merge,
 )
 from synpid.dynamics import ca_distribution
 from synpid.eca import run_batch

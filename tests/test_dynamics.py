@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pid_oracle
 from support import random_distribution, to_prob_table
@@ -459,26 +459,18 @@ def test_profile_separable_is_elementwise_sum(profiled):
 
 
 def per_site_profile(dist, grid, measure):
-    """The reference profile: one scalar call per site, in (time, cell) order.
-
-    ``local_separable`` values its parts in turn, each over every site, so a
-    configuration that some part never counted fails at that part's first
-    such site; the part loops run first to raise that error.
-    """
+    """The reference profile: one scalar call per site, in (time, cell) order,
+    so a configuration that was never counted fails at its first site."""
     k = history_length(dist)
     scalar = {
         "local_ais": lambda o: local_ais(dist, o[1], o[0]),
         "local_te_left": lambda o: local_te(dist, "left", (), o),
         "local_te_right": lambda o: local_te(dist, "right", (), o),
         "local_separable": lambda o: local_separable(dist, o),
-    }
+    }[measure]
     sites = [tuple(int(v) for v in row) for row in ca_samples(grid, k)]
-    if measure == "local_separable":
-        for part in ("local_ais", "local_te_left", "local_te_right"):
-            for o in sites:
-                scalar[part](o)
     values = np.full(grid.cells.shape, np.nan)
-    values[k:] = np.reshape([scalar[measure](o) for o in sites], (-1, grid.cells.shape[1]))
+    values[k:] = np.reshape([scalar(o) for o in sites], (-1, grid.cells.shape[1]))
     return values
 
 
@@ -511,6 +503,39 @@ def test_profile_of_a_grid_outside_the_pooled_batch(rule, k, runs):
         else:
             got = profile(dist, grid, measure).values
             assert np.array_equal(got, expect, equal_nan=True), measure
+
+
+def test_separable_fails_at_the_first_site_any_part_misses():
+    # Rule 30, k=6: site 2 misses a right transfer; site 61 is the first to
+    # miss a left one, and no site misses storage.
+    dist = ca_distribution(run_batch(30, 16, 30, 1, 2), 6)
+    grid = run(30, 16, 30, 0)
+    rows = ca_samples(grid, 6)
+    site2 = re.escape("configuration {'next': 1, 'hist': 47, 'right': 1} has zero probability")
+    for observation in (rows, rows[2]):
+        with pytest.raises(ValueError, match=site2):
+            local_separable(dist, observation)
+    with pytest.raises(ValueError, match=site2):
+        profile(dist, grid, "local_separable")
+    assert np.isfinite(local_separable(dist, rows[:2])).all()
+    # Within a row, storage fails before the sources, in declared order.
+    dist = JointDistribution(ca_variables(1), {(0, 0, 0, 0): 1, (1, 1, 1, 1): 1})
+    rows = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0]])
+    with pytest.raises(ValueError, match=re.escape("{'next': 0, 'hist': 0, 'left': 1}")):
+        local_separable(dist, rows)
+    with pytest.raises(ValueError, match=re.escape("{'next': 0, 'hist': 1} has")):
+        local_separable(dist, rows[2])
+
+
+@pytest.mark.parametrize("n, distinct", [(1, 1), (40, 1), (40, 40), (500, 37), (36800, 1402)])
+def test_first_seen_matches_unique_return_index(n, distinct):
+    rng = np.random.default_rng(n + distinct)
+    pool = rng.choice(2 ** 40, size=distinct, replace=False)
+    codes = rng.permutation(pool) if n == distinct else pool[rng.integers(0, distinct, n)]
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    got_first, got_inverse = dynamics._first_seen(codes)
+    assert np.array_equal(got_first, first)
+    assert np.array_equal(got_inverse, inverse)
 
 
 def test_profile_values_sites_whose_full_configuration_was_never_counted():
@@ -567,10 +592,27 @@ def test_profile_csv_round_trip(profiled, tmp_path):
     assert float(value) == prof.values[2, 0]
 
 
-def test_profile_csv_bytes_match_csv_writer(tmp_path):
-    values = np.full((4, 3), np.nan)
-    values[2:] = [[1e-05, -0.0, 1e16], [0.1 + 0.2, -2.5, -1e-300]]
-    prof = LocalProfile("local_ais", 2, values)
+# NaN, both infinities, both zeros, the smallest subnormal and the smallest
+# normal, and short and long texts in fixed and exponent form.
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                  1e16, 1e-05, 0.1 + 0.2, -2.5, -1e-300, 1.0]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([(4, 3, 2), (1200, 1, 1), (3, 1500, 2), (12, 11, 11), (2, 1, 1)]),
+       st.lists(st.floats(), max_size=6), st.integers(0, 2 ** 32 - 1))
+# Times and cells that cross 10, 100 and 1000; k = steps - 1; width 1.
+@example((1200, 1, 1), [], 0)
+@example((3, 1500, 2), [], 0)
+@example((12, 11, 11), [], 0)
+def test_profile_csv_bytes_match_csv_writer(tmp_path, grid, floats, seed):
+    steps, width, k = grid
+    rng = np.random.default_rng(seed)
+    values = np.full((steps, width), np.nan)
+    values[k:] = rng.choice(SPECIAL_FLOATS + floats, size=(steps - k, width))
+    values[k, :2] = [1e-05, -0.0][:width]
+    prof = LocalProfile("local_ais", k, values)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as f:
         writer = csv.writer(f)
@@ -581,7 +623,8 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path):
     path = tmp_path / "prof.csv"
     write_profile_csv(prof, path)
     assert path.read_bytes() == ref.read_bytes()
-    assert path.read_bytes().split(b"\r\n")[1:3] == [b"0,2,1e-05", b"1,2,-0.0"]
+    lines = [b"0,%d,1e-05" % k, b"1,%d,-0.0" % k][:width]
+    assert path.read_bytes().split(b"\r\n")[1:1 + len(lines)] == lines
 
 
 def test_profile_pgm_round_trip(profiled, tmp_path):

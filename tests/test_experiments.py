@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from support import embed_history
 from synpid import experiments
-from synpid.distributions import VariableSpec, count_samples, embed_history, history_length
+from synpid.distributions import VariableSpec, count_samples, history_length
 from synpid.dynamics import ca_distribution, profile, write_profile_csv
 from synpid.eca import run, run_batch
 from synpid.experiments import (
