@@ -8,37 +8,40 @@ a measure of information modification. Includes an elementary cellular
 automaton laboratory and reproduction pipelines.
 
 The names below are the ones the README's Library section uses; everything
-else is reached through its submodule.
+else is reached through its submodule. Each name imports its submodule on
+first use (PEP 562), so ``import synpid`` alone loads no numpy: the CLI
+module can then set up the environment numpy reads when it loads.
 """
 
-from .dynamics import (
-    active_info_storage,
-    ca_distribution,
-    ca_distributions,
-    local_ais,
-    local_separable,
-    local_te,
-    transfer_entropy,
-)
-from .eca import run
-from .experiments import ExperimentConfig, run_or_demo, run_table1
-from .pid import local_i_min, modified_information, partial_terms
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExperimentConfig",
-    "active_info_storage",
-    "ca_distribution",
-    "ca_distributions",
-    "local_ais",
-    "local_i_min",
-    "local_separable",
-    "local_te",
-    "modified_information",
-    "partial_terms",
-    "run",
-    "run_or_demo",
-    "run_table1",
-    "transfer_entropy",
-]
+_EXPORTS = {
+    "ExperimentConfig": "experiments",
+    "active_info_storage": "dynamics",
+    "ca_distribution": "dynamics",
+    "ca_distributions": "dynamics",
+    "local_ais": "dynamics",
+    "local_i_min": "pid",
+    "local_separable": "dynamics",
+    "local_te": "dynamics",
+    "modified_information": "pid",
+    "partial_terms": "pid",
+    "run": "eca",
+    "run_or_demo": "experiments",
+    "run_table1": "experiments",
+    "transfer_entropy": "dynamics",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

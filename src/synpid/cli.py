@@ -8,11 +8,15 @@ then built-in defaults. Exit codes: 0 success, 2 malformed flags (argparse),
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread: OpenBLAS starts a worker per extra core, which spins and synpid never uses.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 import warnings

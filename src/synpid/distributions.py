@@ -395,7 +395,22 @@ def avg_mi(dist: JointDistribution, xs, ys, cond=()) -> float:
     xs, ys, cond = _mi_columns(dist, xs, ys, cond)
     g_xyc, g_xc, g_yc, g_c = _mi_counts(dist, dist.counts.symbols, xs, ys, cond)
     ratios = (g_xyc * g_c) / (g_xc * g_yc)
-    return float(np.dot(dist.counts.weights, np.log2(ratios)) / dist.total)
+    return float(_dot(dist.counts.weights, np.log2(ratios)) / dist.total)
+
+
+# OpenBLAS splits a float dot product longer than this over its threads, which
+# moves the last bits of the sum with the thread count (and so the core count).
+_DOT_BLOCK = 10_000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``np.dot(a, b)`` summed one block of at most ``_DOT_BLOCK`` elements at
+    a time, so its bits do not depend on the BLAS thread count. Up to one
+    block it is ``np.dot`` itself."""
+    total = float(np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK]))
+    for i in range(_DOT_BLOCK, len(a), _DOT_BLOCK):
+        total += float(np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK]))
+    return total
 
 
 def _local_values(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int],

@@ -35,6 +35,19 @@ def check_rule(rule) -> int:
     return rule
 
 
+def check_batch(width, steps, seed, runs) -> tuple[int, int, int, int]:
+    """A batch's width, steps, base seed and run count as plain ints; values
+    that are not integers or are out of bounds are refused."""
+    fields = {"width": width, "steps": steps, "seed": seed, "runs": runs}
+    width, steps, seed, runs = (_integer(name, value) for name, value in fields.items())
+    for name, value, low in (("width", width, 3), ("steps", steps, 1), ("runs", runs, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return width, steps, seed, runs
+
+
 @dataclass(frozen=True)
 class SpacetimeGrid:
     """One simulated run. Row t of ``cells`` is the lattice at time t."""
@@ -74,14 +87,7 @@ def run_batch(rule: int, width: int, steps: int,
     non-contiguous (steps, width) view of that batch.
     """
     rule = check_rule(rule)
-    if width < 3:
-        raise ValueError(f"width must be at least 3, got {width}")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
-    if base_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {base_seed}")
+    width, steps, base_seed, runs = check_batch(width, steps, base_seed, runs)
     rule_bits = np.uint8(rule)
     ring = np.empty((steps, runs, width + 2), dtype=np.uint8)
     ring[0, :, 1:-1] = [np.random.default_rng(base_seed + i).integers(0, 2, size=width,

@@ -44,14 +44,11 @@ class ExperimentConfig:
         object.__setattr__(self, "rules", tuple(map(eca.check_rule, self.rules)))
         if not self.rules:
             raise ValueError("need at least one rule")
-        for name in ("runs", "width", "steps", "k", "base_seed"):
+        for name in ("k", "base_seed"):
             object.__setattr__(self, name, eca._integer(name, getattr(self, name)))
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.width < 3:
-            raise ValueError(f"width must be at least 3, got {self.width}")
-        if self.base_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
+        width, steps, _, runs = eca.check_batch(self.width, self.steps, self.base_seed, self.runs)
+        for name, value in (("width", width), ("steps", steps), ("runs", runs)):
+            object.__setattr__(self, name, value)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.steps <= self.k:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from support import embed_history, random_distribution, unpack_history
 from synpid.distributions import (
-    JointDistribution, Marginal, VariableSpec, _count_codes, _radix_multipliers, avg_mi,
+    JointDistribution, Marginal, VariableSpec, _count_codes, _dot, _radix_multipliers, avg_mi,
     count_samples, history_length, local_mi, merge,
 )
 from synpid.dynamics import ca_distribution
@@ -198,6 +198,16 @@ def test_local_mi_rejects_overlapping_sets():
 def test_avg_mi_or_gate_frozen_value():
     assert avg_mi(or_dist(), (0,), (1,)) == pytest.approx(OR_MI, abs=1e-12)
     assert avg_mi(or_dist(), (0,), (2,)) == pytest.approx(OR_MI, abs=1e-12)
+
+
+def test_block_dot_is_np_dot_up_to_one_block():
+    # Sums no longer than one block keep np.dot's bits, so the reports of
+    # smaller distributions keep their bytes; longer ones agree to rounding.
+    rng = np.random.default_rng(5)
+    a, b = rng.random(25_000), rng.random(25_000)
+    for n in (0, 1, 9_999, 10_000):
+        assert _dot(a[:n], b[:n]) == float(np.dot(a[:n], b[:n]))
+    assert _dot(a, b) == pytest.approx(float(np.dot(a, b)), rel=1e-12)
 
 
 def test_avg_mi_independent_is_zero():

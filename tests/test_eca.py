@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synpid.eca import check_rule, run, run_batch, write_csv, write_pgm
+from synpid.experiments import ExperimentConfig
 
 BAD_RULES = [-1, 256, 1000, 2.5, "110", None]
 
@@ -30,6 +33,45 @@ def test_run_rejects_negative_seeds():
     for simulate in (lambda: run(110, 10, 5, -1), lambda: run_batch(110, 10, 5, -1, 3)):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             simulate()
+
+
+GOOD_BATCH = {"width": 20, "steps": 20, "seed": 0, "runs": 2}
+
+
+@pytest.mark.parametrize("value", [20.0, 2.5, True, "3", None])
+@pytest.mark.parametrize("name", list(GOOD_BATCH))
+def test_run_batch_refuses_non_integer_fields(name, value):
+    # A bool seed used to run seed 1, and floats failed inside numpy.
+    args = {**GOOD_BATCH, name: value}
+    message = re.escape(f"{name} must be an integer, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        run_batch(54, args["width"], args["steps"], args["seed"], args["runs"])
+    if name != "runs":
+        with pytest.raises(ValueError, match=message):
+            run(54, args["width"], args["steps"], args["seed"])
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("width", 2, "width must be at least 3, got 2"),
+    ("steps", 0, "steps must be at least 1, got 0"),
+    ("runs", 0, "runs must be at least 1, got 0"),
+    ("seed", -2, "seed must be >= 0, got -2"),
+])
+def test_run_batch_and_config_state_the_same_bounds(name, value, message):
+    args = {**GOOD_BATCH, name: value}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_batch(54, args["width"], args["steps"], args["seed"], args["runs"])
+    config = {"base_seed" if name == "seed" else name: value}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(rules=(54,), k=1, **config)
+
+
+def test_run_batch_takes_numpy_integers_as_plain_ints():
+    grids = run_batch(54, np.int64(20), np.int32(5), np.uint8(7), np.int16(2))
+    assert [type(g.seed) for g in grids] == [int, int]
+    assert [g.seed for g in grids] == [7, 8]
+    assert grids[0] == run(54, 20, 5, 7)
+    assert np.array_equal(grids[1].cells, run(54, 20, 5, 8).cells)
 
 
 def test_rule_0_goes_dark_after_the_random_row():
