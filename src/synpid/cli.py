@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import eca
-from .dynamics import profile_measures
+from .dynamics import PROFILE_MEASURES
 from .experiments import (
     AnalyzeConfig, ExperimentConfig, check_delta, export_local_profiles, or_demo_text,
     run_analyze, run_or_demo, run_table1, table1_text,
@@ -202,7 +202,7 @@ def cmd_profile(args) -> int:
     s = Settings(args)
     rule = s.integer("rule")
     config = _experiment_config(s, (rule,))
-    measures = s.names("measures", profile_measures())
+    measures = s.names("measures", PROFILE_MEASURES)
     written = export_local_profiles(rule, config, measures, str(s.require("out")))
     for m in measures:
         print(f"{m}: {written[m]['csv']}, {written[m]['pgm']}")
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", type=_type_rule)
     p.add_argument("--measures", type=_type_names,
                    help="comma-separated subset of "
-                        + ",".join(profile_measures()))
+                        + ",".join(PROFILE_MEASURES))
     batch(p)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_profile)

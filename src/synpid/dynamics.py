@@ -1,17 +1,17 @@
-"""Information dynamics of distributed computation on spacetime grids.
+"""Information dynamics of distributed computation on elementary cellular automata.
 
 Everything here is built from one pooled joint distribution over
 
-    (next, hist, y_1, ..., y_g)
+    (next, hist, left, right)
 
 where ``next`` is a cell's value one step ahead, ``hist`` is that cell's own
-k-step past packed into a single symbol, and each ``y_j`` is the single
-previous value of one neighbor. For a standard two-neighbor ring the sources
-are the left and right neighbors. All cells and all times with a full
-history window are pooled; the first k time steps of a run never appear as
-destinations. The measures read this layout, k included, from the roles of
-the distribution's variables; the sources are its "source" variables in
-declared order.
+k-step past packed into a single symbol, and ``left`` and ``right`` are the
+previous values of its two ring neighbours, the only other causal sources
+of an elementary automaton's update. All cells are pooled as destinations
+at every time from t = k, the first with a full history window. The
+measures read this layout, k included, from the roles of the distribution's
+variables; the sources are its "source" variables in declared order, so the
+measures apply as well to series distributions with other sources.
 
 Measures, all in bits:
 
@@ -42,87 +42,66 @@ from .distributions import (
 from .eca import SpacetimeGrid
 
 
-def _offset_name(offset: int) -> str:
-    if offset == -1:
-        return "left"
-    if offset == 1:
-        return "right"
-    return f"off{offset:+d}"
-
-
-def ca_variables(k: int, offsets=(-1, 1)) -> tuple[VariableSpec, ...]:
-    """Variable layout for ring-automaton samples: next, hist, then sources."""
+def ca_variables(k: int) -> tuple[VariableSpec, ...]:
+    """Variable layout for automaton samples: (next, hist, left, right)."""
     if k < 1:
         raise ValueError(f"history length k must be >= 1, got {k}")
     return (
         VariableSpec("next", 2, "destination-next"),
         VariableSpec("hist", 2 ** k, "destination-history"),
-        *(VariableSpec(_offset_name(o), 2, "source") for o in offsets),
+        VariableSpec("left", 2, "source"),
+        VariableSpec("right", 2, "source"),
     )
 
 
-def _checked_start(cells: np.ndarray, k: int, start: int | None) -> int:
-    """The first destination time of (steps, ...) cells, once k, the start
-    and every cell are checked; packed codes of non-bits would alias."""
+def _check_cells(cells: np.ndarray, k: int) -> None:
+    """Refuse k < 1, (steps, ...) cells with no time from k on, and cells
+    that are not bits; packed codes of non-bits would alias."""
     if k < 1:
         raise ValueError(f"history length k must be >= 1, got {k}")
-    steps = len(cells)
-    if start is None:
-        start = k
-    if start < k:
-        raise ValueError(f"start={start} would need history before time 0 (k={k})")
-    if start >= steps:
-        raise ValueError(f"grid with {steps} steps has no destinations at start={start}")
+    if k >= len(cells):
+        raise ValueError(f"grid with {len(cells)} steps has no destinations after a k={k} window")
     lo, hi = cells.min(), cells.max()
     if not (lo >= 0 and hi <= 1):
         raise ValueError(f"grid cells must be bits, saw values in [{lo}, {hi}]")
-    return start
 
 
-def ca_samples(grid: SpacetimeGrid, k: int, offsets=(-1, 1),
-               start: int | None = None) -> np.ndarray:
-    """All (next, hist, sources...) tuples of one grid as an int64 matrix.
+def ca_samples(grid: SpacetimeGrid, k: int) -> np.ndarray:
+    """All (next, hist, left, right) tuples of one grid as an int64 matrix.
 
-    ``start`` is the first destination time; it defaults to k, which skips
-    exactly the rows with an incomplete history window. Rows are emitted in
-    (time, cell) order.
+    Destinations run from t = k, the first time with a full history window;
+    rows are emitted in (time, cell) order, and the neighbours wrap around
+    the ring.
     """
-    start = _checked_start(grid.cells, k, start)
+    _check_cells(grid.cells, k)
     cells = grid.cells.astype(np.int64)
     steps = len(cells)
-    hist = sum(cells[start - 1 - j:steps - 1 - j] << j for j in range(k))
-    prev = cells[start - 1:steps - 1]
-    columns = [cells[start:], hist, *(np.roll(prev, -o, axis=1) for o in offsets)]
+    hist = sum(cells[k - 1 - j:steps - 1 - j] << j for j in range(k))
+    prev = cells[k - 1:steps - 1]
+    columns = [cells[k:], hist, np.roll(prev, 1, axis=1), np.roll(prev, -1, axis=1)]
     return np.stack(columns, axis=-1).reshape(-1, len(columns))
 
 
-def _reach(offsets) -> int:
-    """How many pad columns each side of a stack needs for ``offsets``."""
-    return max(map(abs, offsets), default=0)
+def _packed_codes(cells: np.ndarray, k: int, codes: np.ndarray) -> None:
+    """Pack (next, hist, left, right) of every destination site, t >= k, of
+    checked, time-major padded (steps, runs, width + 2) cells into the flat
+    buffer ``codes``, in (time, run, cell) order.
 
-
-def _packed_codes(cells: np.ndarray, k: int, offsets, start: int, mults,
-                  codes: np.ndarray) -> None:
-    """Pack (next, hist, sources...) of every destination site of checked,
-    time-major padded (steps, runs, width + 2p) cells into the flat buffer
-    ``codes``, in (time, run, cell) order.
-
-    Each time row is read as one flat row of runs * (width + 2p) cells, in
-    which the source at offset o of any inner cell lies o positions away,
-    since |o| <= p. The window and the sources are built on those whole
-    padded rows; only the inner columns reach ``codes``.
+    Each time row is read as one flat row of runs * (width + 2) cells, in
+    which the left and right neighbours of any inner cell lie one position
+    either side. The window and the sources are built on those whole padded
+    rows; only the inner columns reach ``codes``.
     """
-    p = _reach(offsets)
     steps, runs, padded = cells.shape
-    width = padded - 2 * p
-    codes = codes.reshape(steps - start, runs, width)
+    width = padded - 2
+    codes = codes.reshape(steps - k, runs, width)
     rows = cells.reshape(steps, -1)
     n = rows.shape[1]
     dtype = codes.dtype.type
     window = np.zeros(n, dtype)
-    inner = window[p:n - p]
+    inner = window[1:n - 1]
     prev, cur = np.empty(n, dtype), np.empty(n, dtype)
-    for t in range(start - k, steps):
+    for t in range(steps):
         prev, cur = cur, prev
         np.copyto(cur, rows[t], casting="unsafe")
         # next (weight 1) and hist (weight 2) form the (k+1)-bit window
@@ -131,70 +110,65 @@ def _packed_codes(cells: np.ndarray, k: int, offsets, start: int, mults,
         window &= 2 ** k - 1
         window <<= 1
         window |= cur
-        if t < start:
+        if t < k:
             continue
-        # Each source scales the previous row in place, as it is rewritten
-        # before it is read again; every multiplier divides the next one.
-        scale = 1
-        for o, m in zip(offsets, mults[2:]):
-            prev *= dtype(m // scale)
-            scale = m
-            inner |= prev[p + o:n - p + o]
-        codes[t - start] = window.reshape(runs, padded)[:, p:p + width]
+        # The previous row is shifted in place to the left source's weight
+        # 2^(k+1), then to the right source's 2^(k+2).
+        prev <<= dtype(k + 1)
+        inner |= prev[:n - 2]
+        prev <<= dtype(1)
+        inner |= prev[2:]
+        codes[t - k] = window.reshape(runs, padded)[:, 1:1 + width]
 
 
-def _stacks(grids, offsets) -> list[np.ndarray]:
-    """The grids' cells stacked into one time-major (steps, runs, width + 2p)
-    array per shape, p = max |offset|. Pad column j holds cell
-    (j - p) mod width, so the wrap holds even when p exceeds the width."""
+def _stacks(grids) -> list[np.ndarray]:
+    """The grids' cells stacked into one time-major (steps, runs, width + 2)
+    array per shape, with a copy of each grid's last column before its first
+    and of its first after its last."""
     by_shape = {}
     for g in grids:
         by_shape.setdefault(g.cells.shape, []).append(g.cells)
     if not by_shape:
         raise ValueError("need at least one grid")
-    p = _reach(offsets)
     stacks = []
     for (steps, width), group in by_shape.items():
-        stack = np.empty((steps, len(group), width + 2 * p), np.result_type(*group))
-        np.stack(group, axis=1, out=stack[:, :, p:p + width])
-        if p:
-            pads = np.r_[:p, p + width:width + 2 * p]
-            stack[:, :, pads] = stack[:, :, p + (pads - p) % width]
+        stack = np.empty((steps, len(group), width + 2), np.result_type(*group))
+        np.stack(group, axis=1, out=stack[:, :, 1:width + 1])
+        stack[:, :, 0] = stack[:, :, width]
+        stack[:, :, width + 1] = stack[:, :, 1]
         stacks.append(stack)
     return stacks
 
 
-def _count_stacks(stacks, k: int, offsets, start: int | None) -> JointDistribution:
+def _count_stacks(stacks, k: int) -> JointDistribution:
     """Count every destination site of padded stacks, packed into one code
     buffer; codes are 32-bit when the joint alphabet allows, which halves
     the bytes the counting sort moves."""
-    variables = ca_variables(k, offsets)
+    variables = ca_variables(k)
     mults = _radix_multipliers([v.arity for v in variables])
     dtype = np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64
-    starts = [_checked_start(cells, k, start) for cells in stacks]
-    pad = 2 * _reach(offsets)
-    sizes = [(len(cells) - s) * cells.shape[1] * (cells.shape[2] - pad)
-             for cells, s in zip(stacks, starts)]
+    for cells in stacks:
+        _check_cells(cells, k)
+    sizes = [(len(cells) - k) * cells.shape[1] * (cells.shape[2] - 2) for cells in stacks]
     codes = np.empty(sum(sizes), dtype)
     end = 0
-    for cells, s, n in zip(stacks, starts, sizes):
-        _packed_codes(cells, k, offsets, s, mults, codes[end:end + n])
+    for cells, n in zip(stacks, sizes):
+        _packed_codes(cells, k, codes[end:end + n])
         end += n
     return _count_codes(variables, codes)
 
 
-def ca_distribution(grids, k: int, offsets=(-1, 1),
-                    start: int | None = None) -> JointDistribution:
+def ca_distribution(grids, k: int) -> JointDistribution:
     """Pool every cell of every grid into one plug-in distribution.
 
     Equal to ``count_samples`` over the concatenated ``ca_samples`` of the
     grids, without building the sample matrix. Grids of one shape are
     stacked and packed together.
     """
-    return _count_stacks(_stacks(grids, offsets), k, offsets, start)
+    return _count_stacks(_stacks(grids), k)
 
 
-def ca_distributions(grids, ks, offsets=(-1, 1)) -> list[JointDistribution]:
+def ca_distributions(grids, ks) -> list[JointDistribution]:
     """``ca_distribution(grids, k)`` for each k in ``ks``, from one count.
 
     The grids are packed and counted once, at the largest k. A shorter
@@ -206,17 +180,17 @@ def ca_distributions(grids, ks, offsets=(-1, 1)) -> list[JointDistribution]:
     ks = tuple(ks)
     if not ks:
         raise ValueError("need at least one history length")
-    stacks = _stacks(grids, offsets)
+    stacks = _stacks(grids)
     top = max(ks)
-    full = _count_stacks(stacks, top, offsets, None)
+    full = _count_stacks(stacks, top)
     out = {top: full}
     for k in set(ks) - {top}:
-        variables = ca_variables(k, offsets)
+        variables = ca_variables(k)
         codes = full.counts._codes
         # Keep next and the k lowest history bits, and move the sources down.
         cut = (codes & (2 ** (k + 1) - 1)) | (codes >> (top + 1) << (k + 1))
         counts, _ = _grouped([v.arity for v in variables], cut, full.counts.weights)
-        leading = _count_stacks([cells[:top] for cells in stacks], k, offsets, k)
+        leading = _count_stacks([cells[:top] for cells in stacks], k)
         out[k] = merge(JointDistribution._from_counts(variables, counts, full.total), leading)
     return [out[k] for k in ks]
 
@@ -331,22 +305,22 @@ class LocalProfile:
         return self.values[self.k:]
 
 
-def profile_measures(offsets=(-1, 1)) -> tuple[str, ...]:
-    return ("local_ais",
-            *(f"local_te_{_offset_name(o)}" for o in offsets),
-            "local_separable")
+PROFILE_MEASURES = ("local_ais", "local_te_left", "local_te_right", "local_separable")
 
 
-def check_measures(measures, offsets=(-1, 1)) -> tuple[str, ...]:
-    """``measures`` as a tuple, once it is nonempty and each is one of
-    ``profile_measures(offsets)``."""
-    allowed = profile_measures(offsets)
+def check_measures(measures) -> tuple[str, ...]:
+    """``measures`` as a tuple, once it is a nonempty sequence of distinct
+    names from ``PROFILE_MEASURES``."""
+    if isinstance(measures, str):
+        raise ValueError(f"measures must be a sequence of names, got {measures!r}")
     measures = tuple(measures)
     for m in measures:
-        if m not in allowed:
-            raise ValueError(f"unknown measure {m!r}, expected one of {allowed}")
+        if m not in PROFILE_MEASURES:
+            raise ValueError(f"unknown measure {m!r}, expected one of {PROFILE_MEASURES}")
     if not measures:
         raise ValueError("need at least one measure")
+    if len(set(measures)) != len(measures):
+        raise ValueError(f"duplicate measures: {measures}")
     return measures
 
 
@@ -361,13 +335,12 @@ def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str,
-            offsets=(-1, 1)) -> LocalProfile:
+def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str) -> LocalProfile:
     """Evaluate one local measure at every site of ``grid``.
 
     Probabilities come from ``dist`` (typically pooled over many runs, with
-    the displayed grid among them, so every configuration is observed).
-    ``offsets`` must name the distribution's sources in declared order.
+    the displayed grid among them, so every configuration is observed),
+    which must have the ``ca_variables`` layout.
 
     The measure is valued once per distinct configuration of the grid's own
     sites, in order of first appearance, and gathered back to the sites;
@@ -375,13 +348,12 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str,
     ``dist`` never counted raises the zero-probability error of the first
     such site in (time, cell) order.
     """
-    check_measures((measure,), offsets)
-    names, sources = tuple(_offset_name(o) for o in offsets), _sources(dist)
-    if names != sources:
-        raise ValueError(f"offsets {tuple(offsets)} give sources {names}, "
-                         f"but the distribution's sources are {sources}")
+    check_measures((measure,))
     k = history_length(dist)
-    samples = ca_samples(grid, k, offsets)
+    if dist.variables != ca_variables(k):
+        raise ValueError(f"profile needs the variables {ca_variables(k)}, "
+                         f"but the distribution's are {dist.variables}")
+    samples = ca_samples(grid, k)
     mults = np.array(_radix_multipliers([v.arity for v in dist.variables]), dtype=np.int64)
     first, inverse = _first_seen(samples @ mults)
     order = np.argsort(first)

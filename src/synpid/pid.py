@@ -181,10 +181,11 @@ def partial_terms(dist: JointDistribution,
 
     Returns (i_cap, i_partial): the cumulative and per-node values as
     read-only float64 arrays aligned with ``lattice.nodes``. Results are
-    memoized per distribution.
+    memoized per distribution and lattice, by value: two lattices with the
+    same nodes in another order get their own entries.
     """
     memo = _MEMO.setdefault(dist, {})
-    key = ("partial-terms", lattice.r)
+    key = ("partial-terms", lattice)
     if key in memo:
         return memo[key]
     _destination(dist)

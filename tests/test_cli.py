@@ -263,6 +263,17 @@ def test_profile_export(tmp_path, capsys):
     assert "local_ais" in out and "local_te_left" in out
 
 
+def test_profile_refuses_a_repeated_measure(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert main(["profile", "--rule", "54", "--runs", "1", "--width", "8", "--steps", "6",
+                 "--k", "1", "--out", str(out), "--measures", "local_ais,local_ais"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("synpid: error: duplicate measures: "
+                            "('local_ais', 'local_ais')\n")
+    assert not out.exists()
+
+
 def test_profile_defaults_to_all_measures(tmp_path):
     assert main(["profile", "--rule", "110", "--runs", "1", "--width", "8",
                  "--steps", "6", "--k", "1", "--out", str(tmp_path)]) == 0

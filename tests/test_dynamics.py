@@ -15,11 +15,12 @@ from synpid.distributions import (
     local_mi, merge,
 )
 from synpid.dynamics import (
-    LocalProfile, active_info_storage, ca_distribution, ca_distributions,
+    PROFILE_MEASURES, LocalProfile, active_info_storage, ca_distribution, ca_distributions,
     ca_samples, ca_variables, check_measures, local_ais, local_separable, local_te,
-    profile, profile_measures, transfer_entropy, write_profile_csv, write_profile_pgm,
+    profile, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from synpid.eca import SpacetimeGrid, run, run_batch
+from synpid.experiments import AnalyzeConfig, series_distribution
 
 
 def analytic_dist(next_of, k=1):
@@ -30,6 +31,12 @@ def analytic_dist(next_of, k=1):
     return JointDistribution(ca_variables(k), counts)
 
 
+def bits_grid(steps, width, seed):
+    """A grid of random bits, at any width: ``run`` needs at least 3 cells,
+    and on rings of 1 and 2 cells the left and right neighbours coincide."""
+    cells = np.random.default_rng(seed).integers(0, 2, (steps, width), dtype=np.uint8)
+    return SpacetimeGrid(0, width, steps, seed, cells)
+
 
 # -- sample extraction ------------------------------------------------------
 
@@ -39,38 +46,37 @@ def test_ca_variables_layout():
     assert [x.role for x in v] == [
         "destination-next", "destination-history", "source", "source"]
     assert [x.arity for x in v] == [2, 8, 2, 2]
-    assert [x.name for x in ca_variables(1, offsets=(-1, 1, 2))] == [
-        "next", "hist", "left", "right", "off+2"]
 
 
 def test_ca_samples_match_literal_loops():
-    grid = run(110, 7, 9, seed=2)
     k = 3
-    got = ca_samples(grid, k)
-    cells = grid.cells
-    steps, width = cells.shape
-    expect = []
-    for t in range(k, steps):
-        for c in range(width):
-            hist = sum(int(cells[t - 1 - j, c]) << j for j in range(k))
-            left = int(cells[t - 1, (c - 1) % width])
-            right = int(cells[t - 1, (c + 1) % width])
-            expect.append((int(cells[t, c]), hist, left, right))
-    assert got.shape == (width * (steps - k), 4)
-    assert got.dtype == np.int64
-    assert [tuple(row) for row in got] == expect
+    for grid in (run(110, 7, 9, seed=2), bits_grid(9, 1, 3), bits_grid(9, 2, 4)):
+        got = ca_samples(grid, k)
+        cells = grid.cells
+        steps, width = cells.shape
+        expect = []
+        for t in range(k, steps):
+            for c in range(width):
+                hist = sum(int(cells[t - 1 - j, c]) << j for j in range(k))
+                left = int(cells[t - 1, (c - 1) % width])
+                right = int(cells[t - 1, (c + 1) % width])
+                expect.append((int(cells[t, c]), hist, left, right))
+        assert got.shape == (width * (steps - k), 4)
+        assert got.dtype == np.int64
+        assert [tuple(row) for row in got] == expect
 
 
 def test_ca_samples_start_alignment():
+    # Destinations run from t = k, so a longer history drops the first rows;
+    # the rows it keeps differ only in the history's high bits.
     grid = run(30, 6, 10, seed=4)
-    full = ca_samples(grid, 2)
-    late = ca_samples(grid, 2, start=5)
-    assert late.shape[0] == 6 * 5
-    assert np.array_equal(full[3 * 6:], late)
-    with pytest.raises(ValueError, match="before time 0"):
-        ca_samples(grid, 3, start=2)
-    with pytest.raises(ValueError, match="no destinations"):
-        ca_samples(grid, 2, start=10)
+    short, long = ca_samples(grid, 2), ca_samples(grid, 5)
+    assert long.shape[0] == 6 * 5
+    masked = long.copy()
+    masked[:, 1] &= 2 ** 2 - 1
+    assert np.array_equal(short[3 * 6:], masked)
+    with pytest.raises(ValueError, match="no destinations after a k=10 window"):
+        ca_samples(grid, 10)
     with pytest.raises(ValueError, match="k must be"):
         ca_samples(grid, 0)
 
@@ -89,15 +95,18 @@ def test_ca_distribution_pools_runs():
 def draw_grids(data, steps_from):
     """One to four grids from a small pool of (steps, width) shapes, so that
     equal shapes get stacked, as views into one batch and separately
-    simulated grids; every grid has at least ``steps_from`` steps."""
+    simulated grids; every grid has at least ``steps_from`` steps. Rings of
+    1 and 2 cells are random bits."""
     shapes = data.draw(st.lists(st.tuples(st.integers(steps_from, steps_from + 7),
-                                          st.integers(3, 12)),
+                                          st.integers(1, 12)),
                                 min_size=2, max_size=3), label="shapes")
     grids = []
     for _ in range(data.draw(st.integers(1, 4))):
         steps, width = data.draw(st.sampled_from(shapes))
         rule, seed = data.draw(st.integers(0, 255)), data.draw(st.integers(0, 2 ** 32 - 1))
-        if data.draw(st.booleans(), label="batched"):
+        if width < 3:
+            grids.append(bits_grid(steps, width, seed))
+        elif data.draw(st.booleans(), label="batched"):
             grids += run_batch(rule, width, steps, seed, data.draw(st.integers(1, 3)))
         else:
             grids.append(run(rule, width, steps, seed))
@@ -114,19 +123,18 @@ def assert_same_distribution(fast, ref):
     assert fast.total == ref.total
 
 
-OFFSETS = st.sampled_from([(-1, 1), (1, -1), (-2, 1, 3), (2,), (), (-5, 7), (13,)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ca_distribution_equals_counted_samples(data):
     k = data.draw(st.integers(1, 6), label="k")
-    offsets = data.draw(OFFSETS, label="offsets")
-    start = data.draw(st.one_of(st.none(), st.integers(k, k + 3)), label="start")
-    grids = draw_grids(data, (start or k) + 1)
-    fast = ca_distribution(grids, k, offsets, start)
-    ref = count_samples(ca_variables(k, offsets),
-                        np.concatenate([ca_samples(g, k, offsets, start) for g in grids]))
+    grids = draw_grids(data, k + 1)
+    # A ring of 1 or 2 cells in every example, where the stack's two wrap
+    # columns copy the same cell or each other's neighbour.
+    for width in data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2), label="narrow"):
+        grids.append(bits_grid(data.draw(st.integers(k + 1, k + 8)), width,
+                               data.draw(st.integers(0, 2 ** 32 - 1))))
+    fast = ca_distribution(grids, k)
+    ref = count_samples(ca_variables(k), np.concatenate([ca_samples(g, k) for g in grids]))
     assert_same_distribution(fast, ref)
     assert history_length(fast) == k
 
@@ -138,12 +146,10 @@ def test_ca_distribution_reads_batch_views_like_contiguous_grids():
               for g in batch]
     mixed = [batch[0], run(30, 9, 25, 1), *batch[1:3], run(54, 13, 30, 2), batch[3],
              *run_batch(90, 9, 25, 0, 2), batch[4]]
-    for k, offsets in ((1, (-1, 1)), (4, (-1, 1)), (3, (-2, 1, 3))):
-        assert_same_distribution(ca_distribution(batch, k, offsets),
-                                 ca_distribution(copies, k, offsets))
-        ref = count_samples(ca_variables(k, offsets),
-                            np.concatenate([ca_samples(g, k, offsets) for g in mixed]))
-        assert_same_distribution(ca_distribution(mixed, k, offsets), ref)
+    for k in (1, 3, 4):
+        assert_same_distribution(ca_distribution(batch, k), ca_distribution(copies, k))
+        ref = count_samples(ca_variables(k), np.concatenate([ca_samples(g, k) for g in mixed]))
+        assert_same_distribution(ca_distribution(mixed, k), ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,12 +158,11 @@ def test_ca_distributions_equal_one_count_per_k(data):
     ks = data.draw(st.one_of(st.sampled_from([(6, 1), (1, 6), (3, 3), (1, 1, 1), (4,)]),
                              st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple)),
                    label="ks")
-    offsets = data.draw(OFFSETS, label="offsets")
     grids = draw_grids(data, max(ks) + 1)
-    got = ca_distributions(grids, ks, offsets)
+    got = ca_distributions(grids, ks)
     assert len(got) == len(ks)
     for k, fast in zip(ks, got):
-        assert_same_distribution(fast, ca_distribution(grids, k, offsets))
+        assert_same_distribution(fast, ca_distribution(grids, k))
 
 
 def test_ca_distributions_count_the_batch_once(monkeypatch):
@@ -295,22 +300,26 @@ def test_chain_rule_on_automaton_grids():
 
 
 def test_conditional_order_is_irrelevant():
-    grid = run(110, 20, 25, seed=9)
-    offsets = (-1, 1, 2)
-    dist = ca_distribution([grid], 2, offsets=offsets)
-    a = transfer_entropy(dist, "left", ("right", "off+2"))
-    b = transfer_entropy(dist, "left", ("off+2", "right"))
-    assert a == b
+    rng = np.random.default_rng(9)
+    a, b, c = rng.integers(0, 2, (3, 500))
+    x = np.r_[0, (a & b | c)[:-1]] ^ (rng.random(500) < 0.2)
+    dist, _ = series_distribution({"x": x, "a": a, "b": b, "c": c},
+                                  AnalyzeConfig(2, "x", ("a", "b", "c")))
+    one = transfer_entropy(dist, "a", ("b", "c"))
+    assert one > 0
+    assert one == transfer_entropy(dist, "a", ("c", "b"))
 
 
 def test_longer_history_stores_no_less():
     # On a fixed destination set, refining the history partition cannot
-    # reduce plug-in mutual information.
-    grid = run(110, 30, 40, seed=11)
+    # reduce plug-in mutual information: every k counts the destinations of
+    # k = 5, with the history cut to its k lowest bits.
+    rows = ca_samples(run(110, 30, 40, seed=11), 5)
     values = []
     for k in range(1, 6):
-        dist = ca_distribution([grid], k, start=5)
-        values.append(active_info_storage(dist))
+        cut = rows.copy()
+        cut[:, 1] &= 2 ** k - 1
+        values.append(active_info_storage(count_samples(ca_variables(k), cut)))
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
 
@@ -482,7 +491,7 @@ def pooled():
 
 def test_profile_equals_per_site_scalar_calls(profiled, pooled):
     for grid, dist in (profiled, pooled):
-        for measure in profile_measures():
+        for measure in PROFILE_MEASURES:
             got = profile(dist, grid, measure).values
             assert np.array_equal(got, per_site_profile(dist, grid, measure),
                                   equal_nan=True), measure
@@ -493,7 +502,7 @@ def test_profile_of_a_grid_outside_the_pooled_batch(rule, k, runs):
     # Pooled from seed 1, displayed from seed 0: some sites are unseen.
     dist = ca_distribution(run_batch(rule, 16, 30, 1, runs), k)
     grid = run(rule, 16, 30, 0)
-    for measure in profile_measures():
+    for measure in PROFILE_MEASURES:
         try:
             expect = per_site_profile(dist, grid, measure)
         except ValueError as exc:
@@ -549,34 +558,43 @@ def test_profile_values_sites_whose_full_configuration_was_never_counted():
     assert np.isfinite(values[unseen]).all()
 
 
-def test_profile_refuses_offsets_of_another_layout():
+def test_profile_refuses_another_layout():
     grids = run_batch(54, 30, 40, 0, 3)
     dist = ca_distribution(grids, 2)
-    for offsets, measure in [((1, -1), "local_te_left"), ((-2, 2), "local_separable"),
-                             ((-1,), "local_ais")]:
+    # The same cells with the sources swapped, with one source, and as a
+    # series analysis whose history is named after its destination.
+    variables = ca_variables(2)
+    swapped = JointDistribution(variables[:2] + variables[:1:-1], dist.counts)
+    one = JointDistribution(variables[:3], dist.marginal_counts((0, 1, 2)))
+    columns = {"next": grids[0].cells[:, 0], "left": grids[0].cells[:, -1],
+               "right": grids[0].cells[:, 1]}
+    series, _ = series_distribution(columns, AnalyzeConfig(2, "next", ("left", "right")))
+    for other in (swapped, one, series):
         with pytest.raises(ValueError, match=re.escape(
-                f"offsets {offsets} give sources ") + r".* but the distribution's "
-                r"sources are \('left', 'right'\)"):
-            profile(dist, grids[0], measure, offsets=offsets)
-    wide = ca_distribution(grids, 2, offsets=(-2, 2))
-    prof = profile(wide, grids[0], "local_te_off+2", offsets=(-2, 2))
-    assert np.isfinite(prof.defined_values()).all()
-    with pytest.raises(ValueError, match=r"sources are \('off-2', 'off\+2'\)"):
-        profile(wide, grids[0], "local_ais")
+                f"profile needs the variables {variables}, "
+                f"but the distribution's are {other.variables}")):
+            profile(other, grids[0], "local_ais")
+    assert np.isfinite(profile(dist, grids[0], "local_te_left").defined_values()).all()
 
 
 def test_profile_measure_names(profiled):
     grid, dist = profiled
-    assert profile_measures() == (
+    assert PROFILE_MEASURES == (
         "local_ais", "local_te_left", "local_te_right", "local_separable")
     with pytest.raises(ValueError, match="unknown measure"):
         profile(dist, grid, "local_entropy")
     assert check_measures(["local_ais"]) == ("local_ais",)
-    assert check_measures(["local_te_off+2"], (-2, 2)) == ("local_te_off+2",)
-    with pytest.raises(ValueError, match="unknown measure 'local_te_left'"):
-        check_measures(["local_te_left"], (-2, 2))
+    assert check_measures(iter(PROFILE_MEASURES)) == PROFILE_MEASURES
+    with pytest.raises(ValueError, match="unknown measure 'local_te_off'"):
+        check_measures(["local_te_off"])
     with pytest.raises(ValueError, match="need at least one measure"):
         check_measures([])
+    with pytest.raises(ValueError, match=re.escape(
+            "duplicate measures: ('local_ais', 'local_ais')")):
+        check_measures(["local_ais", "local_ais"])
+    with pytest.raises(ValueError, match=re.escape(
+            "measures must be a sequence of names, got 'local_ais'")):
+        check_measures("local_ais")
 
 
 def test_profile_csv_round_trip(profiled, tmp_path):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,12 +168,20 @@ def test_export_local_profiles(tmp_path):
     for paths in out.values():
         assert os.path.exists(paths["csv"])
         assert os.path.exists(paths["pgm"])
-    header = open(out["local_ais"]["csv"]).readline().strip()
+    header = Path(out["local_ais"]["csv"]).read_text().splitlines()[0]
     assert header == "cell,time,value"
     with pytest.raises(ValueError, match="unknown measure"):
         export_local_profiles(54, cfg, ("bogus",), tmp_path)
     with pytest.raises(ValueError, match="at least one measure"):
         export_local_profiles(54, cfg, (), tmp_path)
+    with pytest.raises(ValueError, match=re.escape(
+            "duplicate measures: ('local_ais', 'local_te_left', 'local_ais')")):
+        export_local_profiles(54, cfg, ["local_ais", "local_te_left", "local_ais"], tmp_path / "d")
+    # A bare string is not read as a sequence of one-letter names.
+    with pytest.raises(ValueError, match=re.escape(
+            "measures must be a sequence of names, got 'local_ais'")):
+        export_local_profiles(54, cfg, "local_ais", tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_profiles_display_the_first_pooled_run(tmp_path):
@@ -181,7 +190,7 @@ def test_profiles_display_the_first_pooled_run(tmp_path):
     pooled = ca_distribution(run_batch(54, 16, 14, 5, 3), 3)
     ref = tmp_path / "ref.csv"
     write_profile_csv(profile(pooled, run(54, 16, 14, 5), "local_separable"), ref)
-    assert open(out["local_separable"]["csv"], "rb").read() == ref.read_bytes()
+    assert Path(out["local_separable"]["csv"]).read_bytes() == ref.read_bytes()
 
 
 # -- user time series -------------------------------------------------------

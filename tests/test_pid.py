@@ -10,7 +10,7 @@ from synpid.distributions import (
     JointDistribution, VariableSpec, avg_mi, local_mi,
 )
 from synpid.experiments import or_distribution
-from synpid.lattice import Antichain, build_lattice
+from synpid.lattice import Antichain, RedundancyLattice, build_lattice
 from synpid.pid import (
     TIE_TOLERANCE, _specinfo_table, argmin_table, decomposition_report,
     i_min, local_i_min, modified_information, partial_terms,
@@ -376,6 +376,24 @@ def test_partial_terms_cannot_be_written_into_the_memo():
     again = modified_information(d)
     assert again.m_x == dec.m_x == pytest.approx(1.0, abs=1e-12)
     assert again.i_partial.tolist() == dec.i_partial.tolist()
+
+
+def test_partial_terms_follow_the_node_order_of_each_lattice():
+    # build_lattice(2)'s nodes with {1} and {2} swapped: each value must stay
+    # with its node, whichever of the two lattices the memo saw first.
+    built = build_lattice(2)
+    assert [n.label for n in built.nodes] == ["{1}{2}", "{1}", "{2}", "{1,2}"]
+    nodes = tuple(Antichain(s) for s in ([{1}, {2}], [{2}], [{1}], [{1, 2}]))
+    swapped = RedundancyLattice(2, nodes, ((), (0,), (0,), (0, 1, 2)))
+
+    def by_node(lattice, values):
+        return dict(zip(lattice.nodes, zip(*(v.tolist() for v in values))))
+    for order in ((built, swapped), (swapped, built)):
+        dist = or_distribution(1e-6)
+        got = [by_node(lat, partial_terms(dist, lat)) for lat in order]
+        assert got[0] == got[1]
+    one, two = (got[0][Antichain([{i}])] for i in (1, 2))
+    assert one != two
 
 
 def test_partial_terms_rejects_mismatched_lattice():
