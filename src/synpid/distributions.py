@@ -333,15 +333,24 @@ def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistributi
 def _count_codes(variables: tuple[VariableSpec, ...], codes: np.ndarray) -> JointDistribution:
     """Tally samples already packed into codes (first variable in the lowest
     digit). ``codes`` is the caller's own 1-D buffer and is sorted in place;
-    narrow codes sort faster, and the distinct ones are widened to int64."""
+    narrow codes sort faster, and the distinct ones are widened to int64.
+
+    Row-sized buffers beside ``codes``: a one-byte mask of run starts, freed
+    once the starts are found; then only buffers of one int64 per distinct
+    code (the starts, the distinct codes and their counts).
+    """
     codes.sort()
-    first = np.empty(len(codes), dtype=bool)
-    first[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    counts = Marginal([v.arity for v in variables], codes[first].astype(np.int64),
-                      np.diff(first, append=len(codes)))
-    return JointDistribution._from_counts(variables, counts, float(len(codes)))
+    is_start = np.empty(len(codes), dtype=bool)
+    is_start[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=is_start[1:])
+    first = np.flatnonzero(is_start)
+    del is_start
+    counts = np.empty(len(first), dtype=np.int64)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = len(codes) - first[-1:]
+    distinct = codes[first].astype(np.int64, copy=False)
+    return JointDistribution._from_counts(variables, Marginal(
+        [v.arity for v in variables], distinct, counts), float(len(codes)))
 
 
 def merge(a: JointDistribution, b: JointDistribution) -> JointDistribution:

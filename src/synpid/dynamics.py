@@ -39,13 +39,21 @@ from .distributions import (
     JointDistribution, VariableSpec, _count_codes, _grouped, _local_values, _radix_multipliers,
     avg_mi, history_length, local_mi, merge,
 )
-from .eca import SpacetimeGrid
+from .eca import SpacetimeGrid, _integer
+
+
+def _check_k(k) -> int:
+    """A history length as a plain int >= 1; floats, bools and other values
+    that are not integers are refused."""
+    k = _integer("history length k", k)
+    if k < 1:
+        raise ValueError(f"history length k must be >= 1, got {k}")
+    return k
 
 
 def ca_variables(k: int) -> tuple[VariableSpec, ...]:
     """Variable layout for automaton samples: (next, hist, left, right)."""
-    if k < 1:
-        raise ValueError(f"history length k must be >= 1, got {k}")
+    k = _check_k(k)
     return (
         VariableSpec("next", 2, "destination-next"),
         VariableSpec("hist", 2 ** k, "destination-history"),
@@ -54,16 +62,17 @@ def ca_variables(k: int) -> tuple[VariableSpec, ...]:
     )
 
 
-def _check_cells(cells: np.ndarray, k: int) -> None:
-    """Refuse k < 1, (steps, ...) cells with no time from k on, and cells
-    that are not bits; packed codes of non-bits would alias."""
-    if k < 1:
-        raise ValueError(f"history length k must be >= 1, got {k}")
+def _check_cells(cells: np.ndarray, k: int) -> int:
+    """k as a plain int, once it is a history length, the (steps, ...)
+    cells have a time from k on, and the cells are bits; packed codes of
+    non-bits would alias."""
+    k = _check_k(k)
     if k >= len(cells):
         raise ValueError(f"grid with {len(cells)} steps has no destinations after a k={k} window")
     lo, hi = cells.min(), cells.max()
     if not (lo >= 0 and hi <= 1):
         raise ValueError(f"grid cells must be bits, saw values in [{lo}, {hi}]")
+    return k
 
 
 def ca_samples(grid: SpacetimeGrid, k: int) -> np.ndarray:
@@ -73,7 +82,7 @@ def ca_samples(grid: SpacetimeGrid, k: int) -> np.ndarray:
     rows are emitted in (time, cell) order, and the neighbours wrap around
     the ring.
     """
-    _check_cells(grid.cells, k)
+    k = _check_cells(grid.cells, k)
     cells = grid.cells.astype(np.int64)
     steps = len(cells)
     hist = sum(cells[k - 1 - j:steps - 1 - j] << j for j in range(k))
@@ -121,10 +130,11 @@ def _packed_codes(cells: np.ndarray, k: int, codes: np.ndarray) -> None:
         codes[t - k] = window.reshape(runs, padded)[:, 1:1 + width]
 
 
-def _stacks(grids) -> list[np.ndarray]:
+def _stacks(grids, k: int) -> list[np.ndarray]:
     """The grids' cells stacked into one time-major (steps, runs, width + 2)
     array per shape, with a copy of each grid's last column before its first
-    and of its first after its last."""
+    and of its first after its last; each stack is checked for a history
+    length ``k``."""
     by_shape = {}
     for g in grids:
         by_shape.setdefault(g.cells.shape, []).append(g.cells)
@@ -136,26 +146,25 @@ def _stacks(grids) -> list[np.ndarray]:
         np.stack(group, axis=1, out=stack[:, :, 1:width + 1])
         stack[:, :, 0] = stack[:, :, width]
         stack[:, :, width + 1] = stack[:, :, 1]
+        _check_cells(stack, k)
         stacks.append(stack)
     return stacks
 
 
-def _count_stacks(stacks, k: int) -> JointDistribution:
-    """Count every destination site of padded stacks, packed into one code
-    buffer; codes are 32-bit when the joint alphabet allows, which halves
-    the bytes the counting sort moves."""
+def _pack_stacks(stacks, k: int) -> np.ndarray:
+    """The codes of every destination site of checked padded stacks, in one
+    new buffer; 32-bit when the joint alphabet allows, which halves the
+    bytes the counting sort moves."""
     variables = ca_variables(k)
     mults = _radix_multipliers([v.arity for v in variables])
     dtype = np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64
-    for cells in stacks:
-        _check_cells(cells, k)
     sizes = [(len(cells) - k) * cells.shape[1] * (cells.shape[2] - 2) for cells in stacks]
     codes = np.empty(sum(sizes), dtype)
     end = 0
     for cells, n in zip(stacks, sizes):
         _packed_codes(cells, k, codes[end:end + n])
         end += n
-    return _count_codes(variables, codes)
+    return codes
 
 
 def ca_distribution(grids, k: int) -> JointDistribution:
@@ -164,8 +173,13 @@ def ca_distribution(grids, k: int) -> JointDistribution:
     Equal to ``count_samples`` over the concatenated ``ca_samples`` of the
     grids, without building the sample matrix. Grids of one shape are
     stacked and packed together.
+
+    Row-sized buffers: the padded stacks (one byte per cell) live only
+    while the codes are packed, so the counting sort holds the code buffer
+    and ``_count_codes``'s own buffers alone.
     """
-    return _count_stacks(_stacks(grids), k)
+    k = _check_k(k)
+    return _count_codes(ca_variables(k), _pack_stacks(_stacks(grids, k), k))
 
 
 def ca_distributions(grids, ks) -> list[JointDistribution]:
@@ -176,22 +190,34 @@ def ca_distributions(grids, ks) -> list[JointDistribution]:
     so each shorter k cuts the history column of those distinct rows and
     sums equal rows, then adds a count of the times before the largest k.
     Every count equals the one ``ca_distribution`` gives.
+
+    Row-sized buffers: the times before the largest k are counted first,
+    each from its own small code buffer. Then the whole batch is packed and
+    the padded stacks are dropped, so the counting sort holds the code
+    buffer and ``_count_codes``'s own buffers alone, as in
+    ``ca_distribution``. The cuts work on distinct rows only.
     """
-    ks = tuple(ks)
+    ks = tuple(map(_check_k, ks))
     if not ks:
         raise ValueError("need at least one history length")
-    stacks = _stacks(grids)
     top = max(ks)
-    full = _count_stacks(stacks, top)
+    stacks = _stacks(grids, top)
+    leading = {k: _count_codes(ca_variables(k), _pack_stacks([cells[:top] for cells in stacks], k))
+               for k in set(ks) - {top}}
+    # The stacks are freed before the sort, and the sorted codes before the
+    # cuts; both are row-sized.
+    codes = _pack_stacks(stacks, top)
+    del stacks
+    full = _count_codes(ca_variables(top), codes)
+    del codes
     out = {top: full}
-    for k in set(ks) - {top}:
+    for k, head in leading.items():
         variables = ca_variables(k)
         codes = full.counts._codes
         # Keep next and the k lowest history bits, and move the sources down.
         cut = (codes & (2 ** (k + 1) - 1)) | (codes >> (top + 1) << (k + 1))
         counts, _ = _grouped([v.arity for v in variables], cut, full.counts.weights)
-        leading = _count_stacks([cells[:top] for cells in stacks], k)
-        out[k] = merge(JointDistribution._from_counts(variables, counts, full.total), leading)
+        out[k] = merge(JointDistribution._from_counts(variables, counts, full.total), head)
     return [out[k] for k in ks]
 
 

@@ -36,7 +36,7 @@ from operator import index
 
 import numpy as np
 
-from .distributions import JointDistribution, history_length, local_mi
+from .distributions import JointDistribution, _dot, history_length, local_mi
 from .lattice import Antichain, RedundancyLattice, build_lattice, source_subset
 
 #: Specific-information gaps at or below this are treated as ties.
@@ -82,7 +82,18 @@ def _node_tables(dist: JointDistribution, node):
 
 
 def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
-    """Specific information per destination outcome; NaN where unobserved."""
+    """Specific information per destination outcome; NaN where unobserved.
+
+    Each (x, a) row of the (x, A) marginal with a positive count adds
+
+        (c_xa / c_x) * (log2(c_xa / c_a) - log2(c_x / total))
+
+    to its outcome's value. Row-sized buffers beyond the marginal's own:
+    grouping the marginal onto A holds its sort temporaries and leaves each
+    row's position in A; then each row's x and c_a, gathered before A is
+    dropped; from there on x and at most two float buffers, in which the
+    terms are evaluated in place, each operation as in the formula.
+    """
     memo = _MEMO.setdefault(dist, {})
     key = ("specinfo", subset)
     if key in memo:
@@ -92,13 +103,27 @@ def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
     arity = dist.variables[xi].arity
     xa = dist.marginal_counts((xi,) + cols)
     j = sorted((xi,) + cols).index(xi)
-    x_of = xa.column(j)
     a, a_of = xa.group([i for i in range(len(cols) + 1) if i != j])
-    c_x = np.bincount(x_of, weights=xa.weights, minlength=arity)
-    live = xa.weights > 0
-    x_of, c_xa, c_a = x_of[live], xa.weights[live], a.weights[a_of[live]]
-    c_x_of = c_x[x_of]
-    terms = (c_xa / c_x_of) * (np.log2(c_xa / c_a) - np.log2(c_x_of / dist.total))
+    x_of, c_xa = xa.column(j), xa.weights
+    c_x = np.bincount(x_of, weights=c_xa, minlength=arity)
+    # Only constructed distributions carry zero weights; those rows drop out.
+    if not (c_xa > 0).all():
+        live = c_xa > 0
+        x_of, c_xa, a_of = x_of[live], c_xa[live], a_of[live]
+    c_a = a.weights[a_of]
+    del a, a_of
+    log_ratio = np.divide(c_xa, c_a)
+    del c_a
+    np.log2(log_ratio, out=log_ratio)
+    buf = np.take(c_x, x_of)
+    buf /= dist.total
+    np.log2(buf, out=buf)
+    log_ratio -= buf
+    # c_x per row is gathered again rather than kept in a third buffer.
+    np.take(c_x, x_of, out=buf)
+    np.divide(c_xa, buf, out=buf)
+    terms = np.multiply(buf, log_ratio, out=log_ratio)
+    del buf
     # Each outcome's terms are added in row order, starting from 0.0.
     table = np.bincount(x_of, weights=terms, minlength=arity)
     table[c_x == 0] = np.nan
@@ -136,7 +161,7 @@ def i_min(dist: JointDistribution, node) -> float:
     tables, c_x = _node_tables(dist, node)
     observed = c_x > 0
     mins = np.min(tables[:, observed], axis=0)
-    return float(np.dot(c_x[observed] / dist.total, mins))
+    return float(_dot(c_x[observed] / dist.total, mins))
 
 
 def argmin_table(dist: JointDistribution, node) -> tuple[np.ndarray, np.ndarray]:

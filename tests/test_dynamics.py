@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -179,6 +180,31 @@ def test_ca_distributions_count_the_batch_once(monkeypatch):
     assert sorted(sizes) == sorted([(2 ** 16, 3 * 9 * 4), (2, 3 * 9 * 15), (16, 3 * 9 * 12)])
 
 
+@pytest.mark.parametrize("count", [lambda grids: ca_distribution(grids, 16),
+                                   lambda grids: ca_distributions(grids, (16, 1))],
+                         ids=["ca_distribution", "ca_distributions"])
+def test_the_counting_sort_holds_only_the_code_buffer(monkeypatch, count):
+    # The padded stacks (one byte per cell, about 30% of the int32 codes
+    # here) are dropped before the whole batch is sorted.
+    grids = run_batch(30, 200, 100, 0, 20)
+    held = []
+
+    def spy(variables, codes):
+        held.append((tracemalloc.get_traced_memory()[0] - start, codes.nbytes))
+        return _count_codes(variables, codes)
+
+    monkeypatch.setattr(dynamics, "_count_codes", spy)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        count(grids)
+    finally:
+        tracemalloc.stop()
+    traced, nbytes = max(held, key=lambda h: h[1])
+    assert nbytes == 84 * 20 * 200 * 4
+    assert traced <= 1.05 * nbytes
+
+
 def test_ca_distributions_validation():
     grid = run(30, 6, 8, seed=0)
     with pytest.raises(ValueError, match="at least one history length"):
@@ -189,6 +215,16 @@ def test_ca_distributions_validation():
         ca_distributions([grid], (2, 0))
     with pytest.raises(ValueError, match="no destinations"):
         ca_distributions([grid], (8, 1))
+    # k is an integer: numpy integers count as one, floats and bools do not.
+    want = ca_distribution([grid], 2)
+    assert_same_distribution(ca_distribution([grid], np.int64(2)), want)
+    assert_same_distribution(ca_distributions([grid], (np.int64(2),))[0], want)
+    assert np.array_equal(ca_samples(grid, np.int64(2)), ca_samples(grid, 2))
+    for k in (2.0, True):
+        for build in (lambda: ca_distribution([grid], k), lambda: ca_distributions([grid], (k, 1)),
+                      lambda: ca_samples(grid, k), lambda: ca_variables(k)):
+            with pytest.raises(ValueError, match=rf"k must be an integer, got {k!r}"):
+                build()
 
 
 @pytest.mark.parametrize("k, packed", [(27, np.int32), (28, np.int32), (29, np.int64)])

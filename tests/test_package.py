@@ -118,6 +118,26 @@ def test_avg_mi_bits_ignore_the_blas_thread_count():
     assert one == fresh_python(AVG_MI, OPENBLAS_NUM_THREADS="2")
 
 
+# 12,000 destination outcomes, nearly all observed, so i_min's final sum
+# over them has more than 10,000 terms.
+I_MIN = """
+import numpy as np
+from synpid.distributions import VariableSpec, count_samples
+from synpid.pid import i_min
+spec = [VariableSpec("x", 12_000, "destination-next"), VariableSpec("a", 4), VariableSpec("b", 4)]
+samples = np.random.default_rng(0).integers(0, [12_000, 4, 4], size=(60_000, 3))
+dist = count_samples(spec, samples)
+assert len(dist.marginal_counts((0,))) > 10_000
+print(i_min(dist, [{1}, {2}]).hex())
+"""
+
+
+@needs_two_cpus
+def test_i_min_bits_ignore_the_blas_thread_count():
+    one = fresh_python(I_MIN, OPENBLAS_NUM_THREADS="1")
+    assert one == fresh_python(I_MIN, OPENBLAS_NUM_THREADS="2")
+
+
 @needs_two_cpus
 def test_cli_report_bytes_ignore_the_blas_thread_count(tmp_path):
     data = np.random.default_rng(0).integers(0, 4, size=(60_000, 4))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,8 @@ from support import gate_distribution, random_distribution, to_prob_table
 from synpid.distributions import (
     JointDistribution, VariableSpec, avg_mi, local_mi,
 )
+from synpid.dynamics import ca_distribution
+from synpid.eca import run_batch
 from synpid.experiments import or_distribution
 from synpid.lattice import Antichain, RedundancyLattice, build_lattice
 from synpid.pid import (
@@ -122,6 +125,19 @@ def test_specinfo_tables_keep_the_accumulation_order():
             for subset in subsets:
                 want = specinfo_reference(dist, subset)
                 assert _specinfo_table(dist, subset).tobytes() == want.tobytes()
+
+
+def test_specinfo_table_keeps_few_row_sized_buffers():
+    # Rule 30 at k=16 has about 190,000 distinct rows here; the bound is in
+    # bytes per row of the (x, A) marginal, the full joint for A = {1, 2, 3}.
+    dist = ca_distribution(run_batch(30, 200, 200, 0, 20), 16)
+    tracemalloc.start()
+    try:
+        _specinfo_table(dist, frozenset({1, 2, 3}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * len(dist)
 
 
 def test_specific_information_errors():
