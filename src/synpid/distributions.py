@@ -174,18 +174,27 @@ def _grouped(arities, codes: np.ndarray, weights: np.ndarray) -> tuple[Marginal,
     Dropping the lowest digits of sorted codes keeps them sorted, and
     dropping the highest leaves a few sorted runs; the stable sort takes
     either in linear time. The sums add each group's weights in row order.
+
+    Row-sized buffers beside ``codes``: the sort order, the ordered codes and
+    a one-byte mask of group starts until the distinct codes are taken;
+    then the order, the group numbers in sorted order and the inverse they
+    are scattered into, which alone is left.
     """
     order = np.argsort(codes, kind="stable")
     ordered = codes[order]
     first = np.empty(len(codes), dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    group = np.cumsum(first)
+    distinct = ordered[first]
+    del ordered
+    group = np.cumsum(first, dtype=np.intp)
+    del first
     group -= 1
     inverse = np.empty(len(codes), dtype=np.intp)
     inverse[order] = group
+    del order, group
     sums = np.bincount(inverse, weights=weights).astype(weights.dtype, copy=False)
-    return Marginal(arities, ordered[first], sums), inverse
+    return Marginal(arities, distinct, sums), inverse
 
 
 class JointDistribution:
@@ -205,12 +214,16 @@ class JointDistribution:
                 raise ValueError(
                     f"sample tuple {key!r} has wrong length, expected {len(variables)}")
             for v, spec in zip(key, variables):
-                if not isinstance(v, (int, np.integer)) or not 0 <= v < spec.arity:
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"symbol {v!r} in {key!r} must be an integer")
+                if not 0 <= v < spec.arity:
                     raise ValueError(
-                        f"symbol {v!r} out of range for variable {spec.name!r} "
+                        f"symbol {v!r} in {key!r} out of range for variable {spec.name!r} "
                         f"(arity {spec.arity})")
-            if not (isinstance(c, (int, float, np.integer, np.floating)) and c >= 0):
-                raise ValueError(f"count for {key!r} must be nonnegative, got {c!r}")
+            if (isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating))
+                    or not 0 <= c < math.inf):
+                raise ValueError(
+                    f"count for {key!r} must be a finite nonnegative number, got {c!r}")
         integral = all(isinstance(c, (int, np.integer)) for c in counts.values())
         arities = [v.arity for v in variables]
         keys = np.array(list(counts), dtype=np.int64).reshape(len(counts), len(variables))
@@ -330,27 +343,44 @@ def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistributi
     return _count_codes(variables, arr @ mults)
 
 
+# Run starts are scanned in blocks of this many sorted codes, so the scan's
+# mask is a fixed size rather than one byte per code.
+_SCAN_BLOCK = 2 ** 16
+
+
 def _count_codes(variables: tuple[VariableSpec, ...], codes: np.ndarray) -> JointDistribution:
     """Tally samples already packed into codes (first variable in the lowest
     digit). ``codes`` is the caller's own 1-D buffer and is sorted in place;
     narrow codes sort faster, and the distinct ones are widened to int64.
 
-    Row-sized buffers beside ``codes``: a one-byte mask of run starts, freed
-    once the starts are found; then only buffers of one int64 per distinct
-    code (the starts, the distinct codes and their counts).
+    No row-sized buffer beside ``codes``: the sorted codes are scanned for
+    run starts in blocks of ``_SCAN_BLOCK``, once to count the starts and
+    once to write them into one int64 buffer, which becomes the counts once
+    the distinct codes are gathered.
     """
     codes.sort()
-    is_start = np.empty(len(codes), dtype=bool)
-    is_start[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=is_start[1:])
-    first = np.flatnonzero(is_start)
-    del is_start
-    counts = np.empty(len(first), dtype=np.int64)
-    np.subtract(first[1:], first[:-1], out=counts[:-1])
-    counts[-1:] = len(codes) - first[-1:]
-    distinct = codes[first].astype(np.int64, copy=False)
+    n = len(codes)
+    mask = np.empty(min(n, _SCAN_BLOCK), dtype=bool)
+
+    def changes(lo: int) -> np.ndarray:
+        """Which of one block of codes, from lo + 1, differ from the code before."""
+        hi = min(lo + _SCAN_BLOCK, n - 1)
+        return np.not_equal(codes[lo + 1:hi + 1], codes[lo:hi], out=mask[:hi - lo])
+
+    blocks = range(0, n - 1, _SCAN_BLOCK)
+    end = min(n, 1)  # the first code, if any, starts the first run
+    starts = np.zeros(end + sum(np.count_nonzero(changes(lo)) for lo in blocks), dtype=np.int64)
+    for lo in blocks:
+        found = np.flatnonzero(changes(lo))
+        found += lo + 1
+        starts[end:end + len(found)] = found
+        end += len(found)
+    distinct = codes[starts].astype(np.int64, copy=False)
+    counts = starts
+    np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+    counts[-1:] = n - counts[-1:]
     return JointDistribution._from_counts(variables, Marginal(
-        [v.arity for v in variables], distinct, counts), float(len(codes)))
+        [v.arity for v in variables], distinct, counts), float(n))
 
 
 def merge(a: JointDistribution, b: JointDistribution) -> JointDistribution:

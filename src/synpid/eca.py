@@ -83,7 +83,9 @@ def run_batch(rule: int, width: int, steps: int,
     flat row: the neighborhood index (2*left + center)*2 + right of every
     position is built with in-place adds, and the next cell is that bit of
     the rule number. The pad cells between runs get junk bits, which the
-    next step's wrap copy overwrites. Each grid's ``cells`` is a read-only,
+    next step's wrap copy overwrites; the last row's are copied after the
+    loop, so the finished ring is a complete padded stack of the runs, the
+    one ``dynamics`` packs codes from. Each grid's ``cells`` is a read-only,
     non-contiguous (steps, width) view of that batch.
     """
     rule = check_rule(rule)
@@ -106,6 +108,8 @@ def run_batch(rule: int, width: int, steps: int,
         nxt = flat[t, 1:-1]
         np.right_shift(rule_bits, hood, out=nxt)
         nxt &= 1
+    row = ring[-1]
+    row[:, 0], row[:, -1] = row[:, -2], row[:, 1]
     ring.setflags(write=False)
     return [SpacetimeGrid(rule, width, steps, int(base_seed + i), ring[:, i, 1:-1])
             for i in range(runs)]

@@ -22,6 +22,8 @@ from operator import index, or_
 
 import numpy as np
 
+from .eca import _integer
+
 #: Largest r built. r = 5 (7,579 nodes) needs ``below`` in CSR form and an
 #: order built in row blocks rather than one dense n x n comparison.
 MAX_SOURCES = 4
@@ -164,9 +166,14 @@ class RedundancyLattice:
         return tuple(zip(lo.tolist(), hi.tolist()))
 
 
-@lru_cache(maxsize=None)
 def build_lattice(r: int) -> RedundancyLattice:
-    """Enumerate and order the lattice for r sources."""
+    """Enumerate and order the lattice for r sources, once per r; an r that
+    is not an integer, a bool among them, is refused."""
+    return _build_lattice(_integer("number of sources r", r))
+
+
+@lru_cache(maxsize=None)
+def _build_lattice(r: int) -> RedundancyLattice:
     if r > MAX_SOURCES:
         raise ValueError(f"r={r} sources exceeds the lattice limit of {MAX_SOURCES}")
     raw = enumerate_antichains(r)

@@ -100,6 +100,8 @@ def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
         return memo[key]
     xi = _destination(dist)
     cols = _source_columns(dist, subset)
+    if dist.total == 0:
+        raise ValueError("empty distribution")
     arity = dist.variables[xi].arity
     xa = dist.marginal_counts((xi,) + cols)
     j = sorted((xi,) + cols).index(xi)

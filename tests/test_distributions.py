@@ -1,5 +1,7 @@
 import math
 import pickle
+import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from support import embed_history, random_distribution, unpack_history
+from synpid import distributions
 from synpid.distributions import (
-    JointDistribution, Marginal, VariableSpec, _count_codes, _dot, _radix_multipliers, avg_mi,
-    count_samples, history_length, local_mi, merge,
+    JointDistribution, Marginal, VariableSpec, _count_codes, _dot, _grouped, _radix_multipliers,
+    avg_mi, count_samples, history_length, local_mi, merge,
 )
 from synpid.dynamics import ca_distribution
 from synpid.eca import run_batch
@@ -103,19 +106,76 @@ def test_count_samples_accepts_arrays():
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([np.int32, np.int64]),
-       st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 1)), max_size=40))
-@example(np.int32, []).via("empty buffer")
-@example(np.int64, [7]).via("one code")
-def test_count_codes_equal_unique_counts(dtype, values):
+       st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 1)), max_size=40),
+       st.sampled_from([1, 2, 3, 7, distributions._SCAN_BLOCK]))
+@example(np.int32, [], 1).via("empty buffer")
+@example(np.int64, [7], 1).via("one code")
+@example(np.int64, [5, 5, 5, 5, 6], 2).via("a run across blocks")
+def test_count_codes_equal_unique_counts(dtype, values, block):
+    # Small scan blocks put run starts at every offset from a block's edges.
     variables = (VariableSpec("a", 2 ** 16), VariableSpec("b", 2 ** 15))
     codes = np.array(values, dtype=dtype)
     ucodes, ucounts = np.unique(codes, return_counts=True)
-    dist = _count_codes(variables, codes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "_SCAN_BLOCK", block)
+        dist = _count_codes(variables, codes)
     assert dist.counts._codes.dtype == dist.counts.weights.dtype == np.int64
     assert np.array_equal(dist.counts._codes, ucodes)
     assert np.array_equal(dist.counts.weights, ucounts)
     assert np.array_equal(dist.counts.symbols, np.stack([ucodes % 2 ** 16, ucodes >> 16], axis=1))
     assert dist.total == float(len(values))
+
+
+def test_count_codes_scans_a_batch_in_several_blocks():
+    codes = np.repeat(np.arange(7, dtype=np.int32), distributions._SCAN_BLOCK // 2 + 1)
+    codes = np.concatenate([codes, np.arange(7, 7 + distributions._SCAN_BLOCK + 3, dtype=np.int32)])
+    ucodes, ucounts = np.unique(codes, return_counts=True)
+    dist = _count_codes((VariableSpec("a", 2 ** 20),), codes[::-1].copy())
+    assert np.array_equal(dist.counts._codes, ucodes)
+    assert np.array_equal(dist.counts.weights, ucounts)
+
+
+@pytest.mark.parametrize("arities, cut", [
+    ([2, 2 ** 16, 2], lambda codes: codes & (2 ** 18 - 1)),
+    ([2, 2, 2], lambda codes: codes & 1 | codes >> 17 << 1),
+], ids=["drop-top", "drop-middle"])
+def test_grouping_keeps_few_row_sized_buffers(arities, cut):
+    # Rule 30 at k=16 has about 190,000 distinct (next, hist, left, right)
+    # rows here; dropping right, or hist, leaves one or two sorted runs of
+    # codes. Beside the codes, the grouping holds at most three 8-byte
+    # buffers and a one-byte mask per row at once, plus the stable sort's
+    # own merge buffer.
+    joint = ca_distribution(run_batch(30, 200, 200, 0, 20), 16).counts
+    codes = cut(joint._codes)
+    tracemalloc.start()
+    try:
+        marginal, inverse = _grouped(arities, codes, joint.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34 * len(joint)
+    assert np.array_equal(marginal._codes, np.unique(codes))
+    assert np.array_equal(marginal._codes[inverse], codes)
+    assert marginal.weights.sum() == joint.weights.sum()
+
+
+def test_joint_distribution_refuses_bools_and_non_finite_counts():
+    v = (VariableSpec("a", 2), VariableSpec("b", 2))
+    for counts, message in [
+        ({(True, 0): 1}, "symbol True in (True, 0) must be an integer"),
+        ({(0, np.False_): 1}, "symbol np.False_ in (0, np.False_) must be an integer"),
+        ({(0, 1.0): 1}, "symbol 1.0 in (0, 1.0) must be an integer"),
+        ({(0, 2): 1}, "symbol 2 in (0, 2) out of range for variable 'b'"),
+        ({(0, 0): True}, "count for (0, 0) must be a finite nonnegative number, got True"),
+        ({(0, 0): np.True_}, "count for (0, 0) must be a finite nonnegative number, got np.True_"),
+        ({(0, 0): math.inf, (1, 0): 1.0}, "count for (0, 0) must be a finite nonnegative number"),
+        ({(1, 0): 1.0, (0, 1): np.float64("nan")}, "count for (0, 1) must be a finite"),
+        ({(0, 0): -1}, "count for (0, 0) must be a finite nonnegative number, got -1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointDistribution(v, counts)
+    dist = JointDistribution(v, {(np.int8(1), 0): np.uint16(2), (0, 1): 0.5})
+    assert dict(dist.counts) == {(0, 1): 0.5, (1, 0): 2.0} and dist.total == 2.5
 
 
 def test_count_samples_rejects_out_of_range():

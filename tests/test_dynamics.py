@@ -180,9 +180,55 @@ def test_ca_distributions_count_the_batch_once(monkeypatch):
     assert sorted(sizes) == sorted([(2 ** 16, 3 * 9 * 4), (2, 3 * 9 * 15), (16, 3 * 9 * 12)])
 
 
-@pytest.mark.parametrize("count", [lambda grids: ca_distribution(grids, 16),
-                                   lambda grids: ca_distributions(grids, (16, 1))],
-                         ids=["ca_distribution", "ca_distributions"])
+def copied(grids):
+    return [SpacetimeGrid(g.rule_number, g.width, g.steps, g.seed, g.cells.copy()) for g in grids]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ring_counts_equal_copied_counts(data):
+    k = data.draw(st.integers(1, 6), label="k")
+    steps, width = data.draw(st.integers(k + 1, k + 8)), data.draw(st.integers(3, 12))
+    runs = data.draw(st.integers(2, 5), label="runs")
+    batch = run_batch(data.draw(st.integers(0, 255)), width, steps,
+                      data.draw(st.integers(0, 2 ** 32 - 1)), runs)
+    ring = batch[0].cells.base
+    lo = data.draw(st.integers(1, runs - 1), label="lo")
+    part = batch[lo:data.draw(st.integers(lo + 1, runs), label="hi")]
+    # A batch and any slice of its runs are packed from the ring itself.
+    for grids in (batch, part):
+        assert np.shares_memory(dynamics._stacks(grids, k)[0], ring)
+        want = ca_distribution(copied(grids), k)
+        assert_same_distribution(ca_distribution(grids, k), want)
+        assert_same_distribution(ca_distribution(data.draw(st.permutations(grids)), k), want)
+    # Views into a 3-D array whose pad columns are not the runs' wrapped
+    # neighbours are copied, as any other grids are.
+    cells = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).integers(
+        0, 2, (steps, runs, width + 2), dtype=np.uint8)
+    cropped = [SpacetimeGrid(0, width, steps, 0, cells[:, i, 1:-1]) for i in range(runs)]
+    assert_same_distribution(ca_distribution(cropped, k), ca_distribution(copied(cropped), k))
+
+
+COUNTS = pytest.mark.parametrize("count", [lambda grids: ca_distribution(grids, 16),
+                                           lambda grids: ca_distributions(grids, (16, 1))],
+                                 ids=["ca_distribution", "ca_distributions"])
+
+
+@COUNTS
+def test_a_batch_is_counted_beside_its_ring_in_its_code_buffer(count):
+    # Neither a padded copy of the ring (30% of the int32 codes here) nor a
+    # one-byte run-start mask per code is made; rule 54 has few distinct rows.
+    grids = run_batch(54, 200, 100, 0, 20)
+    tracemalloc.start()
+    try:
+        count(grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * 84 * 20 * 200 * 4
+
+
+@COUNTS
 def test_the_counting_sort_holds_only_the_code_buffer(monkeypatch, count):
     # The padded stacks (one byte per cell, about 30% of the int32 codes
     # here) are dropped before the whole batch is sorted.

@@ -131,6 +131,13 @@ def test_batch_follows_seed_policy(rule, width, steps, runs, base_seed):
         assert rows[0] == first.tolist()
         for t in range(1, steps):
             assert rows[t] == _oracle_step(rows[t - 1], rule)
+    # The batch is one padded ring whose pad columns, the last row's too,
+    # hold each run's wrapped neighbours.
+    ring = batch[0].cells.base
+    assert ring.shape == (steps, runs, width + 2) and not ring.flags.writeable
+    assert all(np.shares_memory(g.cells, ring[:, i]) for i, g in enumerate(batch))
+    assert np.array_equal(ring[:, :, 0], ring[:, :, width])
+    assert np.array_equal(ring[:, :, width + 1], ring[:, :, 1])
 
 
 def test_pgm_export(tmp_path):

@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import pid_oracle
 from synpid.lattice import (
-    Antichain, below_or_equal, build_lattice,
+    Antichain, _build_lattice, below_or_equal, build_lattice,
     enumerate_antichains, subset_label,
 )
 
@@ -91,7 +92,7 @@ def test_covers_are_minimal():
 
 
 def test_covers_are_computed_on_first_read():
-    lat = build_lattice.__wrapped__(3)
+    lat = _build_lattice.__wrapped__(3)
     assert "covers" not in vars(lat)
     covers = lat.covers
     assert vars(lat)["covers"] is covers is lat.covers
@@ -161,6 +162,13 @@ def test_build_lattice_is_cached():
     assert build_lattice(3) is build_lattice(3)
     with pytest.raises(ValueError):
         build_lattice(0)
+
+
+def test_build_lattice_refuses_an_r_that_is_not_an_integer():
+    assert build_lattice(np.int64(3)) is build_lattice(3)
+    for r in (True, False, 3.0, "3", None):
+        with pytest.raises(ValueError, match=f"sources r must be an integer, got {r!r}"):
+            build_lattice(r)
 
 
 def test_build_lattice_refuses_more_than_four_sources():

@@ -8,9 +8,9 @@ import pytest
 import pid_oracle
 from support import gate_distribution, random_distribution, to_prob_table
 from synpid.distributions import (
-    JointDistribution, VariableSpec, avg_mi, local_mi,
+    JointDistribution, VariableSpec, avg_mi, count_samples, local_mi,
 )
-from synpid.dynamics import ca_distribution
+from synpid.dynamics import ca_distribution, ca_variables
 from synpid.eca import run_batch
 from synpid.experiments import or_distribution
 from synpid.lattice import Antichain, RedundancyLattice, build_lattice
@@ -138,6 +138,16 @@ def test_specinfo_table_keeps_few_row_sized_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 72 * len(dist)
+
+
+def test_pid_refuses_an_empty_distribution():
+    # np.bincount of no rows gives int64 zeros, which cannot be divided in place.
+    dist = count_samples(ca_variables(2), np.empty((0, 4), np.int64))
+    for measure in (lambda: modified_information(dist), lambda: i_min(dist, BOTTOM2),
+                    lambda: argmin_table(dist, BOTTOM2),
+                    lambda: specific_information(dist, 0, {1})):
+        with pytest.raises(ValueError, match="^empty distribution$"):
+            measure()
 
 
 def test_specific_information_errors():
