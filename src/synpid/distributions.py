@@ -126,6 +126,7 @@ class Marginal(Mapping):
                 part *= scale
                 codes += part
             scale *= bounds[hi] // bounds[lo]
+        del part
         return _grouped(self.arities[positions].tolist(), codes, self.weights)
 
     def index(self, rows) -> np.ndarray:

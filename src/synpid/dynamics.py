@@ -39,7 +39,7 @@ from .distributions import (
     JointDistribution, VariableSpec, _count_codes, _grouped, _local_values, _radix_multipliers,
     avg_mi, history_length, local_mi, merge,
 )
-from .eca import SpacetimeGrid, _integer
+from .eca import Batch, SpacetimeGrid, _integer
 
 
 def _check_k(k) -> int:
@@ -130,35 +130,15 @@ def _packed_codes(cells: np.ndarray, k: int, codes: np.ndarray) -> None:
         codes[t - k] = window.reshape(runs, padded)[:, 1:1 + width]
 
 
-def _ring(group) -> np.ndarray | None:
-    """The (steps, n, width + 2) slice of one padded ring whose n runs are
-    the cells of ``group``, in order, if its pad columns hold each run's
-    wrapped neighbours, as a ``run_batch`` ring does; None otherwise."""
-    ring = group[0].base
-    steps, width = group[0].shape
-    if ring is None or ring.ndim != 3 or ring.shape[::2] != (steps, width + 2):
-        return None
-    first, rest = divmod(group[0].__array_interface__["data"][0] - ring.strides[2]
-                         - ring.__array_interface__["data"][0], ring.strides[1])
-    if rest or not 0 <= first <= ring.shape[1] - len(group):
-        return None
-    runs = ring[:, first:first + len(group)]
-    if (all(g.__array_interface__ == runs[:, i, 1:width + 1].__array_interface__
-            for i, g in enumerate(group))
-            and np.array_equal(runs[:, :, 0], runs[:, :, width])
-            and np.array_equal(runs[:, :, width + 1], runs[:, :, 1])):
-        return runs
-    return None
-
-
 def _stacks(grids, k: int) -> list[np.ndarray]:
     """The grids' cells as one time-major (steps, runs, width + 2) stack per
     shape, with a copy of each grid's last column before its first and of
     its first after its last; each stack is checked for a history length
-    ``k``. A shape's grids that are consecutive runs of one such ring, in
-    order, as a ``run_batch`` batch or a slice of it is, are stacked in that
-    ring already, so their stack is a view of it; only other grids are
-    copied."""
+    ``k``. A ``run_batch`` batch is that stack already: its ring is used
+    as it is. Any other sequence of grids is copied, one byte per cell."""
+    if isinstance(grids, Batch):
+        _check_cells(grids.ring, k)
+        return [grids.ring]
     by_shape = {}
     for g in grids:
         by_shape.setdefault(g.cells.shape, []).append(g.cells)
@@ -166,12 +146,10 @@ def _stacks(grids, k: int) -> list[np.ndarray]:
         raise ValueError("need at least one grid")
     stacks = []
     for (steps, width), group in by_shape.items():
-        stack = _ring(group)
-        if stack is None:
-            stack = np.empty((steps, len(group), width + 2), np.result_type(*group))
-            np.stack(group, axis=1, out=stack[:, :, 1:width + 1])
-            stack[:, :, 0] = stack[:, :, width]
-            stack[:, :, width + 1] = stack[:, :, 1]
+        stack = np.empty((steps, len(group), width + 2), np.result_type(*group))
+        np.stack(group, axis=1, out=stack[:, :, 1:width + 1])
+        stack[:, :, 0] = stack[:, :, width]
+        stack[:, :, width + 1] = stack[:, :, 1]
         _check_cells(stack, k)
         stacks.append(stack)
     return stacks
@@ -200,9 +178,9 @@ def ca_distribution(grids, k: int) -> JointDistribution:
     grids, without building the sample matrix. Grids of one shape are
     stacked and packed together.
 
-    Row-sized buffers: the code buffer alone, beside the grids. The
-    consecutive runs of a ``run_batch`` ring are packed from the ring; other
-    grids are copied into padded stacks (one byte per cell), which live only
+    Row-sized buffers: the code buffer alone, beside the grids. A
+    ``run_batch`` batch is packed from its ring; any other sequence of
+    grids is copied into padded stacks (one byte per cell), which live only
     while the codes are packed. ``_count_codes`` sorts the codes in place
     and adds no row-sized buffer.
     """
@@ -221,9 +199,9 @@ def ca_distributions(grids, ks) -> list[JointDistribution]:
 
     Row-sized buffers: the times before the largest k are counted first,
     each from its own small code buffer. Then the whole batch is packed
-    from its ring or its padded stacks, and any stacks are dropped, so the
-    counting sort holds the code buffer alone, as in ``ca_distribution``.
-    The cuts work on distinct rows only.
+    from a ``Batch``'s ring or from copied stacks, and any copies are
+    dropped, so the counting sort holds the code buffer alone, as in
+    ``ca_distribution``. The cuts work on distinct rows only.
     """
     ks = tuple(map(_check_k, ks))
     if not ks:

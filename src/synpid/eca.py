@@ -73,8 +73,24 @@ def run(rule: int, width: int, steps: int, seed: int) -> SpacetimeGrid:
     return run_batch(rule, width, steps, seed, 1)[0]
 
 
-def run_batch(rule: int, width: int, steps: int,
-              base_seed: int, runs: int) -> list[SpacetimeGrid]:
+class Batch(tuple):
+    """The grids of one ``run_batch`` call; a slice of it is a plain tuple.
+
+    ``ring`` is the read-only time-major (steps, runs, width + 2) array
+    whose inner columns the grids' cells are views of; its first and last
+    columns hold each run's wrapped neighbours in every row.
+    """
+
+    def __new__(cls, grids, ring: np.ndarray):
+        batch = super().__new__(cls, grids)
+        batch.ring = ring
+        return batch
+
+    def __getnewargs__(self):
+        return tuple(self), self.ring
+
+
+def run_batch(rule: int, width: int, steps: int, base_seed: int, runs: int) -> Batch:
     """Repeat runs with the fixed seed policy: run i uses base_seed + i.
 
     All runs advance together, one vectorized update per time step, on one
@@ -85,8 +101,9 @@ def run_batch(rule: int, width: int, steps: int,
     the rule number. The pad cells between runs get junk bits, which the
     next step's wrap copy overwrites; the last row's are copied after the
     loop, so the finished ring is a complete padded stack of the runs, the
-    one ``dynamics`` packs codes from. Each grid's ``cells`` is a read-only,
-    non-contiguous (steps, width) view of that batch.
+    one ``dynamics`` packs codes from. It is returned as the batch's
+    ``ring``, and each grid's ``cells`` is a read-only, non-contiguous
+    (steps, width) view of it.
     """
     rule = check_rule(rule)
     width, steps, base_seed, runs = check_batch(width, steps, base_seed, runs)
@@ -111,8 +128,8 @@ def run_batch(rule: int, width: int, steps: int,
     row = ring[-1]
     row[:, 0], row[:, -1] = row[:, -2], row[:, 1]
     ring.setflags(write=False)
-    return [SpacetimeGrid(rule, width, steps, int(base_seed + i), ring[:, i, 1:-1])
-            for i in range(runs)]
+    return Batch((SpacetimeGrid(rule, width, steps, int(base_seed + i), ring[:, i, 1:-1])
+                  for i in range(runs)), ring)
 
 
 def write_pgm(grid: SpacetimeGrid, path) -> None:

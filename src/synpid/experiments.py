@@ -20,7 +20,7 @@ import numpy as np
 from . import eca
 from .distributions import JointDistribution, VariableSpec, _radix_multipliers, count_samples
 from .dynamics import (
-    active_info_storage, ca_distribution, ca_distributions, check_measures, profile,
+    _check_k, active_info_storage, ca_distribution, ca_distributions, check_measures, profile,
     transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from .lattice import MAX_SOURCES, Antichain
@@ -44,13 +44,11 @@ class ExperimentConfig:
         object.__setattr__(self, "rules", tuple(map(eca.check_rule, self.rules)))
         if not self.rules:
             raise ValueError("need at least one rule")
-        for name in ("k", "base_seed"):
-            object.__setattr__(self, name, eca._integer(name, getattr(self, name)))
+        object.__setattr__(self, "k", _check_k(self.k))
+        object.__setattr__(self, "base_seed", eca._integer("base_seed", self.base_seed))
         width, steps, _, runs = eca.check_batch(self.width, self.steps, self.base_seed, self.runs)
         for name, value in (("width", width), ("steps", steps), ("runs", runs)):
             object.__setattr__(self, name, value)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.steps <= self.k:
             raise ValueError(
                 f"steps={self.steps} leaves no destinations after a k={self.k} window")
@@ -227,9 +225,7 @@ class AnalyzeConfig:
     sources: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "k", eca._integer("k", self.k))
-        if self.k < 1:
-            raise ValueError(f"history length k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _check_k(self.k))
         if (not isinstance(self.sources, (tuple, list))
                 or not all(isinstance(s, str) and s for s in self.sources)):
             raise ValueError(f"sources must be a sequence of nonempty names, "

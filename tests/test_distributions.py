@@ -135,21 +135,26 @@ def test_count_codes_scans_a_batch_in_several_blocks():
     assert np.array_equal(dist.counts.weights, ucounts)
 
 
-@pytest.mark.parametrize("arities, cut", [
-    ([2, 2 ** 16, 2], lambda codes: codes & (2 ** 18 - 1)),
-    ([2, 2, 2], lambda codes: codes & 1 | codes >> 17 << 1),
-], ids=["drop-top", "drop-middle"])
-def test_grouping_keeps_few_row_sized_buffers(arities, cut):
+@pytest.mark.parametrize("arities, cut, positions", [
+    ([2, 2 ** 16, 2], lambda codes: codes & (2 ** 18 - 1), None),
+    ([2, 2, 2], lambda codes: codes & 1 | codes >> 17 << 1, None),
+    ([2, 2, 2], lambda codes: codes & 1 | codes >> 17 << 1, [0, 2, 3]),
+], ids=["drop-top", "drop-middle", "group-drop-middle"])
+def test_grouping_keeps_few_row_sized_buffers(arities, cut, positions):
     # Rule 30 at k=16 has about 190,000 distinct (next, hist, left, right)
     # rows here; dropping right, or hist, leaves one or two sorted runs of
     # codes. Beside the codes, the grouping holds at most three 8-byte
     # buffers and a one-byte mask per row at once, plus the stable sort's
-    # own merge buffer.
+    # own merge buffer. ``Marginal.group`` builds the cut codes from two
+    # digit slices here and frees both before grouping.
     joint = ca_distribution(run_batch(30, 200, 200, 0, 20), 16).counts
     codes = cut(joint._codes)
     tracemalloc.start()
     try:
-        marginal, inverse = _grouped(arities, codes, joint.weights)
+        if positions is None:
+            marginal, inverse = _grouped(arities, codes, joint.weights)
+        else:
+            marginal, inverse = joint.group(positions)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

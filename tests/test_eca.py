@@ -124,6 +124,7 @@ def test_batch_follows_seed_policy(rule, width, steps, runs, base_seed):
     for i, grid in enumerate(batch):
         assert (grid.rule_number, grid.width, grid.steps, grid.seed) == (
             rule, width, steps, base_seed + i)
+        assert grid.cells.base is batch.ring
         assert grid.cells.dtype == np.uint8 and not grid.cells.flags.writeable
         assert np.array_equal(grid.cells, run(rule, width, steps, base_seed + i).cells)
         rows = grid.cells.tolist()
@@ -133,7 +134,7 @@ def test_batch_follows_seed_policy(rule, width, steps, runs, base_seed):
             assert rows[t] == _oracle_step(rows[t - 1], rule)
     # The batch is one padded ring whose pad columns, the last row's too,
     # hold each run's wrapped neighbours.
-    ring = batch[0].cells.base
+    ring = batch.ring
     assert ring.shape == (steps, runs, width + 2) and not ring.flags.writeable
     assert all(np.shares_memory(g.cells, ring[:, i]) for i, g in enumerate(batch))
     assert np.array_equal(ring[:, :, 0], ring[:, :, width])

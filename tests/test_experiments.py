@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from support import embed_history
-from synpid import experiments
+from synpid import dynamics, experiments
 from synpid.distributions import VariableSpec, count_samples, history_length
 from synpid.dynamics import ca_distribution, profile, write_profile_csv
-from synpid.eca import run, run_batch
+from synpid.eca import Batch, run, run_batch
 from synpid.experiments import (
     AnalyzeConfig, ExperimentConfig, OR_NODE, export_local_profiles, or_demo_text,
     or_distribution, run_or_demo, run_table1, series_distribution, table1_text,
@@ -182,6 +182,22 @@ def test_export_local_profiles(tmp_path):
             "measures must be a sequence of names, got 'local_ais'")):
         export_local_profiles(54, cfg, "local_ais", tmp_path / "d")
     assert not (tmp_path / "d").exists()
+
+
+def test_pipelines_count_a_batch_from_its_ring(monkeypatch, tmp_path):
+    # A batch handed on as a list of its grids would be copied into padded
+    # stacks, one byte per cell, before it is counted.
+    stacks, packed = dynamics._stacks, []
+
+    def spy(grids, k):
+        out = stacks(grids, k)
+        packed.append(isinstance(grids, Batch) and np.shares_memory(out[0], grids.ring))
+        return out
+
+    monkeypatch.setattr(dynamics, "_stacks", spy)
+    run_table1(SMALL)
+    export_local_profiles(110, SMALL, ("local_ais",), tmp_path)
+    assert packed == [True, True]
 
 
 def test_profiles_display_the_first_pooled_run(tmp_path):
