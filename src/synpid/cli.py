@@ -2,8 +2,9 @@
 
 Settings resolve in priority order: explicit flag, then --config JSON (same
 keys as the flags), then the SYNPID_SEED environment variable for seeds,
-then built-in defaults. Exit codes: 0 success, 2 malformed flags (argparse),
-1 any failure after flag parsing.
+then built-in defaults; one parser per kind of setting reads all three.
+Exit codes: 0 success, 2 malformed flags (argparse), 1 any failure after
+flag parsing.
 """
 
 from __future__ import annotations
@@ -34,129 +35,103 @@ from .lattice import build_lattice
 TABLE1_RULES = (18, 22, 30, 54, 110)
 
 
-def _type_rule(text):
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"rule must be an integer, got {text!r}")
-    try:
-        return eca.check_rule(v)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _type_rules(text):
-    return tuple(_type_rule(part) for part in text.split(","))
-
-
-def _type_positive(text):
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {v}")
-    return v
-
-
-def _type_delta(text):
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"delta must be a number, got {text!r}")
-    try:
-        return check_delta(v)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _type_names(text):
-    parts = tuple(p.strip() for p in text.split(","))
-    if any(not p for p in parts):
-        raise argparse.ArgumentTypeError(f"empty name in list {text!r}")
-    return parts
-
-
-def _config_value(key, value, cast=int):
-    """A config value as ``cast`` (int or float) reads it from a string or a
-    number; booleans, and floats where an int is wanted, are refused."""
-    numbers = (int,) if cast is int else (int, float)
-    if isinstance(value, (str, *numbers)) and not isinstance(value, bool):
+def _number(value, cast=float, kind="a number"):
+    """``cast(value)`` for text or a JSON number; booleans, and floats when
+    ``cast`` is int, are refused."""
+    if isinstance(value, (str, int, cast)) and not isinstance(value, bool):
         try:
             return cast(value)
         except ValueError:
             pass
-    kind = "an integer" if cast is int else "a number"
-    raise ValueError(f"config value {key!r} must be {kind}, got {value!r}")
+    raise ValueError(f"must be {kind}, got {value!r}")
+
+
+def _integer(value) -> int:
+    """An integer from text or a JSON number; booleans and fractions are refused."""
+    return _number(value, int, "an integer")
+
+
+def _integers(value) -> tuple[int, ...]:
+    """Integers from comma-separated text, a JSON list or one JSON number."""
+    parts = value.split(",") if isinstance(value, str) else value
+    return tuple(map(_integer, parts if isinstance(parts, (list, tuple)) else [parts]))
+
+
+def _names(value) -> tuple[str, ...]:
+    """Stripped names from comma-separated text or a JSON list of strings; none may be empty."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or not all(isinstance(p, str) for p in parts):
+        raise ValueError(f"must be a string or a list of strings, got {value!r}")
+    names = tuple(p.strip() for p in parts)
+    if not all(names):
+        raise ValueError(f"must be a list of nonempty names, got {value!r}")
+    return names
+
+
+def _positive(value: int) -> int:
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _flag(parse, check=lambda value: value):
+    """An argparse type: the flag's text read by ``parse`` and passed to
+    ``check``, either of whose ValueErrors makes the flag malformed."""
+    def read(text):
+        try:
+            return check(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
+def _parsed(where: str, parse, value):
+    """``parse(value)``, its ValueError prefixed with where the value came from."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
 
 
 class Settings:
-    """Flag > config-file > environment/default resolution for one command."""
+    """Flag > config-file > environment/default resolution for one command.
+
+    A flag arrives read by its argparse type and a config value is read by the
+    same parser here; a config value's range is left to the library."""
 
     def __init__(self, args):
         self.args = vars(args)
         self.config = {}
         path = self.args.get("config")
         if path:
-            with open(path) as f:
+            with open(path, encoding="utf-8-sig") as f:
                 self.config = json.load(f)
             if not isinstance(self.config, dict):
                 raise ValueError(f"config file {path} must hold a JSON object")
 
-    def get(self, key, default=None):
+    def get(self, key, parse, default=None):
+        """The flag's value, else the config value read by ``parse``, else ``default``."""
         v = self.args.get(key)
-        if v is None:
-            v = self.config.get(key)
+        if v is None and self.config.get(key) is not None:
+            v = _parsed(f"config value {key!r}", parse, self.config[key])
         return default if v is None else v
 
-    def require(self, key):
-        v = self.get(key)
+    def require(self, key, parse):
+        v = self.get(key, parse)
         if v is None:
             raise ValueError(f"missing required setting {key!r} (flag or config)")
         return v
 
-    def integer(self, key, default=None) -> int:
-        """An integer setting; required when it has no default."""
-        return _config_value(key, self.require(key) if default is None
-                             else self.get(key, default))
-
-    def number(self, key, default) -> float:
-        """A numeric setting."""
-        return _config_value(key, self.get(key, default), float)
-
-    def seed(self):
-        if self.get("seed") is not None:
-            return self.integer("seed")
-        v = os.environ.get("SYNPID_SEED", "0")
-        try:
-            return int(v)
-        except ValueError:
-            raise ValueError(f"SYNPID_SEED must be an integer, got {v!r}") from None
-
-    def rules(self, default):
-        v = self.get("rules", default)
-        if isinstance(v, str):
-            v = v.split(",")
-        elif not isinstance(v, (list, tuple)):
-            v = [v]
-        return tuple(_config_value("rules", r) for r in v)
-
-    def names(self, key, default=None):
-        v = self.get(key, default)
-        if v is None:
-            return None
-        if isinstance(v, str):
-            return tuple(p.strip() for p in v.split(","))
-        if not isinstance(v, (list, tuple)) or not all(isinstance(p, str) for p in v):
-            raise ValueError(
-                f"config value {key!r} must be a string or a list of strings, got {v!r}")
-        return tuple(v)
+    def seed(self) -> int:
+        v = self.get("seed", _integer)
+        env = os.environ.get("SYNPID_SEED", "0")
+        return _parsed("SYNPID_SEED", _integer, env) if v is None else v
 
 
 def _write_json(doc, path):
     """Write a JSON report to ``path``, if one is given."""
     if path:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"wrote {path}")
@@ -164,16 +139,16 @@ def _write_json(doc, path):
 
 def _experiment_config(s: Settings, rules) -> ExperimentConfig:
     """Only the settings given reach the config; it holds the defaults."""
-    given = {key: s.integer(key) for key in ("runs", "width", "steps", "k")
-             if s.get(key) is not None}
+    given = {key: v for key in ("runs", "width", "steps", "k")
+             if (v := s.get(key, _integer)) is not None}
     return ExperimentConfig(rules=rules, base_seed=s.seed(), **given)
 
 
 def cmd_ca_run(args) -> int:
     s = Settings(args)
-    rule = s.integer("rule")
-    grid = eca.run(rule, s.integer("width", 200), s.integer("steps", 200), s.seed())
-    out = str(s.require("out"))
+    rule = s.require("rule", _integer)
+    grid = eca.run(rule, s.get("width", _integer, 200), s.get("steps", _integer, 200), s.seed())
+    out = s.require("out", str)
     eca.write_pgm(grid, out + ".pgm")
     eca.write_csv(grid, out + ".csv")
     print(f"wrote {out}.pgm and {out}.csv (rule {rule}, seed {grid.seed})")
@@ -182,28 +157,28 @@ def cmd_ca_run(args) -> int:
 
 def cmd_table1(args) -> int:
     s = Settings(args)
-    config = _experiment_config(s, s.rules(TABLE1_RULES))
+    config = _experiment_config(s, s.get("rules", _integers, TABLE1_RULES))
     report = run_table1(config)
     print(table1_text(report))
-    _write_json(report, s.get("out"))
+    _write_json(report, s.get("out", str))
     return 0
 
 
 def cmd_or_demo(args) -> int:
     s = Settings(args)
-    delta = s.number("delta", 1e-6)
+    delta = s.get("delta", _number, 1e-6)
     report = run_or_demo(delta)
     print(or_demo_text(report))
-    _write_json(report, s.get("out"))
+    _write_json(report, s.get("out", str))
     return 0
 
 
 def cmd_profile(args) -> int:
     s = Settings(args)
-    rule = s.integer("rule")
+    rule = s.require("rule", _integer)
     config = _experiment_config(s, (rule,))
-    measures = s.names("measures", PROFILE_MEASURES)
-    written = export_local_profiles(rule, config, measures, str(s.require("out")))
+    measures = s.get("measures", _names, PROFILE_MEASURES)
+    written = export_local_profiles(rule, config, measures, s.require("out", str))
     for m in measures:
         print(f"{m}: {written[m]['csv']}, {written[m]['pgm']}")
     return 0
@@ -215,7 +190,7 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
     numpy parses the cells. When it refuses them, or would skip a blank
     line, a line-by-line scan names the first bad line.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8-sig") as f:
         text = f.read()
     if not text:
         raise ValueError(f"{path} is empty")
@@ -251,14 +226,14 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
 
 def cmd_analyze(args) -> int:
     s = Settings(args)
-    path = str(s.require("input"))
-    destination = str(s.require("destination"))
-    s.require("sources")
-    config = AnalyzeConfig(s.integer("k", 1), destination, s.names("sources"))
+    path = s.require("input", str)
+    destination = s.require("destination", str)
+    sources = s.require("sources", _names)
+    config = AnalyzeConfig(s.get("k", _integer, 1), destination, sources)
     header, data = _read_csv(path)
     report = {"input": path, **run_analyze(dict(zip(header, data.T)), config)}
-    if s.get("out"):
-        _write_json(report, s.get("out"))
+    if s.get("out", str):
+        _write_json(report, s.get("out", str))
     else:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -267,7 +242,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_lattice(args) -> int:
     s = Settings(args)
-    r = s.integer("sources", 3)
+    r = s.get("sources", _integer, 3)
     lat = build_lattice(r)
     print(f"r={r}: {len(lat.nodes)} nodes, {len(lat.covers)} covering edges")
     print("nodes (redundant to synergistic):")
@@ -282,7 +257,7 @@ def cmd_lattice(args) -> int:
         "r": r,
         "nodes": [n.label for n in lat.nodes],
         "covers": [[lat.nodes[lo].label, lat.nodes[hi].label] for lo, hi in lat.covers],
-    }, s.get("out"))
+    }, s.get("out", str))
     return 0
 
 
@@ -292,28 +267,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information dynamics and synergy-based information "
                     "modification for discrete processes and cellular automata.")
     sub = parser.add_subparsers(dest="command", required=True)
+    rule, positive = _flag(_integer, eca.check_rule), _flag(_integer, _positive)
 
     def common(p):
         p.add_argument("--config", help="JSON file supplying any of this command's settings")
-        p.add_argument("--seed", type=int, help="base seed (default: SYNPID_SEED env, then 0)")
+        p.add_argument("--seed", type=_flag(_integer),
+                       help="base seed (default: SYNPID_SEED env, then 0)")
 
     def batch(p):
         for flag in ("--runs", "--width", "--steps", "--k"):
-            p.add_argument(flag, type=_type_positive)
-        p.add_argument("--threads", type=_type_positive,
+            p.add_argument(flag, type=positive)
+        p.add_argument("--threads", type=positive,
                        help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("ca-run", help="simulate one grid and export PGM + CSV")
     common(p)
-    p.add_argument("--rule", type=_type_rule)
-    p.add_argument("--width", type=_type_positive)
-    p.add_argument("--steps", type=_type_positive)
+    p.add_argument("--rule", type=rule)
+    p.add_argument("--width", type=positive)
+    p.add_argument("--steps", type=positive)
     p.add_argument("--out", help="output path prefix (writes .pgm and .csv)")
     p.set_defaults(func=cmd_ca_run)
 
     p = sub.add_parser("table1", help="hierarchy and modified-information table across rules")
     common(p)
-    p.add_argument("--rules", type=_type_rules,
+    p.add_argument("--rules", type=_flag(_integers, lambda v: tuple(map(eca.check_rule, v))),
                    help=f"comma-separated rules (default {','.join(map(str, TABLE1_RULES))})")
     batch(p)
     p.add_argument("--out", help="write the JSON report here")
@@ -321,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("or-demo", help="localized redundancy across the tilted OR gate")
     common(p)
-    p.add_argument("--delta", type=_type_delta,
+    p.add_argument("--delta", type=_flag(_number, check_delta),
                    help="tilt of the mixed rows (default 1e-6); "
                         "write negatives as --delta=-1e-6")
     p.add_argument("--out", help="write the JSON report here")
@@ -329,10 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="export local-measure spacetime profiles for one rule")
     common(p)
-    p.add_argument("--rule", type=_type_rule)
-    p.add_argument("--measures", type=_type_names,
-                   help="comma-separated subset of "
-                        + ",".join(PROFILE_MEASURES))
+    p.add_argument("--rule", type=rule)
+    p.add_argument("--measures", type=_flag(_names),
+                   help="comma-separated subset of " + ",".join(PROFILE_MEASURES))
     batch(p)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_profile)
@@ -341,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", help="CSV with a header row and integer cells")
     p.add_argument("--destination", help="destination column name")
-    p.add_argument("--sources", type=_type_names, help="comma-separated source column names")
-    p.add_argument("--k", type=_type_positive)
+    p.add_argument("--sources", type=_flag(_names), help="comma-separated source column names")
+    p.add_argument("--k", type=positive)
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lattice", help="print the redundancy lattice for r sources")
     common(p)
-    p.add_argument("--sources", type=_type_positive, help="number of sources r")
+    p.add_argument("--sources", type=positive, help="number of sources r")
     p.add_argument("--out", help="write the JSON description here")
     p.set_defaults(func=cmd_lattice)
 

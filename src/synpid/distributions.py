@@ -39,6 +39,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .eca import _integer
+
 ROLES = ("destination-next", "destination-history", "source")
 
 
@@ -53,8 +55,9 @@ class VariableSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("variable name must be nonempty")
-        if not isinstance(self.arity, int) or self.arity < 2:
-            raise ValueError(f"arity must be an integer >= 2, got {self.arity!r}")
+        object.__setattr__(self, "arity", _integer("arity", self.arity))
+        if self.arity < 2:
+            raise ValueError(f"arity must be >= 2, got {self.arity}")
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
 
@@ -130,15 +133,15 @@ class Marginal(Mapping):
         return _grouped(self.arities[positions].tolist(), codes, self.weights)
 
     def index(self, rows) -> np.ndarray:
-        """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved
-        or not whole (as in a dict, 1.0 finds 1 and 0.5 finds nothing)."""
+        """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved,
+        not whole or not a number (as in a dict: 1.0 finds 1, 0.5 and "1" nothing)."""
         rows = np.asarray(rows)
+        if not len(self._codes) or rows.dtype.kind not in "biuf":
+            return np.full(len(rows), -1)
         if rows.dtype.kind == "f":
             rows = np.where((rows == np.floor(rows)) & (rows >= 0) & (rows < self.arities),
                             rows, -1)
         rows = rows.astype(np.int64, copy=False)
-        if not len(self._codes):
-            return np.full(len(rows), -1)
         codes = rows @ self._mults
         pos = np.searchsorted(self._codes, codes).clip(max=len(self._codes) - 1)
         hit = ((rows >= 0) & (rows < self.arities)).all(axis=1) & (self._codes[pos] == codes)
@@ -196,6 +199,17 @@ def _grouped(arities, codes: np.ndarray, weights: np.ndarray) -> tuple[Marginal,
     del order, group
     sums = np.bincount(inverse, weights=weights).astype(weights.dtype, copy=False)
     return Marginal(arities, distinct, sums), inverse
+
+
+def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct value's first appearance, in order of
+    appearance, and each value's rank in that order. ``np.minimum.at`` finds
+    the first indices without the stable sort of ``return_index``."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    first = np.full(len(distinct), len(values))
+    np.minimum.at(first, inverse, np.arange(len(values)))
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 class JointDistribution:
@@ -469,7 +483,8 @@ def _local_values(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int,
     c_xyc, c_xc, c_yc, c_c = _mi_counts(dist, obs, xs, ys, cs)
 
     def error(i: int) -> ValueError:
-        names = {dist.variables[j].name: obs[i, j].item() for j in sorted(assignment)}
+        row = obs[i].tolist()
+        names = {dist.variables[j].name: row[j] for j in sorted(assignment)}
         return ValueError(f"configuration {names} has zero probability")
 
     with np.errstate(divide="ignore", invalid="ignore"):

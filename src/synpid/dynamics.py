@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    JointDistribution, VariableSpec, _count_codes, _grouped, _local_values, _radix_multipliers,
-    avg_mi, history_length, local_mi, merge,
+    JointDistribution, VariableSpec, _count_codes, _first_seen, _grouped, _local_values,
+    _radix_multipliers, avg_mi, history_length, local_mi, merge,
 )
 from .eca import Batch, SpacetimeGrid, _integer
 
@@ -356,17 +356,6 @@ def check_measures(measures) -> tuple[str, ...]:
     return measures
 
 
-def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of each distinct code's first appearance, in code order,
-    and each code's position among the distinct codes: the ``return_index``
-    and ``return_inverse`` of ``np.unique``, without the stable sort that
-    ``return_index`` costs."""
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    first = np.full(len(distinct), len(codes))
-    np.minimum.at(first, inverse, np.arange(len(codes)))
-    return first, inverse
-
-
 def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str) -> LocalProfile:
     """Evaluate one local measure at every site of ``grid``.
 
@@ -387,9 +376,8 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str) -> Local
                          f"but the distribution's are {dist.variables}")
     samples = ca_samples(grid, k)
     mults = np.array(_radix_multipliers([v.arity for v in dist.variables]), dtype=np.int64)
-    first, inverse = _first_seen(samples @ mults)
-    order = np.argsort(first)
-    rows = samples[first[order]]
+    first, labels = _first_seen(samples @ mults)
+    rows = samples[first]
     if measure == "local_ais":
         local = local_ais(dist, rows[:, 1], rows[:, 0])
     elif measure == "local_separable":
@@ -397,7 +385,7 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str) -> Local
     else:
         local = local_te(dist, measure[len("local_te_"):], (), rows)
     values = np.full(grid.cells.shape, np.nan)
-    values[k:] = local[np.argsort(order)][inverse].reshape(-1, grid.cells.shape[1])
+    values[k:] = local[labels].reshape(-1, grid.cells.shape[1])
     return LocalProfile(measure, k, values)
 
 

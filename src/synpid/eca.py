@@ -145,7 +145,7 @@ def write_pgm(grid: SpacetimeGrid, path) -> None:
 
 def write_csv(grid: SpacetimeGrid, path) -> None:
     """One row per time step, comma-separated bits."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         for row in grid.cells:
             writer.writerow(int(v) for v in row)

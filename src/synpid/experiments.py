@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import eca
-from .distributions import JointDistribution, VariableSpec, _radix_multipliers, count_samples
+from .distributions import (JointDistribution, VariableSpec, _first_seen, _radix_multipliers,
+                            count_samples)
 from .dynamics import (
     _check_k, active_info_storage, ca_distribution, ca_distributions, check_measures, profile,
     transfer_entropy, write_profile_csv, write_profile_pgm,
@@ -260,9 +261,9 @@ def series_distribution(columns: Mapping,
     for name in (config.destination, *config.sources):
         if name not in columns:
             raise ValueError(f"no column named {name!r} (have {sorted(columns)})")
-        values, first, inverse = np.unique(columns[name], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        series[name], alphabets[name] = np.argsort(order)[inverse], values[order].tolist()
+        column = np.asarray(columns[name])
+        first, series[name] = _first_seen(column)
+        alphabets[name] = column[first].tolist()
     for name, alphabet in alphabets.items():
         if len(alphabet) < 2:
             role = "destination" if name == config.destination else "source"

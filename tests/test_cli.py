@@ -411,6 +411,7 @@ def test_analyze_csv_accepts_quotes_spacing_and_line_ends(tmp_path, capsys):
     for name, text in (
         ("plain", "d,u\n" + "".join(f"{a},{b}\n" for a, b in zip(d, u))),
         ("styled", '"d", u \r\n' + "".join(f'"{a}", {b}\t\r\n' for a, b in zip(d, u))[:-2]),
+        ("bom", "\ufeffd,u\n" + "".join(f"{a},{b}\n" for a, b in zip(d, u))),
     ):
         path = tmp_path / f"{name}.csv"
         path.write_bytes(text.encode())
@@ -418,7 +419,7 @@ def test_analyze_csv_accepts_quotes_spacing_and_line_ends(tmp_path, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc.pop("input") == str(path)
         reports.append(doc)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert reports[0]["alphabets"] == {"d": [0, 1], "u": [low, high]}
 
 
@@ -611,6 +612,11 @@ def test_config_file_drives_table1_geometry(tmp_path):
      "'sources' must be a string or a list of strings, got ['s', 2]"),
     # An out-of-range number is refused by the gate's own check, message and all.
     ("or-demo", {"delta": 0.3}, "|delta| must be < 0.25, got 0.3"),
+    # A name list holding an empty name is refused by its flag's parser.
+    ("analyze", {"input": "x.csv", "destination": "d", "sources": "u,"},
+     "'sources' must be a list of nonempty names, got 'u,'"),
+    ("profile", {"rule": 54, "measures": "local_ais,,local_ais"},
+     "'measures' must be a list of nonempty names, got 'local_ais,,local_ais'"),
 ])
 def test_config_integers_name_their_key(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
@@ -624,13 +630,15 @@ def test_config_integers_name_their_key(tmp_path, capsys, command, config, messa
 
 def test_config_integer_strings_equal_integers(tmp_path):
     settings = {"runs": 2, "width": 10, "steps": 8, "k": 2, "seed": 4}
+    flags = ["--rules", "90,30", *(f"--{key}={v}" for key, v in settings.items())]
     reports = []
-    for name, config in (("ints", {**settings, "rules": [90, 30]}),
-                         ("strings", {**{key: str(v) for key, v in settings.items()},
-                                      "rules": ["90", "30"]})):
+    for name, config, argv in (("ints", {**settings, "rules": [90, 30]}, []),
+                               ("strings", {**{key: str(v) for key, v in settings.items()},
+                                            "rules": ["90", "30"]}, []),
+                               ("flags", {}, flags)):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / f"{name}-out.json"
-        assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["table1", "--config", str(cfg), *argv, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]

@@ -14,9 +14,9 @@ from synpid.distributions import (
     JointDistribution, Marginal, VariableSpec, _count_codes, _dot, _grouped, _radix_multipliers,
     avg_mi, count_samples, history_length, local_mi, merge,
 )
-from synpid.dynamics import ca_distribution
+from synpid.dynamics import ca_distribution, local_ais
 from synpid.eca import run_batch
-from synpid.pid import modified_information
+from synpid.pid import local_i_min, modified_information
 
 LOG2_2_3 = math.log2(2 / 3)  # -0.5849625007211562
 OR_MI = 0.3112781244591328
@@ -454,6 +454,21 @@ def test_float_symbols_match_only_whole_values():
         local_mi(dist, {0: np.array([1, 0.5])}, {1: np.array([1, 1])})
 
 
+@pytest.mark.parametrize("key", [("1", 0), ("a", 0), (None, 0), (2 ** 70, 0)])
+def test_symbols_that_are_not_numbers_are_never_counted(key):
+    # As in a dict: ("1", 0) does not find (1, 0), and no key raises but KeyError.
+    counts = or_dist().marginal_counts((0, 1))
+    assert (1, 0) in counts
+    assert key not in counts
+    assert counts.get(key) is None
+    with pytest.raises(KeyError):
+        counts[key]
+    with pytest.raises(ValueError, match="zero probability"):
+        local_ais(ca_distribution(run_batch(30, 16, 30, 1, 2), 1), *key)
+    with pytest.raises(ValueError, match="was never counted"):
+        local_i_min(or_dist(), [{1}, {2}], (*key, 1))
+
+
 def test_pickle_leaves_out_the_memoized_marginals():
     dist = ca_distribution(run_batch(30, 24, 40, 0, 3), 4)
     before = pickle.dumps(dist)
@@ -500,8 +515,11 @@ def test_counted_distributions_keep_integer_counts():
 def test_variable_spec_validation():
     with pytest.raises(ValueError):
         VariableSpec("", 2)
-    with pytest.raises(ValueError):
-        VariableSpec("x", 1)
+    for arity in (1, True, 3.0, "3"):
+        with pytest.raises(ValueError, match="arity must be"):
+            VariableSpec("x", arity)
+    spec = VariableSpec("x", np.int64(3))
+    assert spec == VariableSpec("x", 3) and type(spec.arity) is int
     with pytest.raises(ValueError):
         VariableSpec("x", 2, "sink")
     with pytest.raises(ValueError, match="duplicate"):

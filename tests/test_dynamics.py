@@ -13,8 +13,8 @@ import pid_oracle
 from support import random_distribution, to_prob_table
 from synpid import dynamics
 from synpid.distributions import (
-    JointDistribution, VariableSpec, _count_codes, avg_mi, count_samples, history_length,
-    local_mi, merge,
+    JointDistribution, VariableSpec, _count_codes, _first_seen, avg_mi, count_samples,
+    history_length, local_mi, merge,
 )
 from synpid.dynamics import (
     PROFILE_MEASURES, LocalProfile, active_info_storage, ca_distribution, ca_distributions,
@@ -622,9 +622,11 @@ def test_first_seen_matches_unique_return_index(n, distinct):
     pool = rng.choice(2 ** 40, size=distinct, replace=False)
     codes = rng.permutation(pool) if n == distinct else pool[rng.integers(0, distinct, n)]
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    got_first, got_inverse = dynamics._first_seen(codes)
-    assert np.array_equal(got_first, first)
-    assert np.array_equal(got_inverse, inverse)
+    order = np.argsort(first)
+    got_first, labels = _first_seen(codes)
+    assert np.array_equal(got_first, first[order])
+    assert np.array_equal(labels, np.argsort(order)[inverse])
+    assert np.array_equal(codes[got_first][labels], codes)
 
 
 def test_profile_values_sites_whose_full_configuration_was_never_counted():

@@ -1,6 +1,8 @@
-"""The package root's lazy exports, the BLAS threads of the CLI process, and
-results that do not depend on the BLAS thread count."""
+"""The package root's lazy exports, the BLAS threads of the CLI process,
+results that do not depend on the BLAS thread count, and the CLI's text
+files under an ASCII locale."""
 
+import json
 import os
 import subprocess
 import sys
@@ -148,3 +150,23 @@ def test_cli_report_bytes_ignore_the_blas_thread_count(tmp_path):
     unset = fresh_python(code, str(path))
     assert unset == fresh_python(code, str(path), OPENBLAS_NUM_THREADS="1")
     assert unset == fresh_python(code, str(path), OPENBLAS_NUM_THREADS="2")
+
+
+def test_cli_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, open() with no encoding reads and
+    # writes ASCII; every text file the CLI opens names UTF-8 instead.
+    csv_path, cfg = tmp_path / "in.csv", tmp_path / "cfg.json"
+    csv_path.write_bytes("dé,u\n0,1\n1,0\n1,1\n0,0\n1,1\n0,1\n".encode())
+    cfg.write_bytes('{"destination": "dé", "sources": "u"}'.encode())
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    for argv in (["analyze", "--input", str(csv_path), "--config", str(cfg),
+                  "--out", str(tmp_path / "report.json")],
+                 ["ca-run", "--rule", "30", "--width", "8", "--steps", "6",
+                  "--out", str(tmp_path / "grid")],
+                 ["lattice", "--sources", "2", "--out", str(tmp_path / "lattice.json")]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "synpid.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    report = json.loads((tmp_path / "report.json").read_bytes())
+    assert report["alphabets"] == {"dé": [0, 1], "u": [1, 0]}
