@@ -134,8 +134,15 @@ class Marginal(Mapping):
 
     def index(self, rows) -> np.ndarray:
         """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved,
-        not whole or not a number (as in a dict: 1.0 finds 1, 0.5 and "1" nothing)."""
+        not whole or not a number (as in a dict: 1.0 finds 1, 0.5 and "1" nothing).
+        An object array is judged row by row, as ``get(tuple(row))`` would."""
         rows = np.asarray(rows)
+        if rows.dtype == object:
+            return np.array([self._index(np.asarray([row.tolist()]))[0] for row in rows],
+                            dtype=np.intp)
+        return self._index(rows)
+
+    def _index(self, rows: np.ndarray) -> np.ndarray:
         if not len(self._codes) or rows.dtype.kind not in "biuf":
             return np.full(len(rows), -1)
         if rows.dtype.kind == "f":

@@ -6,10 +6,16 @@ rule number, so neighborhood (1, 1, 1) reads bit 7 and (0, 0, 0) reads bit 0.
 All cells update synchronously and the ring wraps, so cell 0 sees cell
 width-1 as its left neighbor.
 
-Initial rows are drawn i.i.d. uniform over {0, 1}. The generator identity is
-pinned to numpy's default PCG64 (``np.random.default_rng``); changing it
-would silently change every grid, so treat it as part of the on-disk format.
-A repeat batch derives the seed for run i as base_seed + i.
+Initial rows are drawn i.i.d. uniform over {0, 1}. Run i of a batch uses
+seed base_seed + i, and its row is the bits that numpy's
+``np.random.default_rng(seed).integers(0, 2, size=width, dtype=np.uint8)``
+gives: numpy's SeedSequence hashes the seed into a PCG64 (XSL-RR 128/64,
+O'Neill 2014) state, and each cell is the top bit of one output byte.
+``_pcg64_outputs`` computes that stream with Python ints, so the program
+never loads ``numpy.random``, whose ``Generator`` streams numpy may change
+between releases (NEP 19). Changing the draw would silently change every
+grid, so treat it as part of the on-disk format; the tests check it against
+numpy's.
 """
 
 from __future__ import annotations
@@ -46,6 +52,59 @@ def check_batch(width, steps, seed, runs) -> tuple[int, int, int, int]:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return width, steps, seed, runs
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_outputs(seed: int, n: int) -> list[int]:
+    """The first ``n`` 64-bit outputs of ``np.random.PCG64(seed)``.
+
+    numpy's SeedSequence mixes the seed's little-endian 32-bit words into a
+    pool of four words and hashes the pool into four 64-bit words s0..s3.
+    PCG64 seeds its 128-bit LCG with state s0:s1 and increment s2:s3 (made
+    odd); each output steps the LCG and rotates the xor of the state's two
+    halves right by its top six bits (XSL-RR). All sums and products wrap
+    at 32 bits in the pool and at 128 bits in the LCG.
+    """
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * 0x931E8875 & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for s in range(4):
+        for d in range(4):
+            if d != s:
+                pool[d] = mix(pool[d], hashmix(pool[s]))
+    for word in words[4:]:
+        for d in range(4):
+            pool[d] = mix(pool[d], hashmix(word))
+    g, out = 0x8B51F9DD, []
+    for j in range(8):
+        value = pool[j % 4] ^ g
+        g = g * 0x58F38DED & _M32
+        value = value * g & _M32
+        out.append(value ^ value >> 16)
+    s0, s1, s2, s3 = (out[2 * i] | out[2 * i + 1] << 32 for i in range(4))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _M128
+    outputs = []
+    for _ in range(n):
+        state = (state * _PCG64_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        outputs.append((x << 64 | x) >> (state >> 122) & _M64)  # rotate right
+    return outputs
 
 
 @dataclass(frozen=True)
@@ -109,9 +168,12 @@ def run_batch(rule: int, width: int, steps: int, base_seed: int, runs: int) -> B
     width, steps, base_seed, runs = check_batch(width, steps, base_seed, runs)
     rule_bits = np.uint8(rule)
     ring = np.empty((steps, runs, width + 2), dtype=np.uint8)
-    ring[0, :, 1:-1] = [np.random.default_rng(base_seed + i).integers(0, 2, size=width,
-                                                                      dtype=np.uint8)
-                        for i in range(runs)]
+    # Each output gives eight cells, one per little-endian byte: the byte's
+    # top bit, which is integers(0, 2)'s bounded draw from that byte.
+    n = -(-width // 8)
+    draws = np.array([x for i in range(runs) for x in _pcg64_outputs(base_seed + i, n)],
+                     dtype="<u8")
+    np.right_shift(draws.view(np.uint8).reshape(runs, -1)[:, :width], 7, out=ring[0, :, 1:-1])
     flat = ring.reshape(steps, -1)
     hood = np.empty(flat.shape[1] - 2, dtype=np.uint8)
     for t in range(1, steps):

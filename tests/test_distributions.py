@@ -469,6 +469,24 @@ def test_symbols_that_are_not_numbers_are_never_counted(key):
         local_i_min(or_dist(), [{1}, {2}], (*key, 1))
 
 
+def test_object_rows_are_judged_one_by_one():
+    # One foreign symbol leaves the other rows of an object array findable.
+    dist = JointDistribution((VariableSpec("a", 2, "destination-next"), VariableSpec("b", 2)),
+                             {(0, 0): 1, (1, 0): 2, (1, 1): 1})
+    counts = dist.counts
+    rows = [[1, 0], [1, 1], [2 ** 70, 0], ["1", 0], [None, 0], [1.0, 0], [0.5, 1]]
+    found = counts.index(np.array(rows, dtype=object)).tolist()
+    assert found == [1, 2, -1, -1, -1, 1, -1]
+    assert found == [-1 if counts.get(tuple(row)) is None else counts.index([row])[0]
+                     for row in rows]
+    assert counts.index(np.empty((0, 2), dtype=object)).tolist() == []
+    with pytest.raises(ValueError, match=re.escape(
+            "configuration {'a': 1180591620717411303424, 'b': 0} has zero probability")):
+        local_mi(dist, {0: np.array([1, 2 ** 70], dtype=object)}, {1: np.array([0, 0])})
+    assert local_mi(dist, {0: np.array([1, 1], dtype=object)}, {1: np.array([0, 1])}).tolist() \
+        == local_mi(dist, {0: np.array([1, 1])}, {1: np.array([0, 1])}).tolist()
+
+
 def test_pickle_leaves_out_the_memoized_marginals():
     dist = ca_distribution(run_batch(30, 24, 40, 0, 3), 4)
     before = pickle.dumps(dist)

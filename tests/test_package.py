@@ -1,6 +1,6 @@
-"""The package root's lazy exports, the BLAS threads of the CLI process,
-results that do not depend on the BLAS thread count, and the CLI's text
-files under an ASCII locale."""
+"""The package root's lazy exports, the modules and BLAS threads of the CLI
+process, results that do not depend on the BLAS thread count, and the CLI's
+text files under an ASCII locale."""
 
 import json
 import os
@@ -51,6 +51,25 @@ def test_import_loads_no_numpy_and_sets_no_blas_variable():
     code = ("import os, sys, synpid; print('numpy' in sys.modules); "
             "from synpid import *; print('OPENBLAS_NUM_THREADS' in os.environ)")
     assert fresh_python(code) == ["False", "False"]
+
+
+# eca draws the initial rows itself, so no command loads numpy.random, nor
+# the secrets and hashlib (OpenSSL) modules that numpy.random imports.
+DRAW_MODULES = """
+import sys, synpid.cli
+out = sys.argv[1]
+for argv in (["ca-run", "--rule", "30", "--width", "8", "--steps", "6", "--out", out + "/grid"],
+             ["table1", "--rules", "30,54", "--runs", "2", "--width", "16", "--steps", "20",
+              "--k", "2", "--out", out + "/table1.json"],
+             ["profile", "--rule", "54", "--runs", "2", "--width", "16", "--steps", "20",
+              "--k", "2", "--out", out + "/profile"]):
+    assert synpid.cli.main(argv) == 0, argv
+print(*(name in sys.modules for name in ("numpy.random", "secrets", "hashlib")))
+"""
+
+
+def test_cli_commands_load_no_random_module(tmp_path):
+    assert fresh_python(DRAW_MODULES, str(tmp_path))[-3:] == ["False", "False", "False"]
 
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
