@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Settings resolve in priority order: explicit flag, then --config JSON (same
-keys as the flags), then the SYNPID_SEED environment variable for seeds,
-then built-in defaults; one parser per kind of setting reads all three.
+One table per command declares its settings, in flag order: each one's
+parser, the flag's extra check, its default and its help. The table builds
+the flags and resolves each setting before any work starts, in priority
+order: explicit flag, then --config JSON (keys are the command's settings,
+plus seed; any other key is refused), then the default. The default seed of
+the commands that draw grids is the SYNPID_SEED environment variable, then 0.
 Exit codes: 0 success, 2 malformed flags (argparse), 1 any failure after
 flag parsing.
 """
@@ -93,39 +96,42 @@ def _parsed(where: str, parse, value):
         raise ValueError(f"{where} {exc}") from None
 
 
-class Settings:
-    """Flag > config-file > environment/default resolution for one command.
+REQUIRED = object()  # the default of a setting that a flag or the config must give
 
-    A flag arrives read by its argparse type and a config value is read by the
-    same parser here; a config value's range is left to the library."""
 
-    def __init__(self, args):
-        self.args = vars(args)
-        self.config = {}
-        path = self.args.get("config")
-        if path:
-            with open(path, encoding="utf-8-sig") as f:
-                self.config = json.load(f)
-            if not isinstance(self.config, dict):
-                raise ValueError(f"config file {path} must hold a JSON object")
+def _env_seed() -> int:
+    """The seed when neither flag nor config gives one: SYNPID_SEED, then 0."""
+    return _parsed("SYNPID_SEED", _integer, os.environ.get("SYNPID_SEED", "0"))
 
-    def get(self, key, parse, default=None):
-        """The flag's value, else the config value read by ``parse``, else ``default``."""
-        v = self.args.get(key)
-        if v is None and self.config.get(key) is not None:
-            v = _parsed(f"config value {key!r}", parse, self.config[key])
-        return default if v is None else v
 
-    def require(self, key, parse):
-        v = self.get(key, parse)
+def _resolve(args, settings) -> dict:
+    """Each of the command's settings: its flag, else its config value read by
+    its parser, else its default (called, if it is a function).
+
+    A flag arrives read by its argparse type; a config value's range is left
+    to the library. A config key that is no setting of the command is refused.
+    """
+    config = {}
+    if args.config:
+        with open(args.config, encoding="utf-8-sig") as f:
+            config = json.load(f)
+        if not isinstance(config, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    for key in config:
+        if key not in settings and key != "seed":
+            raise ValueError(f"config key {key!r} is not a setting of {args.command} "
+                             f"(settings: {', '.join({'seed': 0, **settings})})")
+    values = {}
+    for key, (parse, _, default, _) in settings.items():
+        v = getattr(args, key)
+        if v is None and config.get(key) is not None:
+            v = _parsed(f"config value {key!r}", parse, config[key])
         if v is None:
-            raise ValueError(f"missing required setting {key!r} (flag or config)")
-        return v
-
-    def seed(self) -> int:
-        v = self.get("seed", _integer)
-        env = os.environ.get("SYNPID_SEED", "0")
-        return _parsed("SYNPID_SEED", _integer, env) if v is None else v
+            if default is REQUIRED:
+                raise ValueError(f"missing required setting {key!r} (flag or config)")
+            v = default() if callable(default) else default
+        values[key] = v
+    return values
 
 
 def _write_json(doc, path):
@@ -137,48 +143,37 @@ def _write_json(doc, path):
         print(f"wrote {path}")
 
 
-def _experiment_config(s: Settings, rules) -> ExperimentConfig:
+def _experiment_config(rules, seed, geometry) -> ExperimentConfig:
     """Only the settings given reach the config; it holds the defaults."""
-    given = {key: v for key in ("runs", "width", "steps", "k")
-             if (v := s.get(key, _integer)) is not None}
-    return ExperimentConfig(rules=rules, base_seed=s.seed(), **given)
+    given = {key: v for key, v in geometry.items() if v is not None}
+    return ExperimentConfig(rules=rules, base_seed=seed, **given)
 
 
-def cmd_ca_run(args) -> int:
-    s = Settings(args)
-    rule = s.require("rule", _integer)
-    grid = eca.run(rule, s.get("width", _integer, 200), s.get("steps", _integer, 200), s.seed())
-    out = s.require("out", str)
+def cmd_ca_run(seed, rule, width, steps, out) -> int:
+    grid = eca.run(rule, width, steps, seed)
     eca.write_pgm(grid, out + ".pgm")
     eca.write_csv(grid, out + ".csv")
     print(f"wrote {out}.pgm and {out}.csv (rule {rule}, seed {grid.seed})")
     return 0
 
 
-def cmd_table1(args) -> int:
-    s = Settings(args)
-    config = _experiment_config(s, s.get("rules", _integers, TABLE1_RULES))
-    report = run_table1(config)
+def cmd_table1(seed, rules, threads, out, **geometry) -> int:
+    report = run_table1(_experiment_config(rules, seed, geometry))
     print(table1_text(report))
-    _write_json(report, s.get("out", str))
+    _write_json(report, out)
     return 0
 
 
-def cmd_or_demo(args) -> int:
-    s = Settings(args)
-    delta = s.get("delta", _number, 1e-6)
+def cmd_or_demo(delta, out) -> int:
     report = run_or_demo(delta)
     print(or_demo_text(report))
-    _write_json(report, s.get("out", str))
+    _write_json(report, out)
     return 0
 
 
-def cmd_profile(args) -> int:
-    s = Settings(args)
-    rule = s.require("rule", _integer)
-    config = _experiment_config(s, (rule,))
-    measures = s.get("measures", _names, PROFILE_MEASURES)
-    written = export_local_profiles(rule, config, measures, s.require("out", str))
+def cmd_profile(seed, rule, measures, threads, out, **geometry) -> int:
+    config = _experiment_config((rule,), seed, geometry)
+    written = export_local_profiles(rule, config, measures, out)
     for m in measures:
         print(f"{m}: {written[m]['csv']}, {written[m]['pgm']}")
     return 0
@@ -224,25 +219,20 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
     raise ValueError(f"{path}: {reason}")
 
 
-def cmd_analyze(args) -> int:
-    s = Settings(args)
-    path = s.require("input", str)
-    destination = s.require("destination", str)
-    sources = s.require("sources", _names)
-    config = AnalyzeConfig(s.get("k", _integer, 1), destination, sources)
-    header, data = _read_csv(path)
-    report = {"input": path, **run_analyze(dict(zip(header, data.T)), config)}
-    if s.get("out", str):
-        _write_json(report, s.get("out", str))
+def cmd_analyze(input, destination, sources, k, out) -> int:
+    config = AnalyzeConfig(k, destination, sources)
+    header, data = _read_csv(input)
+    report = {"input": input, **run_analyze(dict(zip(header, data.T)), config)}
+    if out:
+        _write_json(report, out)
     else:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         print()
     return 0
 
 
-def cmd_lattice(args) -> int:
-    s = Settings(args)
-    r = s.get("sources", _integer, 3)
+def cmd_lattice(sources, out) -> int:
+    r = sources
     lat = build_lattice(r)
     print(f"r={r}: {len(lat.nodes)} nodes, {len(lat.covers)} covering edges")
     print("nodes (redundant to synergistic):")
@@ -257,8 +247,54 @@ def cmd_lattice(args) -> int:
         "r": r,
         "nodes": [n.label for n in lat.nodes],
         "covers": [[lat.nodes[lo].label, lat.nodes[hi].label] for lo, hi in lat.covers],
-    }, s.get("out", str))
+    }, out)
     return 0
+
+
+# Each command's settings in flag order, name: (parser, the flag's extra check,
+# default, help). The parser reads both the flag's text and a config value.
+SEED = (_integer, None, _env_seed, "base seed (default: SYNPID_SEED env, then 0)")
+RULE = (_integer, eca.check_rule, REQUIRED, None)
+REPORT = (str, None, None, "write the JSON report here")
+BATCH = {key: (_integer, _positive, None, None) for key in ("runs", "width", "steps", "k")}
+BATCH["threads"] = (_integer, _positive, None, "accepted for compatibility; has no effect")
+
+COMMANDS = {
+    "ca-run": (cmd_ca_run, "simulate one grid and export PGM + CSV", {
+        "seed": SEED, "rule": RULE,
+        "width": (_integer, _positive, 200, None),
+        "steps": (_integer, _positive, 200, None),
+        "out": (str, None, REQUIRED, "output path prefix (writes .pgm and .csv)"),
+    }),
+    "table1": (cmd_table1, "hierarchy and modified-information table across rules", {
+        "seed": SEED,
+        "rules": (_integers, lambda v: tuple(map(eca.check_rule, v)), TABLE1_RULES,
+                  f"comma-separated rules (default {','.join(map(str, TABLE1_RULES))})"),
+        **BATCH, "out": REPORT,
+    }),
+    "or-demo": (cmd_or_demo, "localized redundancy across the tilted OR gate", {
+        "delta": (_number, check_delta, 1e-6, "tilt of the mixed rows (default 1e-6); "
+                                              "write negatives as --delta=-1e-6"),
+        "out": REPORT,
+    }),
+    "profile": (cmd_profile, "export local-measure spacetime profiles for one rule", {
+        "seed": SEED, "rule": RULE,
+        "measures": (_names, None, PROFILE_MEASURES,
+                     "comma-separated subset of " + ",".join(PROFILE_MEASURES)),
+        **BATCH, "out": (str, None, REQUIRED, "output directory"),
+    }),
+    "analyze": (cmd_analyze, "measures and decomposition for a CSV of time series", {
+        "input": (str, None, REQUIRED, "CSV with a header row and integer cells"),
+        "destination": (str, None, REQUIRED, "destination column name"),
+        "sources": (_names, None, REQUIRED, "comma-separated source column names"),
+        "k": (_integer, _positive, 1, None),
+        "out": (str, None, None, "write the JSON report here (default: stdout)"),
+    }),
+    "lattice": (cmd_lattice, "print the redundancy lattice for r sources", {
+        "sources": (_integer, _positive, 3, "number of sources r"),
+        "out": (str, None, None, "write the JSON description here"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,74 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information dynamics and synergy-based information "
                     "modification for discrete processes and cellular automata.")
     sub = parser.add_subparsers(dest="command", required=True)
-    rule, positive = _flag(_integer, eca.check_rule), _flag(_integer, _positive)
-
-    def common(p):
+    for command, (_, summary, settings) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON file supplying any of this command's settings")
-        p.add_argument("--seed", type=_flag(_integer),
-                       help="base seed (default: SYNPID_SEED env, then 0)")
-
-    def batch(p):
-        for flag in ("--runs", "--width", "--steps", "--k"):
-            p.add_argument(flag, type=positive)
-        p.add_argument("--threads", type=positive,
-                       help="accepted for compatibility; has no effect")
-
-    p = sub.add_parser("ca-run", help="simulate one grid and export PGM + CSV")
-    common(p)
-    p.add_argument("--rule", type=rule)
-    p.add_argument("--width", type=positive)
-    p.add_argument("--steps", type=positive)
-    p.add_argument("--out", help="output path prefix (writes .pgm and .csv)")
-    p.set_defaults(func=cmd_ca_run)
-
-    p = sub.add_parser("table1", help="hierarchy and modified-information table across rules")
-    common(p)
-    p.add_argument("--rules", type=_flag(_integers, lambda v: tuple(map(eca.check_rule, v))),
-                   help=f"comma-separated rules (default {','.join(map(str, TABLE1_RULES))})")
-    batch(p)
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("or-demo", help="localized redundancy across the tilted OR gate")
-    common(p)
-    p.add_argument("--delta", type=_flag(_number, check_delta),
-                   help="tilt of the mixed rows (default 1e-6); "
-                        "write negatives as --delta=-1e-6")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_or_demo)
-
-    p = sub.add_parser("profile", help="export local-measure spacetime profiles for one rule")
-    common(p)
-    p.add_argument("--rule", type=rule)
-    p.add_argument("--measures", type=_flag(_names),
-                   help="comma-separated subset of " + ",".join(PROFILE_MEASURES))
-    batch(p)
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("analyze", help="measures and decomposition for a CSV of time series")
-    common(p)
-    p.add_argument("--input", help="CSV with a header row and integer cells")
-    p.add_argument("--destination", help="destination column name")
-    p.add_argument("--sources", type=_flag(_names), help="comma-separated source column names")
-    p.add_argument("--k", type=positive)
-    p.add_argument("--out", help="write the JSON report here (default: stdout)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("lattice", help="print the redundancy lattice for r sources")
-    common(p)
-    p.add_argument("--sources", type=positive, help="number of sources r")
-    p.add_argument("--out", help="write the JSON description here")
-    p.set_defaults(func=cmd_lattice)
-
+        # Every command takes --seed; those that draw no grid never read it.
+        for key, (parse, check, _, text) in {"seed": SEED, **settings}.items():
+            p.add_argument("--" + key, type=_flag(parse, check) if check else _flag(parse),
+                           help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    func, _, settings = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return func(**_resolve(args, settings))
     except Exception as exc:
         print(f"synpid: error: {exc}", file=sys.stderr)
         return 1

@@ -13,9 +13,9 @@ have two or more members, i.e. information first appearing only in joint
 source variables.
 
 Conventions, fixed across the module:
-- The destination is the variable with role "destination-next". Sources
-  A_1..A_r are the remaining variables in declared order, so in the usual
-  (next, hist, left, right) layout the k-step history is A_1.
+- The destination is the variable with role "destination-next". Source
+  A_1 is the k-step history, if the distribution has one, and the remaining
+  variables follow in declared order, wherever the history is declared.
 - A node's subsets are kept in canonical order (size, then members). Where
   a localized value needs one minimizing subset, ties within 1e-12 go to
   the lowest subset index and are flagged, never hidden.
@@ -51,10 +51,17 @@ def _destination(dist: JointDistribution) -> int:
     return dist.index_of_role("destination-next")
 
 
-def _source_columns(dist: JointDistribution, subset) -> tuple[int, ...]:
-    """Map 1-based source indices to distribution columns."""
+def _sources(dist: JointDistribution) -> list[int]:
+    """The columns of sources A_1..A_r: the history first, if there is one,
+    then the other variables in declared order."""
     xi = _destination(dist)
     others = [i for i in range(len(dist.variables)) if i != xi]
+    return sorted(others, key=lambda i: dist.variables[i].role != "destination-history")
+
+
+def _source_columns(dist: JointDistribution, subset) -> tuple[int, ...]:
+    """Map 1-based source indices to distribution columns."""
+    others = _sources(dist)
     for i in sorted(subset):
         if not 1 <= i <= len(others):
             raise ValueError(
@@ -256,12 +263,9 @@ def modified_information(dist: JointDistribution) -> PidDecomposition:
     The history variable is required and acts as source A_1; the remaining
     sources follow in declared order. k is read from the history's arity.
     """
-    xi = _destination(dist)
-    hi = dist.index_of_role("destination-history")
     k = history_length(dist)
-    declared = [dist.variables[i].name for i in range(len(dist.variables))
-                if i != xi and i != hi]
-    r = 1 + len(declared)
+    names = tuple(dist.variables[i].name for i in _sources(dist))
+    r = len(names)
     lattice = build_lattice(r)
     i_cap, i_partial = partial_terms(dist, lattice)
     hierarchy = {o: 0.0 for o in range(1, r + 1)}
@@ -276,7 +280,7 @@ def modified_information(dist: JointDistribution) -> PidDecomposition:
         i_cap=i_cap,
         i_partial=i_partial,
         k=k,
-        source_names=(dist.variables[hi].name, *declared),
+        source_names=names,
         total=float(i_cap[-1]),
         m_x=m_x,
         hierarchy=hierarchy,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -137,6 +138,48 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     cfg.write_text("[1, 2, 3]")
     assert main(["or-demo", "--config", str(cfg)]) == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+CONFIG_HELP = "JSON file supplying any of this command's settings"
+SEED_HELP = "base seed (default: SYNPID_SEED env, then 0)"
+REPORT_HELP = "write the JSON report here"
+BATCH_FLAGS = [("--runs", None), ("--width", None), ("--steps", None), ("--k", None),
+               ("--threads", "accepted for compatibility; has no effect")]
+
+
+def test_each_command_keeps_its_flags_in_order():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        ("ca-run", "simulate one grid and export PGM + CSV"),
+        ("table1", "hierarchy and modified-information table across rules"),
+        ("or-demo", "localized redundancy across the tilted OR gate"),
+        ("profile", "export local-measure spacetime profiles for one rule"),
+        ("analyze", "measures and decomposition for a CSV of time series"),
+        ("lattice", "print the redundancy lattice for r sources"),
+    ]
+    flags = {command: [(a.option_strings[-1], a.help) for a in p._actions[1:]]
+             for command, p in sub.choices.items()}
+    common = [("--config", CONFIG_HELP), ("--seed", SEED_HELP)]
+    assert flags == {
+        "ca-run": [*common, ("--rule", None), ("--width", None), ("--steps", None),
+                   ("--out", "output path prefix (writes .pgm and .csv)")],
+        "table1": [*common, ("--rules", "comma-separated rules (default 18,22,30,54,110)"),
+                   *BATCH_FLAGS, ("--out", REPORT_HELP)],
+        "or-demo": [*common, ("--delta", "tilt of the mixed rows (default 1e-6); "
+                                         "write negatives as --delta=-1e-6"),
+                    ("--out", REPORT_HELP)],
+        "profile": [*common, ("--rule", None),
+                    ("--measures", "comma-separated subset of local_ais,local_te_left,"
+                                   "local_te_right,local_separable"),
+                    *BATCH_FLAGS, ("--out", "output directory")],
+        "analyze": [*common, ("--input", "CSV with a header row and integer cells"),
+                    ("--destination", "destination column name"),
+                    ("--sources", "comma-separated source column names"), ("--k", None),
+                    ("--out", "write the JSON report here (default: stdout)")],
+        "lattice": [*common, ("--sources", "number of sources r"),
+                    ("--out", "write the JSON description here")],
+    }
 
 
 # -- ca-run ------------------------------------------------------------------
@@ -642,3 +685,51 @@ def test_config_integer_strings_equal_integers(tmp_path):
         assert main(["table1", "--config", str(cfg), *argv, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("or-demo", {"detla": 0.1}, "detla"),
+    ("table1", {"rules": [30], "run": 2}, "run"),
+    ("lattice", {"config": "other.json"}, "config"),
+    ("analyze", {"input": "x.csv", "destination": "d", "sources": "s", "delta": 0.1}, "delta"),
+])
+def test_config_keys_must_be_settings(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"synpid: error: config key {key!r} is not a setting "
+                                   f"of {command} (settings: seed, ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_seed_in_the_config_is_a_setting_of_every_command(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "sources": 2}))
+    assert main(["lattice", "--config", str(cfg)]) == 0
+
+
+def test_ca_run_without_out_fails_before_it_simulates(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.eca, "run_batch", lambda *args: calls.append(args))
+    assert main(["ca-run", "--rule", "110"]) == 1
+    assert capsys.readouterr().err == ("synpid: error: missing required setting 'out' "
+                                       "(flag or config)\n")
+    assert calls == []
+
+
+def test_only_commands_that_draw_grids_read_synpid_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYNPID_SEED", "abc")
+    series = tmp_path / "series.csv"
+    write_csv(series, {"d": [0, 1, 1, 0, 1, 0], "u": [1, 1, 0, 0, 1, 0]})
+    for argv in (["or-demo"],
+                 ["analyze", "--input", str(series), "--destination", "d", "--sources", "u"],
+                 ["lattice", "--sources", "2"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for argv in (["ca-run", "--rule", "30"], ["table1"], ["profile", "--rule", "54"]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1, argv
+        assert capsys.readouterr().err == (
+            "synpid: error: SYNPID_SEED must be an integer, got 'abc'\n")
+    assert not (tmp_path / "out").exists()

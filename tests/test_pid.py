@@ -467,6 +467,23 @@ def test_decomposition_report_shape():
     assert report["m_x"] == pytest.approx(1.0)
 
 
+def test_history_is_source_one_in_any_declared_order():
+    """The history is A_1 and the other sources follow in declared order,
+    wherever the history is declared."""
+    dist = ca_distribution(run_batch(54, 16, 20, 0, 2), 2)  # (next, hist, left, right)
+    order = (0, 2, 1, 3)                                     # (next, left, hist, right)
+    moved = JointDistribution([dist.variables[i] for i in order],
+                              {tuple(key[i] for i in order): c for key, c in dist.counts.items()})
+    report = decomposition_report(modified_information(dist))
+    other = decomposition_report(modified_information(moved))
+    assert other["sources"] == report["sources"] == ["hist", "left", "right"]
+    assert [n["antichain"] for n in other["nodes"]] == [n["antichain"] for n in report["nodes"]]
+    for key in ("i_cap", "i_partial"):
+        assert [n[key] for n in other["nodes"]] == pytest.approx(
+            [n[key] for n in report["nodes"]], abs=1e-12)
+    assert other["m_x"] == pytest.approx(report["m_x"], abs=1e-12)
+
+
 def test_i_partial_nonnegative_on_random_counts():
     rng = np.random.default_rng(47)
     lat = build_lattice(2)
