@@ -219,7 +219,8 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
 class AnalyzeConfig:
     """The columns of one series analysis, checked before any data is read:
     a history length, a destination and distinct named sources, at least
-    one and few enough for the redundancy lattice."""
+    one and few enough for the redundancy lattice. No source may take the
+    destination's name or its history's, ``<destination>_hist``."""
 
     k: int
     destination: str
@@ -227,6 +228,8 @@ class AnalyzeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _check_k(self.k))
+        if not isinstance(self.destination, str) or not self.destination:
+            raise ValueError(f"destination must be a nonempty name, got {self.destination!r}")
         if (not isinstance(self.sources, (tuple, list))
                 or not all(isinstance(s, str) and s for s in self.sources)):
             raise ValueError(f"sources must be a sequence of nonempty names, "
@@ -237,6 +240,9 @@ class AnalyzeConfig:
                              "names must be distinct")
         if len(set(self.sources)) != len(self.sources):
             raise ValueError(f"duplicate source names: {self.sources}")
+        if self.destination + "_hist" in self.sources:
+            raise ValueError(f"source name {self.destination + '_hist'!r} is taken by "
+                             "the destination's history")
         r = 1 + len(self.sources)
         if r == 1:
             raise ValueError("need at least one source column")

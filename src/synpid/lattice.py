@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations
-from operator import index, or_
+from operator import or_
 
 import numpy as np
 
@@ -36,11 +36,11 @@ def subset_label(s) -> str:
 def source_subset(members) -> frozenset:
     """``members`` as a nonempty frozenset of 1-based source indices.
 
-    Only integers are indices: a float such as 1.5 is refused, not truncated.
+    Only integers are indices: a float such as 1.5 or a bool is refused.
     """
     try:
-        subset = frozenset(map(index, members))
-    except TypeError:
+        subset = frozenset(_integer("source index", i) for i in members)
+    except (TypeError, ValueError):
         raise ValueError(f"source indices must be integers, got {members!r}") from None
     if not subset:
         raise ValueError("source subsets must be nonempty")

@@ -30,21 +30,16 @@ source weights.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
-from operator import index
 
 import numpy as np
 
 from .distributions import JointDistribution, _dot, history_length, local_mi
+from .eca import _integer
 from .lattice import Antichain, RedundancyLattice, build_lattice, source_subset
 
 #: Specific-information gaps at or below this are treated as ties.
 TIE_TOLERANCE = 1e-12
-
-# Specinfo tables and partial terms per distribution. Distributions are
-# immutable, so entries never go stale; they are dropped with the distribution.
-_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _destination(dist: JointDistribution) -> int:
@@ -78,9 +73,9 @@ def _normalize_subsets(node) -> tuple[frozenset, ...]:
     return subsets
 
 
-def _node_tables(dist: JointDistribution, node):
-    """Specinfo tables of the node's subsets (one row each) and destination counts."""
-    tables = np.vstack([_specinfo_table(dist, s) for s in _normalize_subsets(node)])
+def _tables(dist: JointDistribution, subsets):
+    """Specinfo tables of ``subsets`` (one row each) and destination counts."""
+    tables = np.vstack([_specinfo_table(dist, s) for s in subsets])
     xi = _destination(dist)
     c_x = np.zeros(dist.variables[xi].arity)
     marginal = dist.marginal_counts((xi,))
@@ -101,10 +96,6 @@ def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
     dropped; from there on x and at most two float buffers, in which the
     terms are evaluated in place, each operation as in the formula.
     """
-    memo = _MEMO.setdefault(dist, {})
-    key = ("specinfo", subset)
-    if key in memo:
-        return memo[key]
     xi = _destination(dist)
     cols = _source_columns(dist, subset)
     if dist.total == 0:
@@ -136,7 +127,6 @@ def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
     # Each outcome's terms are added in row order, starting from 0.0.
     table = np.bincount(x_of, weights=terms, minlength=arity)
     table[c_x == 0] = np.nan
-    memo[key] = table
     return table
 
 
@@ -148,10 +138,7 @@ def specific_information(dist: JointDistribution, x: int, subset) -> float:
     """
     subset = source_subset(subset)
     xi = _destination(dist)
-    try:
-        x = index(x)
-    except TypeError:
-        raise ValueError(f"destination outcome must be an integer, got {x!r}") from None
+    x = _integer("destination outcome", x)
     if not 0 <= x < dist.variables[xi].arity:
         raise ValueError(f"destination outcome {x} out of range")
     table = _specinfo_table(dist, subset)
@@ -167,7 +154,7 @@ def i_min(dist: JointDistribution, node) -> float:
     collection need not be an antichain, which lets callers probe
     monotonicity directly).
     """
-    tables, c_x = _node_tables(dist, node)
+    tables, c_x = _tables(dist, _normalize_subsets(node))
     observed = c_x > 0
     mins = np.min(tables[:, observed], axis=0)
     return float(_dot(c_x[observed] / dist.total, mins))
@@ -181,7 +168,7 @@ def argmin_table(dist: JointDistribution, node) -> tuple[np.ndarray, np.ndarray]
     Ties resolve to the lowest subset index in the node's canonical order
     and are reported, not hidden.
     """
-    tables, c_x = _node_tables(dist, node)
+    tables, c_x = _tables(dist, _normalize_subsets(node))
     # Unobserved columns are NaN, so no subset is near their minimum.
     near = tables <= np.min(tables, axis=0) + TIE_TOLERANCE
     choice = np.where(c_x > 0, np.argmax(near, axis=0), -1)
@@ -214,14 +201,10 @@ def partial_terms(dist: JointDistribution,
     """Mobius inversion of node values down the lattice.
 
     Returns (i_cap, i_partial): the cumulative and per-node values as
-    read-only float64 arrays aligned with ``lattice.nodes``. Results are
-    memoized per distribution and lattice, by value: two lattices with the
-    same nodes in another order get their own entries.
+    read-only float64 arrays aligned with ``lattice.nodes``. Each subset's
+    specinfo table is computed once per call, and each node is valued from
+    its subsets' rows as ``i_min`` values it.
     """
-    memo = _MEMO.setdefault(dist, {})
-    key = ("partial-terms", lattice)
-    if key in memo:
-        return memo[key]
     _destination(dist)
     n_sources = len(dist.variables) - 1
     if lattice.r != n_sources:
@@ -230,17 +213,20 @@ def partial_terms(dist: JointDistribution,
             f"with {n_sources} source variables")
     # Largest subsets first, so each (x, A) marginal groups a small memoized
     # parent rather than the full joint.
-    subsets = {s for node in lattice.nodes for s in node.subsets}
-    for s in sorted(subsets, key=lambda s: (-len(s), sorted(s))):
-        _specinfo_table(dist, s)
-    icap = [i_min(dist, node) for node in lattice.nodes]
+    subsets = sorted({s for node in lattice.nodes for s in node},
+                     key=lambda s: (-len(s), sorted(s)))
+    row = {s: i for i, s in enumerate(subsets)}
+    tables, c_x = _tables(dist, subsets)
+    observed = c_x > 0
+    p_x, tables = c_x[observed] / dist.total, tables[:, observed]
+    icap = [float(_dot(p_x, np.min(tables[[row[s] for s in node]], axis=0)))
+            for node in lattice.nodes]
     ipart = [0.0] * len(icap)
     for i in range(len(icap)):
         ipart[i] = icap[i] - math.fsum(ipart[j] for j in lattice.below[i])
     values = np.array([icap, ipart])
     values.flags.writeable = False
-    memo[key] = tuple(values)
-    return memo[key]
+    return tuple(values)
 
 
 @dataclass(frozen=True)

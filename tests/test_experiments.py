@@ -269,6 +269,10 @@ def test_series_distribution_equals_counted_rows(data):
     ({"k": 1, "destination": "d", "sources": ("s", "")}, "sources must be a sequence"),
     ({"k": 1, "destination": "d", "sources": ("s", 2)}, "sources must be a sequence"),
     ({"k": 1, "destination": "d", "sources": 5}, "sources must be a sequence"),
+    ({"k": 1, "destination": 5, "sources": ("a",)}, "destination must be a nonempty name"),
+    ({"k": 1, "destination": "", "sources": ("a",)}, "destination must be a nonempty name"),
+    ({"k": 1, "destination": "d", "sources": ("s", "d_hist")},
+     "source name 'd_hist' is taken by the destination's history"),
 ])
 def test_analyze_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):

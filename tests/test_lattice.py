@@ -142,6 +142,8 @@ def test_antichain_rejects_empty_and_bad_elements():
         Antichain([{1, "a"}])
     with pytest.raises(ValueError, match="must be integers"):
         Antichain([{1.5}, {2}])
+    with pytest.raises(ValueError, match="must be integers"):
+        Antichain([[True], [2]])
 
 
 def test_antichain_is_immutable():

@@ -7,6 +7,7 @@ import pytest
 
 import pid_oracle
 from support import gate_distribution, random_distribution, to_prob_table
+from synpid import pid
 from synpid.distributions import (
     JointDistribution, VariableSpec, avg_mi, count_samples, local_mi,
 )
@@ -160,7 +161,9 @@ def test_specific_information_errors():
         specific_information(d, 0, {9})
     with pytest.raises(ValueError, match="must be integers"):
         specific_information(d, 0, {1.5})
-    for x in (0.5, 1.0):
+    with pytest.raises(ValueError, match="must be integers"):
+        specific_information(d, 0, [True, 2])
+    for x in (0.5, 1.0, True):
         with pytest.raises(ValueError, match=f"destination outcome must be an integer, got {x}"):
             specific_information(or_distribution(0.0), x, {1})
     assert specific_information(d, np.int64(1), {1}) == specific_information(d, 1, {1})
@@ -233,6 +236,8 @@ def test_i_min_argument_forms():
         i_min(d, [set()])
     with pytest.raises(ValueError, match="must be integers"):
         i_min(d, [{1.5}])
+    with pytest.raises(ValueError, match="must be integers"):
+        i_min(d, [[True]])
 
 
 # -- argmin choices and localization ----------------------------------------
@@ -386,10 +391,26 @@ def test_partial_terms_sum_to_total_mi():
         assert i_cap[lat.index(lat.top)] == pytest.approx(total, abs=1e-10)
 
 
-def test_partial_terms_cached_per_distribution():
-    d = gate_distribution("and")
-    lat = build_lattice(2)
-    assert partial_terms(d, lat) is partial_terms(d, lat)
+def test_partial_terms_values_each_subset_once(monkeypatch):
+    calls = []
+
+    def counted(dist, subset):
+        calls.append(subset)
+        return _specinfo_table(dist, subset)
+    monkeypatch.setattr(pid, "_specinfo_table", counted)
+    d = random_distribution(np.random.default_rng(3), r=3)
+    lat = build_lattice(3)
+    every = {frozenset(c) for n in (1, 2, 3) for c in combinations((1, 2, 3), n)}
+    results = []
+    for _ in range(2):
+        calls.clear()
+        results.append(partial_terms(d, lat))
+        assert len(calls) == len(every) == 7
+        assert set(calls) == every
+    for first, second in zip(*results):
+        assert first.tobytes() == second.tobytes()
+    for values in (*results[0], *results[1]):
+        assert not values.flags.writeable
 
 
 def test_partial_terms_cannot_be_written_into_the_memo():
@@ -406,7 +427,7 @@ def test_partial_terms_cannot_be_written_into_the_memo():
 
 def test_partial_terms_follow_the_node_order_of_each_lattice():
     # build_lattice(2)'s nodes with {1} and {2} swapped: each value must stay
-    # with its node, whichever of the two lattices the memo saw first.
+    # with its node, whichever of the two lattices is valued first.
     built = build_lattice(2)
     assert [n.label for n in built.nodes] == ["{1}{2}", "{1}", "{2}", "{1,2}"]
     nodes = tuple(Antichain(s) for s in ([{1}, {2}], [{2}], [{1}], [{1, 2}]))
