@@ -299,15 +299,19 @@ class JointDistribution:
     def marginal_counts(self, cols: Iterable[int]) -> Marginal:
         """Read-only counts marginalized onto ``cols`` (ascending index order).
 
-        Memoized per column set; the empty set maps () to the total. Integer
-        counts are grouped from the smallest memoized superset, since their
-        sums do not depend on grouping order; real weights always group from
-        the full joint, so their float sums keep one order.
+        Memoized per column set; the empty set maps () to the total. Indices
+        that are not integers, bools included, or that repeat are refused
+        before the memo is read. Integer counts are grouped from the smallest
+        memoized superset, since their sums do not depend on grouping order;
+        real weights always group from the full joint, so their float sums
+        keep one order.
         """
-        cols = tuple(sorted(cols))
+        cols = tuple(sorted(_integer("variable index", c) for c in cols))
         for c in cols:
             if not 0 <= c < len(self.variables):
                 raise ValueError(f"variable index {c} out of range")
+        if len(set(cols)) != len(cols):
+            raise ValueError(f"duplicate variable indices: {cols}")
         if cols not in self._marginals:
             if not cols:
                 self._marginals[cols] = Marginal(
@@ -420,8 +424,9 @@ def merge(a: JointDistribution, b: JointDistribution) -> JointDistribution:
 # -- information measures ---------------------------------------------------
 
 def _mi_columns(dist, xs, ys, cond):
-    """(xs, ys, cond) as index tuples of a nonempty distribution, all distinct."""
-    xs, ys, cond = (tuple(int(c) for c in cols) for cols in (xs, ys, cond))
+    """(xs, ys, cond) as index tuples of a nonempty distribution, all distinct;
+    indices that are not integers are refused, never truncated."""
+    xs, ys, cond = (tuple(_integer("variable index", c) for c in cols) for cols in (xs, ys, cond))
     for c in xs + ys + cond:
         if not 0 <= c < len(dist.variables):
             raise ValueError(f"variable index {c} out of range")

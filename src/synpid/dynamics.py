@@ -65,13 +65,18 @@ def ca_variables(k: int) -> tuple[VariableSpec, ...]:
 def _check_cells(cells: np.ndarray, k: int) -> int:
     """k as a plain int, once it is a history length, the (steps, ...)
     cells have a time from k on, and the cells are bits; packed codes of
-    non-bits would alias."""
+    non-bits would alias. Integer cells in [0, 1] are bits; other cells
+    must also be exactly 0 or 1."""
     k = _check_k(k)
     if k >= len(cells):
         raise ValueError(f"grid with {len(cells)} steps has no destinations after a k={k} window")
     lo, hi = cells.min(), cells.max()
     if not (lo >= 0 and hi <= 1):
         raise ValueError(f"grid cells must be bits, saw values in [{lo}, {hi}]")
+    if cells.dtype.kind not in "biu":
+        between = cells[(cells != 0) & (cells != 1)]
+        if between.size:
+            raise ValueError(f"grid cells must be bits, saw the value {between[0]}")
     return k
 
 
@@ -322,19 +327,65 @@ def local_separable(dist: JointDistribution, observation):
 
 
 @dataclass(frozen=True)
-class LocalProfile:
-    """Per-site local values of one measure on one displayed grid.
+class GridSites:
+    """The destination sites of one (steps, width) grid at history length
+    ``k``: ``rows``, its distinct (next, hist, left, right) rows in order of
+    first appearance, and ``labels``, a (steps - k, width) array giving each
+    site's row. Both arrays are read-only."""
 
-    ``values`` has the grid's shape; rows before ``k`` (times without a
-    full history window) are NaN.
+    k: int
+    shape: tuple[int, int]
+    rows: np.ndarray = field(repr=False, compare=False)
+    labels: np.ndarray = field(repr=False, compare=False)
+
+
+def grid_sites(grid: SpacetimeGrid, k: int) -> GridSites:
+    """The sites of ``grid`` from t = k, the rows ``ca_samples`` gives,
+    deduplicated. Found once, they serve every measure's ``profile``."""
+    k = _check_k(k)
+    samples = ca_samples(grid, k)
+    mults = np.array(_radix_multipliers([v.arity for v in ca_variables(k)]), dtype=np.int64)
+    first, labels = _first_seen(samples @ mults)
+    rows, labels = samples[first], labels.reshape(-1, grid.cells.shape[1])
+    rows.flags.writeable = labels.flags.writeable = False
+    return GridSites(k, grid.cells.shape, rows, labels)
+
+
+@dataclass(frozen=True)
+class LocalProfile:
+    """Local values of one measure at the sites of one displayed grid from
+    time ``k`` on, one value per distinct site configuration.
+
+    ``table`` holds the values and ``labels``, a (steps - k, width) array,
+    each site's entry of it; every entry is some site's value. ``values``,
+    the grid-shaped array whose rows before ``k`` (times without a full
+    history window) are NaN, and ``defined_values()``, its rows from ``k``,
+    are built on each read.
     """
 
     measure: str
     k: int
-    values: np.ndarray = field(repr=False, compare=False)
+    table: np.ndarray = field(repr=False, compare=False)
+    labels: np.ndarray = field(repr=False, compare=False)
+
+    @classmethod
+    def from_values(cls, measure: str, k: int, values) -> "LocalProfile":
+        """The profile of grid-shaped ``values`` whose rows from ``k`` are
+        defined: one table entry per distinct float bit pattern, so -0.0
+        and 0.0 keep their own entries."""
+        k = _check_k(k)
+        defined = np.ascontiguousarray(np.asarray(values, dtype=np.float64)[k:])
+        bits, labels = np.unique(defined.view(np.int64).ravel(), return_inverse=True)
+        return cls(measure, k, bits.view(np.float64), labels.reshape(defined.shape))
+
+    @property
+    def values(self) -> np.ndarray:
+        values = np.full((self.k + len(self.labels), self.labels.shape[1]), np.nan)
+        values[self.k:] = self.table[self.labels]
+        return values
 
     def defined_values(self) -> np.ndarray:
-        return self.values[self.k:]
+        return self.table[self.labels]
 
 
 PROFILE_MEASURES = ("local_ais", "local_te_left", "local_te_right", "local_separable")
@@ -356,37 +407,39 @@ def check_measures(measures) -> tuple[str, ...]:
     return measures
 
 
-def profile(dist: JointDistribution, grid: SpacetimeGrid, measure: str) -> LocalProfile:
-    """Evaluate one local measure at every site of ``grid``.
+def profile(dist: JointDistribution, grid: SpacetimeGrid | GridSites,
+            measure: str) -> LocalProfile:
+    """Evaluate one local measure at every site of a grid.
 
+    ``grid`` is a ``SpacetimeGrid`` or the ``GridSites`` of one at the
+    distribution's k; a grid goes through ``grid_sites`` first, so a caller
+    that values several measures on one grid finds its sites once.
     Probabilities come from ``dist`` (typically pooled over many runs, with
     the displayed grid among them, so every configuration is observed),
     which must have the ``ca_variables`` layout.
 
-    The measure is valued once per distinct configuration of the grid's own
-    sites, in order of first appearance, and gathered back to the sites;
-    each value is the float a per-site call gives. A configuration that
-    ``dist`` never counted raises the zero-probability error of the first
-    such site in (time, cell) order.
+    The measure is valued once per distinct site configuration, in order of
+    first appearance; the profile keeps those values and the sites' labels,
+    and each site's value is the float a per-site call gives. A
+    configuration that ``dist`` never counted raises the zero-probability
+    error of the first such site in (time, cell) order.
     """
     check_measures((measure,))
     k = history_length(dist)
     if dist.variables != ca_variables(k):
         raise ValueError(f"profile needs the variables {ca_variables(k)}, "
                          f"but the distribution's are {dist.variables}")
-    samples = ca_samples(grid, k)
-    mults = np.array(_radix_multipliers([v.arity for v in dist.variables]), dtype=np.int64)
-    first, labels = _first_seen(samples @ mults)
-    rows = samples[first]
+    sites = grid if isinstance(grid, GridSites) else grid_sites(grid, k)
+    if sites.k != k:
+        raise ValueError(f"sites found at k={sites.k} cannot be valued over a k={k} distribution")
+    rows = sites.rows
     if measure == "local_ais":
         local = local_ais(dist, rows[:, 1], rows[:, 0])
     elif measure == "local_separable":
         local = local_separable(dist, rows)
     else:
         local = local_te(dist, measure[len("local_te_"):], (), rows)
-    values = np.full(grid.cells.shape, np.nan)
-    values[k:] = local[labels].reshape(-1, grid.cells.shape[1])
-    return LocalProfile(measure, k, values)
+    return LocalProfile(measure, k, local, sites.labels)
 
 
 def _byte_rows(texts) -> np.ndarray:
@@ -400,17 +453,16 @@ def write_profile_csv(prof: LocalProfile, path) -> None:
     """Rows of (cell, time, value) for every defined site, in the bytes
     ``csv.writer`` gives: CRLF line ends and each value's ``repr``.
 
-    Each distinct float bit pattern is formatted once, so -0.0 and 0.0 keep
-    their own text. The "cell," fields, the "time," fields and the value
-    texts are NUL-padded byte matrices; one (steps, width, line) array lays
-    out every line, broadcasting the cell and time fields and gathering the
-    value texts, and dropping its NULs leaves the file's body, written at
-    once after the header. None of these texts contains a NUL.
+    Each table entry is formatted once, so -0.0 and 0.0 keep their own
+    text. The "cell," fields, the "time," fields and the value texts are
+    NUL-padded byte matrices; one (steps, width, line) array lays out every
+    line, broadcasting the cell and time fields and gathering the value
+    texts by the sites' labels, and dropping its NULs leaves the file's
+    body, written at once after the header. None of these texts contains a
+    NUL.
     """
-    data = prof.defined_values()
-    steps, width = data.shape
-    bits, which = np.unique(data.ravel().view(np.int64), return_inverse=True)
-    values = _byte_rows([f"{v!r}\r\n" for v in bits.view(np.float64).tolist()])
+    steps, width = prof.labels.shape
+    values = _byte_rows([f"{v!r}\r\n" for v in prof.table.tolist()])
     cells = _byte_rows([f"{c}," for c in range(width)])
     times = _byte_rows([f"{t}," for t in range(prof.k, prof.k + steps)])
     cell_end = cells.shape[1]
@@ -418,7 +470,7 @@ def write_profile_csv(prof: LocalProfile, path) -> None:
     line = np.empty((steps, width, time_end + values.shape[1]), np.uint8)
     line[:, :, :cell_end] = cells
     line[:, :, cell_end:time_end] = times[:, None]
-    line[:, :, time_end:] = values[which.reshape(steps, width)]
+    line[:, :, time_end:] = values[prof.labels]
     with open(path, "wb") as f:
         f.write(b"cell,time,value\r\n")
         f.write(line[line != 0])
@@ -427,23 +479,26 @@ def write_profile_csv(prof: LocalProfile, path) -> None:
 def write_profile_pgm(prof: LocalProfile, path) -> None:
     """16-bit PGM of the defined rows, darkest = smallest value.
 
-    The affine gray mapping is recorded in the header comment so the raster
-    can be decoded back to bits.
+    Each table entry is mapped to its gray level once, and the levels are
+    gathered by the sites' labels. The table holds only values that some
+    site has, so its extremes are the sites'. The affine gray mapping is
+    recorded in the header comment so the raster can be decoded back to
+    bits.
     """
-    data = prof.defined_values()
-    vmin = float(data.min())
-    vmax = float(data.max())
+    table = prof.table
+    vmin = float(table.min())
+    vmax = float(table.max())
     if vmax > vmin:
-        gray = np.round((data - vmin) / (vmax - vmin) * 65535.0)
+        gray = np.round((table - vmin) / (vmax - vmin) * 65535.0)
     else:
-        gray = np.zeros_like(data)
-    steps, width = prof.values.shape
+        gray = np.zeros_like(table)
+    rows, width = prof.labels.shape
     header = (
         f"P5\n"
-        f"# {prof.measure} k={prof.k}; rows are times {prof.k}..{steps - 1}; "
+        f"# {prof.measure} k={prof.k}; rows are times {prof.k}..{prof.k + rows - 1}; "
         f"value_bits = {vmin!r} + gray * ({vmax!r} - {vmin!r}) / 65535\n"
-        f"{width} {data.shape[0]}\n65535\n"
+        f"{width} {rows}\n65535\n"
     )
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(gray.astype(">u2").tobytes())
+        f.write(gray.astype(">u2")[prof.labels].tobytes())

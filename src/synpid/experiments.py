@@ -21,8 +21,8 @@ from . import eca
 from .distributions import (JointDistribution, VariableSpec, _first_seen, _radix_multipliers,
                             count_samples)
 from .dynamics import (
-    _check_k, active_info_storage, ca_distribution, ca_distributions, check_measures, profile,
-    transfer_entropy, write_profile_csv, write_profile_pgm,
+    _check_k, active_info_storage, ca_distribution, ca_distributions, check_measures, grid_sites,
+    profile, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from .lattice import MAX_SOURCES, Antichain
 from .pid import (
@@ -194,17 +194,19 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
     """Write CSV and 16-bit PGM profiles of local measures for one rule.
 
     Probabilities are pooled over the whole batch; the displayed grid is the
-    batch's first run, so every site's configuration has been counted.
-    Returns {measure: {"csv": path, "pgm": path}}. ``threads`` is accepted
-    for compatibility and has no effect.
+    batch's first run, so every site's configuration has been counted. Its
+    sites are found once and valued for each measure in turn. Returns
+    {measure: {"csv": path, "pgm": path}}. ``threads`` is accepted for
+    compatibility and has no effect.
     """
     measures = check_measures(measures)
     grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
     dist_k = ca_distribution(grids, config.k)
     os.makedirs(out_dir, exist_ok=True)
+    sites = grid_sites(grids[0], config.k)
     written = {}
     for m in measures:
-        prof = profile(dist_k, grids[0], m)
+        prof = profile(dist_k, sites, m)
         csv_path = os.path.join(out_dir, f"rule{rule}_{m}.csv")
         pgm_path = os.path.join(out_dir, f"rule{rule}_{m}.pgm")
         write_profile_csv(prof, csv_path)

@@ -289,6 +289,30 @@ def test_avg_mi_validates_indices():
         avg_mi(d, (0,), (5,))
     with pytest.raises(ValueError, match="nonempty"):
         avg_mi(d, (), (1,))
+    # Indices are read as integers, never truncated: each of these once gave
+    # index 1's value, and a float key of local_mi an IndexError.
+    for index in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"variable index must be an integer, got {index!r}")):
+            avg_mi(d, (0,), (index,))
+    with pytest.raises(ValueError, match="variable index must be an integer, got 1.9"):
+        local_mi(d, {0: 1}, {1.9: 0})
+    assert avg_mi(d, (0,), (np.int64(1),)) == avg_mi(d, (0,), (1,))
+
+
+def test_marginal_counts_validates_indices():
+    d = or_dist()
+    # Refused before the memo is read, where True and 1.0 would find (1,).
+    d.marginal_counts((1,))
+    for index in (True, 1.0, 0.5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"variable index must be an integer, got {index!r}")):
+            d.marginal_counts([index])
+    with pytest.raises(ValueError, match=re.escape("duplicate variable indices: (0, 0)")):
+        d.marginal_counts([0, 0])
+    with pytest.raises(ValueError, match="variable index 3 out of range"):
+        d.marginal_counts([3])
+    assert d.marginal_counts([np.int64(1)]) is d.marginal_counts((1,))
 
 
 def test_avg_mi_conditioning_order_is_irrelevant():

@@ -17,9 +17,9 @@ from synpid.distributions import (
     history_length, local_mi, merge,
 )
 from synpid.dynamics import (
-    PROFILE_MEASURES, LocalProfile, active_info_storage, ca_distribution, ca_distributions,
-    ca_samples, ca_variables, check_measures, local_ais, local_separable, local_te,
-    profile, transfer_entropy, write_profile_csv, write_profile_pgm,
+    PROFILE_MEASURES, GridSites, LocalProfile, active_info_storage, ca_distribution,
+    ca_distributions, ca_samples, ca_variables, check_measures, grid_sites, local_ais,
+    local_separable, local_te, profile, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from synpid.eca import SpacetimeGrid, run, run_batch
 from synpid.experiments import AnalyzeConfig, series_distribution
@@ -328,6 +328,18 @@ def test_ca_distribution_rejects_non_binary_cells():
                   lambda: ca_distributions([bad], (2, 1))):
         with pytest.raises(ValueError, match=r"must be bits, saw values in \[nan, nan\]"):
             build()
+    # Cells within [0, 1] that are not 0 or 1 would pack as zeros.
+    cells = np.full((10, 8), 0.5)
+    cells[0, 0] = 1.0
+    bad = SpacetimeGrid(30, 8, 10, 0, cells)
+    for build in (lambda: ca_distribution([bad], 2), lambda: ca_samples(bad, 2),
+                  lambda: ca_distributions([bad], (2, 1)), lambda: grid_sites(bad, 2)):
+        with pytest.raises(ValueError, match=r"must be bits, saw the value 0\.5"):
+            build()
+    # A float grid of exact bits is read as its uint8 copy.
+    ones = cells == 1
+    assert np.array_equal(ca_samples(SpacetimeGrid(30, 8, 10, 0, ones.astype(float)), 2),
+                          ca_samples(SpacetimeGrid(30, 8, 10, 0, ones.astype(np.uint8)), 2))
 
 
 # -- averaged measures ------------------------------------------------------
@@ -571,10 +583,42 @@ def pooled():
 
 def test_profile_equals_per_site_scalar_calls(profiled, pooled):
     for grid, dist in (profiled, pooled):
+        sites = grid_sites(grid, history_length(dist))
         for measure in PROFILE_MEASURES:
-            got = profile(dist, grid, measure).values
-            assert np.array_equal(got, per_site_profile(dist, grid, measure),
-                                  equal_nan=True), measure
+            expect = per_site_profile(dist, grid, measure)
+            for where in (grid, sites):
+                got = profile(dist, where, measure).values
+                assert np.array_equal(got, expect, equal_nan=True), measure
+
+
+def test_grid_sites_are_the_deduplicated_samples(pooled):
+    grid, _ = pooled
+    samples = ca_samples(grid, 5)
+    sites = grid_sites(grid, 5)
+    assert isinstance(sites, GridSites)
+    assert (sites.k, sites.shape, sites.labels.shape) == (5, (30, 16), (25, 16))
+    assert np.array_equal(sites.rows[sites.labels.ravel()], samples)
+    assert len(np.unique(sites.rows, axis=0)) == len(sites.rows)
+    for arr in (sites.rows, sites.labels):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="history length k must be >= 1"):
+        grid_sites(grid, 0)
+
+
+@pytest.mark.parametrize("measure", PROFILE_MEASURES)
+def test_profile_writes_the_bytes_of_its_dense_values(pooled, tmp_path, measure):
+    # A profile keeps one value per configuration; its dense values, read
+    # back one per site, write the same files.
+    grid, dist = pooled
+    prof = profile(dist, grid, measure)
+    dense = LocalProfile.from_values(measure, prof.k, prof.values)
+    assert np.array_equal(dense.values, prof.values, equal_nan=True)
+    assert len(dense.table) <= len(prof.table) < dense.labels.size
+    for write in (write_profile_csv, write_profile_pgm):
+        paths = [tmp_path / f"{name}.out" for name in ("kept", "dense")]
+        for p, source in zip(paths, (prof, dense)):
+            write(source, p)
+        assert paths[0].read_bytes() == paths[1].read_bytes(), write.__name__
 
 
 @pytest.mark.parametrize("rule, k, runs", [(30, 4, 1), (54, 8, 1), (30, 6, 2)])
@@ -656,6 +700,10 @@ def test_profile_refuses_another_layout():
                 f"profile needs the variables {variables}, "
                 f"but the distribution's are {other.variables}")):
             profile(other, grids[0], "local_ais")
+    # Sites found at another k are refused too.
+    with pytest.raises(ValueError, match=re.escape(
+            "sites found at k=3 cannot be valued over a k=2 distribution")):
+        profile(dist, grid_sites(grids[0], 3), "local_ais")
     assert np.isfinite(profile(dist, grids[0], "local_te_left").defined_values()).all()
 
 
@@ -712,7 +760,7 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path, grid, floats, seed):
     values = np.full((steps, width), np.nan)
     values[k:] = rng.choice(SPECIAL_FLOATS + floats, size=(steps - k, width))
     values[k, :2] = [1e-05, -0.0][:width]
-    prof = LocalProfile("local_ais", k, values)
+    prof = LocalProfile.from_values("local_ais", k, values)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as f:
         writer = csv.writer(f)

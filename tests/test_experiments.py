@@ -184,6 +184,20 @@ def test_export_local_profiles(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+def test_export_finds_the_displayed_sites_once(monkeypatch, tmp_path):
+    # The four measures value one deduplication of the displayed grid.
+    first_seen, calls = dynamics._first_seen, []
+
+    def spy(values):
+        calls.append(len(values))
+        return first_seen(values)
+
+    monkeypatch.setattr(dynamics, "_first_seen", spy)
+    written = export_local_profiles(110, SMALL, dynamics.PROFILE_MEASURES, tmp_path)
+    assert list(written) == list(dynamics.PROFILE_MEASURES)
+    assert calls == [(SMALL.steps - SMALL.k) * SMALL.width]
+
+
 def test_pipelines_count_a_batch_from_its_ring(monkeypatch, tmp_path):
     # A batch handed on as a list of its grids would be copied into padded
     # stacks, one byte per cell, before it is counted.
