@@ -135,8 +135,12 @@ class Marginal(Mapping):
     def index(self, rows) -> np.ndarray:
         """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved,
         not whole or not a number (as in a dict: 1.0 finds 1, 0.5 and "1" nothing).
-        An object array is judged row by row, as ``get(tuple(row))`` would."""
+        An object array is judged row by row, as ``get(tuple(row))`` would.
+        Rows that are not such a matrix are refused."""
         rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != len(self.arities):
+            raise ValueError(f"rows must be an (m, {len(self.arities)}) matrix of symbols, "
+                             f"got shape {rows.shape}")
         if rows.dtype == object:
             return np.array([self._index(np.asarray([row.tolist()]))[0] for row in rows],
                             dtype=np.intp)

@@ -183,14 +183,19 @@ def ca_distribution(grids, k: int) -> JointDistribution:
     grids, without building the sample matrix. Grids of one shape are
     stacked and packed together.
 
-    Row-sized buffers: the code buffer alone, beside the grids. A
-    ``run_batch`` batch is packed from its ring; any other sequence of
-    grids is copied into padded stacks (one byte per cell), which live only
-    while the codes are packed. ``_count_codes`` sorts the codes in place
-    and adds no row-sized buffer.
+    Row-sized buffers: the code buffer, beside the grids while it is
+    packed. A ``run_batch`` batch is packed from its ring; any other
+    sequence of grids is copied into padded stacks (one byte per cell).
+    Once the codes are packed, this call drops the stacks and its
+    reference to ``grids``, so a batch passed straight in is freed before
+    ``_count_codes`` sorts the codes in place, which adds no row-sized
+    buffer. A caller that keeps the batch, or any of its grids, keeps its
+    ring.
     """
     k = _check_k(k)
-    return _count_codes(ca_variables(k), _pack_stacks(_stacks(grids, k), k))
+    codes = _pack_stacks(_stacks(grids, k), k)
+    del grids
+    return _count_codes(ca_variables(k), codes)
 
 
 def ca_distributions(grids, ks) -> list[JointDistribution]:
@@ -204,10 +209,13 @@ def ca_distributions(grids, ks) -> list[JointDistribution]:
 
     Row-sized buffers: the times before the largest k are counted first,
     each from its own small code buffer. Then the whole batch is packed
-    from a ``Batch``'s ring or from copied stacks, and any copies are
-    dropped, so the counting sort holds the code buffer alone, as in
-    ``ca_distribution``. The cuts work on distinct rows only.
+    from a ``Batch``'s ring or from copied stacks, and the stacks and this
+    call's reference to ``grids`` are dropped, as in ``ca_distribution``:
+    the counting sort of a batch passed straight in holds the code buffer
+    alone. The cuts work on distinct rows only.
     """
+    if isinstance(ks, str) or not np.iterable(ks):
+        raise ValueError(f"ks must be a sequence of history lengths, got {ks!r}")
     ks = tuple(map(_check_k, ks))
     if not ks:
         raise ValueError("need at least one history length")
@@ -215,10 +223,10 @@ def ca_distributions(grids, ks) -> list[JointDistribution]:
     stacks = _stacks(grids, top)
     leading = {k: _count_codes(ca_variables(k), _pack_stacks([cells[:top] for cells in stacks], k))
                for k in set(ks) - {top}}
-    # Copied stacks are freed before the sort, and the sorted codes before
-    # the cuts; both are row-sized.
+    # The stacks and grids (a batch's ring) are freed before the sort, and
+    # the sorted codes before the cuts; all are row-sized.
     codes = _pack_stacks(stacks, top)
-    del stacks
+    del stacks, grids
     full = _count_codes(ca_variables(top), codes)
     del codes
     out = {top: full}
@@ -372,9 +380,16 @@ class LocalProfile:
     def from_values(cls, measure: str, k: int, values) -> "LocalProfile":
         """The profile of grid-shaped ``values`` whose rows from ``k`` are
         defined: one table entry per distinct float bit pattern, so -0.0
-        and 0.0 keep their own entries."""
+        and 0.0 keep their own entries. Values that are not a grid with a
+        site from ``k`` on are refused."""
         k = _check_k(k)
-        defined = np.ascontiguousarray(np.asarray(values, dtype=np.float64)[k:])
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2:
+            raise ValueError(
+                f"profile values must be a (steps, width) grid, got shape {values.shape}")
+        defined = np.ascontiguousarray(values[k:])
+        if not defined.size:
+            raise ValueError(f"profile values of shape {values.shape} have no site from k={k}")
         bits, labels = np.unique(defined.view(np.int64).ravel(), return_inverse=True)
         return cls(measure, k, bits.view(np.float64), labels.reshape(defined.shape))
 
@@ -483,9 +498,14 @@ def write_profile_pgm(prof: LocalProfile, path) -> None:
     gathered by the sites' labels. The table holds only values that some
     site has, so its extremes are the sites'. The affine gray mapping is
     recorded in the header comment so the raster can be decoded back to
-    bits.
+    bits. That mapping is undefined for NaN and infinities, so a table
+    holding one is refused before the file is opened.
     """
     table = prof.table
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValueError(f"cannot map the non-finite {prof.measure} value "
+                         f"{float(table[~finite][0])!r} to a gray level")
     vmin = float(table.min())
     vmax = float(table.max())
     if vmax > vmin:

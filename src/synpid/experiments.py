@@ -80,8 +80,9 @@ def run_table1(config: ExperimentConfig, threads: int | None = None) -> dict:
 
 
 def _rule_row(rule: int, config: ExperimentConfig) -> dict:
-    """One rule's row. Its grids are freed once counted, before the
-    decompositions, and its distributions on return."""
+    """One rule's row. Its batch is passed straight to ``ca_distributions``,
+    so its grids are freed once packed, before the counting sort, and its
+    distributions on return."""
     dist_k, dist_1 = ca_distributions(
         eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs),
         (config.k, 1))

@@ -504,6 +504,18 @@ def test_object_rows_are_judged_one_by_one():
     assert found == [-1 if counts.get(tuple(row)) is None else counts.index([row])[0]
                      for row in rows]
     assert counts.index(np.empty((0, 2), dtype=object)).tolist() == []
+    # Rows that are not an (m, 2) matrix are refused, object arrays too; a
+    # key of the wrong length is simply absent from the mapping.
+    for bad in ([[1, 0, 0]], [1, 0], np.array([1, 0], dtype=object),
+                np.array([[1, 0, 0]], dtype=object), np.zeros((1, 2, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"rows must be an (m, 2) matrix of symbols, got shape {np.shape(bad)}")):
+            counts.index(bad)
+    for key in ((1,), (1, 0, 0), 1):
+        assert key not in counts
+        assert counts.get(key) is None
+        with pytest.raises(KeyError):
+            counts[key]
     with pytest.raises(ValueError, match=re.escape(
             "configuration {'a': 1180591620717411303424, 'b': 0} has zero probability")):
         local_mi(dist, {0: np.array([1, 2 ** 70], dtype=object)}, {1: np.array([0, 0])})

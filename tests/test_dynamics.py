@@ -2,6 +2,7 @@ import csv
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 from itertools import product
 
@@ -22,7 +23,7 @@ from synpid.dynamics import (
     local_separable, local_te, profile, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from synpid.eca import SpacetimeGrid, run, run_batch
-from synpid.experiments import AnalyzeConfig, series_distribution
+from synpid.experiments import AnalyzeConfig, ExperimentConfig, run_table1, series_distribution
 
 
 def analytic_dist(next_of, k=1):
@@ -249,6 +250,49 @@ def test_the_counting_sort_holds_only_the_code_buffer(monkeypatch, count):
     assert traced <= 1.05 * nbytes
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "before Python 3.11 the caller's frame holds each argument until the call "
+    "returns, so a batch passed straight in outlives its pack"))
+@pytest.mark.parametrize("count", [
+    lambda: ca_distributions(run_batch(30, 200, 100, 0, 20), (16, 1)),
+    lambda: ca_distribution(run_batch(30, 200, 100, 0, 20), 16),
+    lambda: run_table1(ExperimentConfig((30,), runs=20, width=200, steps=100, k=16)),
+], ids=["ca_distributions", "ca_distribution", "run_table1"])
+def test_a_batch_passed_straight_in_is_freed_before_its_sort(monkeypatch, count):
+    # Tracing starts before run_batch, so the batch's ring (one byte per
+    # cell, about 30% of the int32 codes here) is counted unless the call
+    # that packed it let it go before the sort.
+    held = []
+
+    def spy(variables, codes):
+        held.append((tracemalloc.get_traced_memory()[0] - start, codes.nbytes))
+        return _count_codes(variables, codes)
+
+    monkeypatch.setattr(dynamics, "_count_codes", spy)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        count()
+    finally:
+        tracemalloc.stop()
+    traced, nbytes = max(held, key=lambda h: h[1])
+    assert nbytes == 84 * 20 * 200 * 4
+    assert traced <= 1.05 * nbytes
+
+
+def test_a_batch_counts_the_same_passed_straight_in_or_held():
+    batch = run_batch(54, 30, 40, 5, 4)
+    ring = batch.ring.copy()
+    for k in (1, 3):
+        assert_same_distribution(ca_distribution(run_batch(54, 30, 40, 5, 4), k),
+                                 ca_distribution(batch, k))
+    for got, want in zip(ca_distributions(run_batch(54, 30, 40, 5, 4), (3, 1)),
+                         ca_distributions(batch, (3, 1))):
+        assert_same_distribution(got, want)
+    # A held batch is left as it was.
+    assert np.array_equal(batch.ring, ring)
+
+
 def test_ca_distributions_validation():
     grid = run(30, 6, 8, seed=0)
     with pytest.raises(ValueError, match="at least one history length"):
@@ -259,6 +303,11 @@ def test_ca_distributions_validation():
         ca_distributions([grid], (2, 0))
     with pytest.raises(ValueError, match="no destinations"):
         ca_distributions([grid], (8, 1))
+    # ks is a sequence: a lone history length or a string of digits is not.
+    for ks in (3, "12"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ks must be a sequence of history lengths, got {ks!r}")):
+            ca_distributions([grid], ks)
     # k is an integer: numpy integers count as one, floats and bools do not.
     want = ca_distribution([grid], 2)
     assert_same_distribution(ca_distribution([grid], np.int64(2)), want)
@@ -795,6 +844,29 @@ def test_profile_pgm_round_trip(profiled, tmp_path):
     decoded = vmin + gray.astype(float) * (vmax - vmin) / 65535.0
     quantum = (vmax - vmin) / 65535.0
     assert np.allclose(decoded, prof.defined_values(), atol=quantum)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_profile_pgm_refuses_non_finite_values(tmp_path, bad):
+    # The gray mapping is undefined for them, so no file is begun.
+    prof = LocalProfile.from_values("local_ais", 1, [[0, 0], [1, bad], [0.5, 2]])
+    path = tmp_path / "prof.pgm"
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot map the non-finite local_ais value {bad!r} to a gray level")):
+        write_profile_pgm(prof, path)
+    assert not path.exists()
+
+
+def test_from_values_refuses_values_without_a_site():
+    with pytest.raises(ValueError, match=re.escape(
+            "profile values must be a (steps, width) grid, got shape (3,)")):
+        LocalProfile.from_values("local_ais", 1, [0.0, 1.0, 2.0])
+    for k, shape in ((2, (2, 2)), (5, (2, 2)), (1, (3, 0))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"profile values of shape {shape} have no site from k={k}")):
+            LocalProfile.from_values("local_ais", k, np.zeros(shape))
+    # The measure is any name, so an opt-in measure can be written too.
+    assert LocalProfile.from_values("any", 1, np.zeros((2, 2))).table.tolist() == [0.0]
 
 
 def test_profile_pgm_flat_data(tmp_path):
