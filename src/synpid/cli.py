@@ -173,7 +173,7 @@ def cmd_or_demo(delta, out) -> int:
 
 def cmd_profile(seed, rule, measures, threads, out, **geometry) -> int:
     config = _experiment_config((rule,), seed, geometry)
-    written = export_local_profiles(rule, config, measures, out)
+    written = export_local_profiles(config, measures, out)
     for m in measures:
         print(f"{m}: {written[m]['csv']}, {written[m]['pgm']}")
     return 0

@@ -483,30 +483,43 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _local_values(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int],
-                  cond: Mapping[int, int] | None = None):
-    """``local_mi`` without its zero-probability check: the values, the mask
-    of elements whose configuration was never counted (their values mean
-    nothing), and a function giving the error that names element i's
-    configuration."""
-    cond = dict(cond) if cond else {}
-    x, y = dict(x), dict(y)
-    xs, ys, cs = _mi_columns(dist, x, y, cond)
-    assignment = {**x, **y, **cond}
-    symbols = np.broadcast_arrays(*(np.asarray(v) for v in assignment.values()))
-    obs = np.zeros((symbols[0].size, len(dist.variables)), np.result_type(np.int64, *symbols))
-    obs[:, list(assignment)] = np.stack([s.ravel() for s in symbols], axis=1)
-    c_xyc, c_xc, c_yc, c_c = _mi_counts(dist, obs, xs, ys, cs)
+def _observations(dist: JointDistribution, observation) -> np.ndarray:
+    """``observation`` as an array of one row or an (m, nvars) matrix of
+    rows, each holding one symbol per variable."""
+    obs = np.asarray(observation)
+    if obs.ndim not in (1, 2) or obs.shape[-1] != len(dist.variables):
+        raise ValueError(
+            f"observation must cover all {len(dist.variables)} variables, got {observation}")
+    return obs
 
-    def error(i: int) -> ValueError:
-        row = obs[i].tolist()
-        names = {dist.variables[j].name: row[j] for j in sorted(assignment)}
-        return ValueError(f"configuration {names} has zero probability")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.log2(c_xyc * c_c) - np.log2(c_xc * c_yc)
-    shape = symbols[0].shape
-    return values.reshape(shape), (c_xyc <= 0).reshape(shape), error
+def _local_rows(dist: JointDistribution, observation, parts):
+    """The local MI of each part, an (xs, ys, cond) triple of index tuples,
+    summed in part order at one observation (a float) or at each row of an
+    (m, nvars) matrix (one value per row).
+
+    The first row at which any part's configuration was never counted
+    fails, with the error of that row's first such part: what a call on
+    that row alone raises.
+    """
+    obs = _observations(dist, observation)
+    rows = np.atleast_2d(obs)
+    total, misses = None, []
+    for part in parts:
+        xs, ys, cond = _mi_columns(dist, *part)
+        c_xyc, c_xc, c_yc, c_c = _mi_counts(dist, rows, xs, ys, cond)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.log2(c_xyc * c_c) - np.log2(c_xc * c_yc)
+        total = values if total is None else total + values
+        unseen = np.flatnonzero(c_xyc <= 0)
+        if len(unseen):
+            misses.append((unseen[0], sorted(xs + ys + cond)))
+    if misses:
+        i, cols = min(misses, key=lambda miss: miss[0])
+        row = rows[i].tolist()
+        names = {dist.variables[j].name: row[j] for j in cols}
+        raise ValueError(f"configuration {names} has zero probability")
+    return float(total[0]) if obs.ndim == 1 else total
 
 
 def local_mi(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int],
@@ -518,7 +531,11 @@ def local_mi(dist: JointDistribution, x: Mapping[int, int], y: Mapping[int, int]
     also be equal-shaped integer arrays, such as columns of an observation
     matrix; the result is then an array of local values, one per element.
     """
-    values, unseen, error = _local_values(dist, x, y, cond)
-    if unseen.any():
-        raise error(int(np.argmax(unseen)))
+    x, y, cond = dict(x), dict(y), dict(cond) if cond else {}
+    xs, ys, cs = _mi_columns(dist, x, y, cond)
+    symbols = np.broadcast_arrays(
+        *(np.asarray(v) for v in (*x.values(), *y.values(), *cond.values())))
+    rows = np.zeros((symbols[0].size, len(dist.variables)), np.result_type(np.int64, *symbols))
+    rows[:, list(xs + ys + cs)] = np.stack([s.ravel() for s in symbols], axis=1)
+    values = _local_rows(dist, rows, [(xs, ys, cs)]).reshape(symbols[0].shape)
     return float(values) if values.ndim == 0 else values

@@ -22,8 +22,10 @@ Measures, all in bits:
 - conditional transfer entropy I(next; y | hist, others): the same with
   further sources held fixed; conditioning on every other causal source
   gives the complete flavor.
-- local variants of each: log-ratios at one observed configuration. These
-  can be negative (a misinformative past or source).
+- local variants of each: log-ratios at one observed configuration, or at
+  each row of an (m, nvars) observation matrix, all valued by the one row
+  kernel of ``distributions``. These can be negative (a misinformative past
+  or source).
 - local separable information: local storage plus the sum of apparent local
   transfers from every source. The parts overlap, so this is a heuristic
   diagnostic of where computation happens, not a proper joint measure.
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    JointDistribution, VariableSpec, _count_codes, _first_seen, _grouped, _local_values,
+    JointDistribution, VariableSpec, _count_codes, _first_seen, _grouped, _local_rows,
     _radix_multipliers, avg_mi, history_length, local_mi, merge,
 )
 from .eca import Batch, SpacetimeGrid, _integer
@@ -290,21 +292,11 @@ def transfer_entropy(dist: JointDistribution, source: str, conditionals=()) -> f
     return avg_mi(dist, (xi,), (si,), (hi,) + ci)
 
 
-def _observations(dist: JointDistribution, observation) -> np.ndarray:
-    obs = np.asarray(observation)
-    if obs.ndim not in (1, 2) or obs.shape[-1] != len(dist.variables):
-        raise ValueError(
-            f"observation must cover all {len(dist.variables)} variables, got {observation}")
-    return obs
-
-
 def local_te(dist: JointDistribution, source: str, conditionals, observation):
     """Local transfer entropy at one observation tuple, or per row of a matrix."""
     xi, hi = _indices(dist)
     si, ci = _source_indices(dist, source, conditionals)
-    obs = _observations(dist, observation)
-    cond = {hi: obs[..., hi], **{c: obs[..., c] for c in ci}}
-    return local_mi(dist, {xi: obs[..., xi]}, {si: obs[..., si]}, cond)
+    return _local_rows(dist, observation, [((xi,), (si,), (hi,) + ci)])
 
 
 def local_separable(dist: JointDistribution, observation):
@@ -316,22 +308,9 @@ def local_separable(dist: JointDistribution, observation):
     (m, nvars) observation matrix gives one value per row, or the error a
     call on its first row with an uncounted part raises.
     """
-    obs = _observations(dist, observation)
     xi, hi = _indices(dist)
-    x, h = {xi: obs[..., xi]}, {hi: obs[..., hi]}
-    parts = [_local_values(dist, x, h)]
-    for s in map(dist.index_of, _sources(dist)):
-        parts.append(_local_values(dist, x, {s: obs[..., s]}, h))
-    # The first row at which any part is undefined fails, with the error of
-    # its first undefined part: what a call on that row alone raises.
-    unseen = np.logical_or.reduce([u for _, u, _ in parts])
-    if unseen.any():
-        row = int(np.argmax(unseen))
-        raise next(error(row) for _, u, error in parts if u.flat[row])
-    total = parts[0][0]
-    for values, _, _ in parts[1:]:
-        total += values
-    return float(total) if total.ndim == 0 else total
+    transfers = [((xi,), (s,), (hi,)) for s in map(dist.index_of, _sources(dist))]
+    return _local_rows(dist, observation, [((xi,), (hi,), ()), *transfers])
 
 
 @dataclass(frozen=True)
@@ -342,7 +321,6 @@ class GridSites:
     site's row. Both arrays are read-only."""
 
     k: int
-    shape: tuple[int, int]
     rows: np.ndarray = field(repr=False, compare=False)
     labels: np.ndarray = field(repr=False, compare=False)
 
@@ -356,7 +334,7 @@ def grid_sites(grid: SpacetimeGrid, k: int) -> GridSites:
     first, labels = _first_seen(samples @ mults)
     rows, labels = samples[first], labels.reshape(-1, grid.cells.shape[1])
     rows.flags.writeable = labels.flags.writeable = False
-    return GridSites(k, grid.cells.shape, rows, labels)
+    return GridSites(k, rows, labels)
 
 
 @dataclass(frozen=True)
@@ -365,10 +343,8 @@ class LocalProfile:
     time ``k`` on, one value per distinct site configuration.
 
     ``table`` holds the values and ``labels``, a (steps - k, width) array,
-    each site's entry of it; every entry is some site's value. ``values``,
-    the grid-shaped array whose rows before ``k`` (times without a full
-    history window) are NaN, and ``defined_values()``, its rows from ``k``,
-    are built on each read.
+    each site's entry of it; every entry is some site's value.
+    ``defined_values()`` gathers the sites' values into that shape.
     """
 
     measure: str
@@ -376,34 +352,18 @@ class LocalProfile:
     table: np.ndarray = field(repr=False, compare=False)
     labels: np.ndarray = field(repr=False, compare=False)
 
-    @classmethod
-    def from_values(cls, measure: str, k: int, values) -> "LocalProfile":
-        """The profile of grid-shaped ``values`` whose rows from ``k`` are
-        defined: one table entry per distinct float bit pattern, so -0.0
-        and 0.0 keep their own entries. Values that are not a grid with a
-        site from ``k`` on are refused."""
-        k = _check_k(k)
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(
-                f"profile values must be a (steps, width) grid, got shape {values.shape}")
-        defined = np.ascontiguousarray(values[k:])
-        if not defined.size:
-            raise ValueError(f"profile values of shape {values.shape} have no site from k={k}")
-        bits, labels = np.unique(defined.view(np.int64).ravel(), return_inverse=True)
-        return cls(measure, k, bits.view(np.float64), labels.reshape(defined.shape))
-
-    @property
-    def values(self) -> np.ndarray:
-        values = np.full((self.k + len(self.labels), self.labels.shape[1]), np.nan)
-        values[self.k:] = self.table[self.labels]
-        return values
-
     def defined_values(self) -> np.ndarray:
         return self.table[self.labels]
 
 
-PROFILE_MEASURES = ("local_ais", "local_te_left", "local_te_right", "local_separable")
+# Each profiled measure, valued at the rows of a (next, hist, left, right) matrix.
+_PROFILED = {
+    "local_ais": lambda dist, rows: local_ais(dist, rows[:, 1], rows[:, 0]),
+    "local_te_left": lambda dist, rows: local_te(dist, "left", (), rows),
+    "local_te_right": lambda dist, rows: local_te(dist, "right", (), rows),
+    "local_separable": lambda dist, rows: local_separable(dist, rows),
+}
+PROFILE_MEASURES = tuple(_PROFILED)
 
 
 def check_measures(measures) -> tuple[str, ...]:
@@ -447,14 +407,7 @@ def profile(dist: JointDistribution, grid: SpacetimeGrid | GridSites,
     sites = grid if isinstance(grid, GridSites) else grid_sites(grid, k)
     if sites.k != k:
         raise ValueError(f"sites found at k={sites.k} cannot be valued over a k={k} distribution")
-    rows = sites.rows
-    if measure == "local_ais":
-        local = local_ais(dist, rows[:, 1], rows[:, 0])
-    elif measure == "local_separable":
-        local = local_separable(dist, rows)
-    else:
-        local = local_te(dist, measure[len("local_te_"):], (), rows)
-    return LocalProfile(measure, k, local, sites.labels)
+    return LocalProfile(measure, k, _PROFILED[measure](dist, sites.rows), sites.labels)
 
 
 def _byte_rows(texts) -> np.ndarray:

@@ -151,18 +151,15 @@ def run_or_demo(delta: float) -> dict:
     localized across the OR gate's rows."""
     dist = or_distribution(delta)
     choice, tied = argmin_table(dist, OR_NODE)
-    rows = []
-    for a1 in (0, 1):
-        for a2 in (0, 1):
-            x = a1 | a2
-            obs = (x, a1, a2)
-            rows.append({
-                "a1": a1, "a2": a2, "x": x,
-                "probability": float(dist.counts[obs]),
-                "chosen_source": f"A{min(OR_NODE.subsets[choice[x]])}",
-                "local_value": local_i_min(dist, OR_NODE, obs),
-                "tied": bool(tied[x]),
-            })
+    observed = [(a1 | a2, a1, a2) for a1 in (0, 1) for a2 in (0, 1)]
+    local = local_i_min(dist, OR_NODE, observed).tolist()
+    rows = [{
+        "a1": a1, "a2": a2, "x": x,
+        "probability": float(dist.counts[(x, a1, a2)]),
+        "chosen_source": f"A{min(OR_NODE.subsets[choice[x]])}",
+        "local_value": value,
+        "tied": bool(tied[x]),
+    } for (x, a1, a2), value in zip(observed, local)]
     return {
         "format": "synpid-or-demo",
         "version": 1,
@@ -190,9 +187,10 @@ def or_demo_text(report: dict) -> str:
 
 # -- local profiles ---------------------------------------------------------
 
-def export_local_profiles(rule: int, config: ExperimentConfig, measures,
-                          out_dir, threads: int | None = None) -> dict:
-    """Write CSV and 16-bit PGM profiles of local measures for one rule.
+def export_local_profiles(config: ExperimentConfig, measures, out_dir,
+                          threads: int | None = None) -> dict:
+    """Write CSV and 16-bit PGM profiles of local measures for the one rule
+    of ``config``; a config of several rules is refused.
 
     Probabilities are pooled over the whole batch; the displayed grid is the
     batch's first run, so every site's configuration has been counted. Its
@@ -201,6 +199,9 @@ def export_local_profiles(rule: int, config: ExperimentConfig, measures,
     compatibility and has no effect.
     """
     measures = check_measures(measures)
+    if len(config.rules) != 1:
+        raise ValueError(f"profiles are exported for one rule, got rules {list(config.rules)}")
+    (rule,) = config.rules
     grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
     dist_k = ca_distribution(grids, config.k)
     os.makedirs(out_dir, exist_ok=True)

@@ -19,6 +19,9 @@ Conventions, fixed across the module:
 - A node's subsets are kept in canonical order (size, then members). Where
   a localized value needs one minimizing subset, ties within 1e-12 go to
   the lowest subset index and are flagged, never hidden.
+- Localized redundancy takes one observation or an (m, nvars) matrix of
+  them, as the local measures of ``dynamics`` do, and values the chosen
+  subset's local mutual information with the same row kernel.
 
 Known and accepted behavior of this redundancy measure: two sources that
 each fully identify the destination in different ways still count as fully
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import JointDistribution, _dot, history_length, local_mi
+from .distributions import JointDistribution, _dot, _local_rows, _observations, history_length
 from .eca import _integer
 from .lattice import Antichain, RedundancyLattice, build_lattice, source_subset
 
@@ -175,25 +178,32 @@ def argmin_table(dist: JointDistribution, node) -> tuple[np.ndarray, np.ndarray]
     return choice, np.count_nonzero(near, axis=0) > 1
 
 
-def local_i_min(dist: JointDistribution, node, observation) -> float:
+def local_i_min(dist: JointDistribution, node, observation):
     """Localized redundancy: local MI carried by the minimizing subset.
 
     The subset is chosen per destination outcome by ``argmin_table``; the
-    returned value is the local mutual information between the destination
-    outcome and that subset's observed joint value. Unobserved observations
-    are an error.
+    value is the local mutual information between the destination outcome
+    and that subset's observed joint value. An (m, nvars) observation
+    matrix gives one value per row, each the float a call on that row
+    gives. An observation that was never counted is an error, which names
+    the first such row.
     """
     subsets = _normalize_subsets(node)
-    obs = tuple(observation)
-    if len(obs) != len(dist.variables):
-        raise ValueError(
-            f"observation must cover all {len(dist.variables)} variables, got {obs}")
-    if obs not in dist.counts:
-        raise ValueError(f"observation {obs} was never counted")
+    obs = _observations(dist, observation)
+    choice, _ = argmin_table(dist, subsets)
+    rows = np.atleast_2d(obs)
+    unseen = dist.counts.index(rows) < 0
+    if unseen.any():
+        raise ValueError(f"observation {tuple(rows[np.argmax(unseen)].tolist())} "
+                         "was never counted")
     xi = _destination(dist)
-    choice, _ = argmin_table(dist, node)
-    cols = _source_columns(dist, subsets[choice[int(obs[xi])]])
-    return local_mi(dist, {xi: obs[xi]}, {c: obs[c] for c in cols})
+    picks = choice[rows[:, xi].astype(np.int64)]
+    values = np.empty(len(rows))
+    for pick in np.unique(picks).tolist():
+        at = picks == pick
+        cols = _source_columns(dist, subsets[pick])
+        values[at] = _local_rows(dist, rows[at], [((xi,), cols, ())])
+    return float(values[0]) if obs.ndim == 1 else values
 
 
 def partial_terms(dist: JointDistribution,

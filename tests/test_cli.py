@@ -91,15 +91,18 @@ def test_console_script_is_installed():
 
 
 def test_readme_library_example_runs():
-    # The README's first python block, as written: its signatures cannot
-    # drift from the code's.
+    # Every python block of the README, as written and in order, in one
+    # namespace: its signatures cannot drift from the code's.
     text = (REPO_ROOT / "README.md").read_text()
-    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2
     namespace = {}
-    exec(compile(code, "README.md", "exec"), namespace)
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), namespace)
     dec = namespace["dec"]
     assert dec.k == 16 and dec.lattice.r == 3
     assert namespace["tc"] >= 0 and 0 < dec.m_x <= dec.total
+    assert namespace["sep"].defined_values().shape == (184, 200)
 
 
 def test_malformed_flags_exit_2():
@@ -263,6 +266,7 @@ def test_or_demo_report_bytes_are_pinned(tmp_path, capsys):
     for flag, digest in (
         ("--delta=1e-6", "2eb8be7e523a3a7c259c2049331d4e32fe433356b100b0983f2c06d03927fcbe"),
         ("--delta=-1e-6", "23497019a80ef79aee6774787127ed82a5ed97c41cfae1682afd5be7885593bb"),
+        ("--delta=0", "0429a3d02609f8bb1646dec35d0246d6220de576a79c1409dd5fdda201b15d89"),
     ):
         out = tmp_path / "or.json"
         assert main(["or-demo", flag, "--out", str(out)]) == 0

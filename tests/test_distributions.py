@@ -14,7 +14,9 @@ from synpid.distributions import (
     JointDistribution, Marginal, VariableSpec, _count_codes, _dot, _grouped, _radix_multipliers,
     avg_mi, count_samples, history_length, local_mi, merge,
 )
-from synpid.dynamics import ca_distribution, local_ais
+from synpid.dynamics import (
+    PROFILE_MEASURES, ca_distribution, ca_variables, local_ais, local_separable, local_te, profile,
+)
 from synpid.eca import run_batch
 from synpid.pid import local_i_min, modified_information
 
@@ -205,6 +207,18 @@ def test_empty_distribution_refuses_queries():
         avg_mi(dist, (0,), (1,))
     with pytest.raises(ValueError, match="empty"):
         local_mi(dist, {0: 0}, {1: 0})
+    # Every local measure refuses it the same way, before any lookup.
+    dist = count_samples(ca_variables(1), [])
+    grid = run_batch(54, 8, 6, 0, 1)[0]
+    for measure in (lambda: local_te(dist, "left", (), (0, 0, 0, 0)),
+                    lambda: local_te(dist, "right", ("left",), np.zeros((3, 4), np.int64)),
+                    lambda: local_separable(dist, (0, 0, 0, 0)),
+                    lambda: local_separable(dist, np.zeros((3, 4), np.int64)),
+                    lambda: local_i_min(dist, [{1}, {2, 3}], (0, 0, 0, 0)),
+                    lambda: local_i_min(dist, [{1}], np.zeros((3, 4), np.int64)),
+                    *(lambda m=m: profile(dist, grid, m) for m in PROFILE_MEASURES)):
+        with pytest.raises(ValueError, match="^empty distribution$"):
+            measure()
 
 
 def test_merge_equals_counting_one_stream():

@@ -581,10 +581,12 @@ def profiled():
 
 
 def test_profile_shape_and_nan_margin(profiled):
+    # The times before k have no full history window, so no site: a profile
+    # covers the rows from k on and nothing before them.
     grid, dist = profiled
     prof = profile(dist, grid, "local_ais")
-    assert prof.values.shape == grid.cells.shape
-    assert np.isnan(prof.values[:2]).all()
+    steps, width = grid.cells.shape
+    assert prof.labels.shape == prof.defined_values().shape == (steps - 2, width)
     assert np.isfinite(prof.defined_values()).all()
     assert prof.k == 2
 
@@ -609,8 +611,9 @@ def test_profile_separable_is_elementwise_sum(profiled):
 
 
 def per_site_profile(dist, grid, measure):
-    """The reference profile: one scalar call per site, in (time, cell) order,
-    so a configuration that was never counted fails at its first site."""
+    """The reference profile's rows from k on: one scalar call per site, in
+    (time, cell) order, so a configuration that was never counted fails at
+    its first site."""
     k = history_length(dist)
     scalar = {
         "local_ais": lambda o: local_ais(dist, o[1], o[0]),
@@ -619,9 +622,14 @@ def per_site_profile(dist, grid, measure):
         "local_separable": lambda o: local_separable(dist, o),
     }[measure]
     sites = [tuple(int(v) for v in row) for row in ca_samples(grid, k)]
-    values = np.full(grid.cells.shape, np.nan)
-    values[k:] = np.reshape([scalar(o) for o in sites], (-1, grid.cells.shape[1]))
-    return values
+    return np.reshape([scalar(o) for o in sites], (-1, grid.cells.shape[1]))
+
+
+def site_profile(measure, k, defined):
+    """The profile of the sites' values ``defined``, the rows from k on,
+    with one table entry per site."""
+    defined = np.asarray(defined, dtype=np.float64)
+    return LocalProfile(measure, k, defined.ravel(), np.arange(defined.size).reshape(defined.shape))
 
 
 @pytest.fixture(scope="module")
@@ -636,8 +644,8 @@ def test_profile_equals_per_site_scalar_calls(profiled, pooled):
         for measure in PROFILE_MEASURES:
             expect = per_site_profile(dist, grid, measure)
             for where in (grid, sites):
-                got = profile(dist, where, measure).values
-                assert np.array_equal(got, expect, equal_nan=True), measure
+                got = profile(dist, where, measure).defined_values()
+                assert np.array_equal(got, expect), measure
 
 
 def test_grid_sites_are_the_deduplicated_samples(pooled):
@@ -645,7 +653,7 @@ def test_grid_sites_are_the_deduplicated_samples(pooled):
     samples = ca_samples(grid, 5)
     sites = grid_sites(grid, 5)
     assert isinstance(sites, GridSites)
-    assert (sites.k, sites.shape, sites.labels.shape) == (5, (30, 16), (25, 16))
+    assert (sites.k, sites.labels.shape) == (5, (25, 16))
     assert np.array_equal(sites.rows[sites.labels.ravel()], samples)
     assert len(np.unique(sites.rows, axis=0)) == len(sites.rows)
     for arr in (sites.rows, sites.labels):
@@ -656,13 +664,13 @@ def test_grid_sites_are_the_deduplicated_samples(pooled):
 
 @pytest.mark.parametrize("measure", PROFILE_MEASURES)
 def test_profile_writes_the_bytes_of_its_dense_values(pooled, tmp_path, measure):
-    # A profile keeps one value per configuration; its dense values, read
-    # back one per site, write the same files.
+    # A profile keeps one value per configuration; its values, one table
+    # entry per site, write the same files.
     grid, dist = pooled
     prof = profile(dist, grid, measure)
-    dense = LocalProfile.from_values(measure, prof.k, prof.values)
-    assert np.array_equal(dense.values, prof.values, equal_nan=True)
-    assert len(dense.table) <= len(prof.table) < dense.labels.size
+    dense = site_profile(measure, prof.k, prof.defined_values())
+    assert np.array_equal(dense.defined_values(), prof.defined_values())
+    assert len(prof.table) < len(dense.table) == dense.labels.size
     for write in (write_profile_csv, write_profile_pgm):
         paths = [tmp_path / f"{name}.out" for name in ("kept", "dense")]
         for p, source in zip(paths, (prof, dense)):
@@ -683,8 +691,8 @@ def test_profile_of_a_grid_outside_the_pooled_batch(rule, k, runs):
                 profile(dist, grid, measure)
             assert str(got.value) == str(exc), measure
         else:
-            got = profile(dist, grid, measure).values
-            assert np.array_equal(got, expect, equal_nan=True), measure
+            got = profile(dist, grid, measure).defined_values()
+            assert np.array_equal(got, expect), measure
 
 
 def test_separable_fails_at_the_first_site_any_part_misses():
@@ -786,7 +794,7 @@ def test_profile_csv_round_trip(profiled, tmp_path):
     assert len(lines) == 1 + 20 * (24 - 2)
     cell, t, value = lines[1].split(",")
     assert (int(cell), int(t)) == (0, 2)
-    assert float(value) == prof.values[2, 0]
+    assert float(value) == prof.defined_values()[0, 0]
 
 
 # NaN, both infinities, both zeros, the smallest subnormal and the smallest
@@ -809,7 +817,7 @@ def test_profile_csv_bytes_match_csv_writer(tmp_path, grid, floats, seed):
     values = np.full((steps, width), np.nan)
     values[k:] = rng.choice(SPECIAL_FLOATS + floats, size=(steps - k, width))
     values[k, :2] = [1e-05, -0.0][:width]
-    prof = LocalProfile.from_values("local_ais", k, values)
+    prof = site_profile("local_ais", k, values[k:])
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as f:
         writer = csv.writer(f)
@@ -849,24 +857,12 @@ def test_profile_pgm_round_trip(profiled, tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_profile_pgm_refuses_non_finite_values(tmp_path, bad):
     # The gray mapping is undefined for them, so no file is begun.
-    prof = LocalProfile.from_values("local_ais", 1, [[0, 0], [1, bad], [0.5, 2]])
+    prof = site_profile("local_ais", 1, [[1, bad], [0.5, 2]])
     path = tmp_path / "prof.pgm"
     with pytest.raises(ValueError, match=re.escape(
             f"cannot map the non-finite local_ais value {bad!r} to a gray level")):
         write_profile_pgm(prof, path)
     assert not path.exists()
-
-
-def test_from_values_refuses_values_without_a_site():
-    with pytest.raises(ValueError, match=re.escape(
-            "profile values must be a (steps, width) grid, got shape (3,)")):
-        LocalProfile.from_values("local_ais", 1, [0.0, 1.0, 2.0])
-    for k, shape in ((2, (2, 2)), (5, (2, 2)), (1, (3, 0))):
-        with pytest.raises(ValueError, match=re.escape(
-                f"profile values of shape {shape} have no site from k={k}")):
-            LocalProfile.from_values("local_ais", k, np.zeros(shape))
-    # The measure is any name, so an opt-in measure can be written too.
-    assert LocalProfile.from_values("any", 1, np.zeros((2, 2))).table.tolist() == [0.0]
 
 
 def test_profile_pgm_flat_data(tmp_path):

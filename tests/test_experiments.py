@@ -162,8 +162,7 @@ def test_or_demo_serialization_and_text():
 
 def test_export_local_profiles(tmp_path):
     cfg = ExperimentConfig(rules=(54,), runs=2, width=16, steps=14, k=3, base_seed=1)
-    out = export_local_profiles(
-        54, cfg, ("local_ais", "local_separable"), tmp_path, threads=1)
+    out = export_local_profiles(cfg, ("local_ais", "local_separable"), tmp_path, threads=1)
     assert set(out) == {"local_ais", "local_separable"}
     for paths in out.values():
         assert os.path.exists(paths["csv"])
@@ -171,17 +170,24 @@ def test_export_local_profiles(tmp_path):
     header = Path(out["local_ais"]["csv"]).read_text().splitlines()[0]
     assert header == "cell,time,value"
     with pytest.raises(ValueError, match="unknown measure"):
-        export_local_profiles(54, cfg, ("bogus",), tmp_path)
+        export_local_profiles(cfg, ("bogus",), tmp_path)
     with pytest.raises(ValueError, match="at least one measure"):
-        export_local_profiles(54, cfg, (), tmp_path)
+        export_local_profiles(cfg, (), tmp_path)
     with pytest.raises(ValueError, match=re.escape(
             "duplicate measures: ('local_ais', 'local_te_left', 'local_ais')")):
-        export_local_profiles(54, cfg, ["local_ais", "local_te_left", "local_ais"], tmp_path / "d")
+        export_local_profiles(cfg, ["local_ais", "local_te_left", "local_ais"], tmp_path / "d")
     # A bare string is not read as a sequence of one-letter names.
     with pytest.raises(ValueError, match=re.escape(
             "measures must be a sequence of names, got 'local_ais'")):
-        export_local_profiles(54, cfg, "local_ais", tmp_path / "d")
+        export_local_profiles(cfg, "local_ais", tmp_path / "d")
+    # The config states the one rule profiled; several are refused.
+    with pytest.raises(ValueError, match=re.escape(
+            "profiles are exported for one rule, got rules [30, 54]")):
+        export_local_profiles(ExperimentConfig(rules=(30, 54), runs=2, width=16, steps=14, k=3),
+                              ("local_ais",), tmp_path / "d")
     assert not (tmp_path / "d").exists()
+    assert sorted(os.listdir(tmp_path)) == [
+        f"rule54_{m}.{ext}" for m in ("local_ais", "local_separable") for ext in ("csv", "pgm")]
 
 
 def test_export_finds_the_displayed_sites_once(monkeypatch, tmp_path):
@@ -193,7 +199,7 @@ def test_export_finds_the_displayed_sites_once(monkeypatch, tmp_path):
         return first_seen(values)
 
     monkeypatch.setattr(dynamics, "_first_seen", spy)
-    written = export_local_profiles(110, SMALL, dynamics.PROFILE_MEASURES, tmp_path)
+    written = export_local_profiles(SMALL, dynamics.PROFILE_MEASURES, tmp_path)
     assert list(written) == list(dynamics.PROFILE_MEASURES)
     assert calls == [(SMALL.steps - SMALL.k) * SMALL.width]
 
@@ -210,13 +216,13 @@ def test_pipelines_count_a_batch_from_its_ring(monkeypatch, tmp_path):
 
     monkeypatch.setattr(dynamics, "_stacks", spy)
     run_table1(SMALL)
-    export_local_profiles(110, SMALL, ("local_ais",), tmp_path)
+    export_local_profiles(SMALL, ("local_ais",), tmp_path)
     assert packed == [True, True]
 
 
 def test_profiles_display_the_first_pooled_run(tmp_path):
     cfg = ExperimentConfig(rules=(54,), runs=3, width=16, steps=14, k=3, base_seed=5)
-    out = export_local_profiles(54, cfg, ("local_separable",), tmp_path)
+    out = export_local_profiles(cfg, ("local_separable",), tmp_path)
     pooled = ca_distribution(run_batch(54, 16, 14, 5, 3), 3)
     ref = tmp_path / "ref.csv"
     write_profile_csv(profile(pooled, run(54, 16, 14, 5), "local_separable"), ref)

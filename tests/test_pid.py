@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -339,6 +340,30 @@ def test_local_i_min_rejects_bad_observations():
         local_i_min(or_distribution(0.0), BOTTOM2, (1, 0.5, 1))  # not a symbol
     with pytest.raises(ValueError, match="cover all"):
         local_i_min(d, BOTTOM2, (0, 0))
+
+
+def test_local_i_min_over_rows_equals_per_row_calls():
+    # An (m, nvars) matrix is valued row by row, bit for bit: on random
+    # draws at every node of the two-source lattice, and on the OR demo's
+    # rows at delta = 0, where both singletons tie at every outcome.
+    rng = np.random.default_rng(41)
+    demo = [(a1 | a2, a1, a2) for a1 in (0, 1) for a2 in (0, 1)]
+    cases = [(or_distribution(0.0), demo)]
+    for _ in range(10):
+        dist = random_distribution(rng, r=2)
+        cases.append((dist, dist.counts.symbols[rng.integers(0, len(dist), 12)]))
+    for dist, rows in cases:
+        for node in build_lattice(2).nodes:
+            got = local_i_min(dist, node, rows)
+            expect = [local_i_min(dist, node, tuple(row)) for row in np.asarray(rows).tolist()]
+            assert all(type(v) is float for v in expect)
+            assert got.tobytes() == np.array(expect).tobytes(), node.label
+    assert argmin_table(or_distribution(0.0), BOTTOM2)[1].all()
+    # The error names the first row that was never counted.
+    rows = np.array([[0, 0, 0], [1, 1, 0], [0, 1, 0], [1, 1, 1]])
+    with pytest.raises(ValueError, match=re.escape("observation (0, 1, 0) was never counted")):
+        local_i_min(gate_distribution("xor"), BOTTOM2, rows)
+    assert local_i_min(gate_distribution("xor"), BOTTOM2, rows[:0]).shape == (0,)
 
 
 # -- partial terms and modified information ---------------------------------
