@@ -134,6 +134,13 @@ def _resolve(args, settings) -> dict:
     return values
 
 
+def _check_out(path):
+    """Refuse, before any work, an output path whose directory does not exist."""
+    directory = os.path.dirname(path or "")
+    if directory and not os.path.isdir(directory):
+        raise ValueError(f"cannot write {path}: no directory {directory}")
+
+
 def _write_json(doc, path):
     """Write a JSON report to ``path``, if one is given."""
     if path:
@@ -150,6 +157,7 @@ def _experiment_config(rules, seed, geometry) -> ExperimentConfig:
 
 
 def cmd_ca_run(seed, rule, width, steps, out) -> int:
+    _check_out(out + ".pgm")
     grid = eca.run(rule, width, steps, seed)
     eca.write_pgm(grid, out + ".pgm")
     eca.write_csv(grid, out + ".csv")
@@ -158,6 +166,7 @@ def cmd_ca_run(seed, rule, width, steps, out) -> int:
 
 
 def cmd_table1(seed, rules, threads, out, **geometry) -> int:
+    _check_out(out)
     report = run_table1(_experiment_config(rules, seed, geometry))
     print(table1_text(report))
     _write_json(report, out)
@@ -165,6 +174,7 @@ def cmd_table1(seed, rules, threads, out, **geometry) -> int:
 
 
 def cmd_or_demo(delta, out) -> int:
+    _check_out(out)
     report = run_or_demo(delta)
     print(or_demo_text(report))
     _write_json(report, out)
@@ -221,6 +231,7 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
 
 def cmd_analyze(input, destination, sources, k, out) -> int:
     config = AnalyzeConfig(k, destination, sources)
+    _check_out(out)
     header, data = _read_csv(input)
     report = {"input": input, **run_analyze(dict(zip(header, data.T)), config)}
     if out:
@@ -232,6 +243,7 @@ def cmd_analyze(input, destination, sources, k, out) -> int:
 
 
 def cmd_lattice(sources, out) -> int:
+    _check_out(out)
     r = sources
     lat = build_lattice(r)
     print(f"r={r}: {len(lat.nodes)} nodes, {len(lat.covers)} covering edges")

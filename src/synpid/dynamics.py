@@ -33,6 +33,7 @@ Measures, all in bits:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,9 @@ from .distributions import (
     JointDistribution, VariableSpec, _count_codes, _first_seen, _grouped, _local_rows,
     _radix_multipliers, avg_mi, history_length, local_mi, merge,
 )
-from .eca import Batch, SpacetimeGrid, _integer
+from .eca import (
+    Batch, SpacetimeGrid, _initial_rows, _integer, _padded_rows, check_batch, check_rule,
+)
 
 
 def _check_k(k) -> int:
@@ -64,14 +67,21 @@ def ca_variables(k: int) -> tuple[VariableSpec, ...]:
     )
 
 
+def _check_steps(steps: int, k) -> int:
+    """k as a plain int, once it is a history length and a grid of
+    ``steps`` rows has a time from k on."""
+    k = _check_k(k)
+    if k >= steps:
+        raise ValueError(f"grid with {steps} steps has no destinations after a k={k} window")
+    return k
+
+
 def _check_cells(cells: np.ndarray, k: int) -> int:
     """k as a plain int, once it is a history length, the (steps, ...)
     cells have a time from k on, and the cells are bits; packed codes of
     non-bits would alias. Integer cells in [0, 1] are bits; other cells
     must also be exactly 0 or 1."""
-    k = _check_k(k)
-    if k >= len(cells):
-        raise ValueError(f"grid with {len(cells)} steps has no destinations after a k={k} window")
+    k = _check_steps(len(cells), k)
     lo, hi = cells.min(), cells.max()
     if not (lo >= 0 and hi <= 1):
         raise ValueError(f"grid cells must be bits, saw values in [{lo}, {hi}]")
@@ -98,42 +108,46 @@ def ca_samples(grid: SpacetimeGrid, k: int) -> np.ndarray:
     return np.stack(columns, axis=-1).reshape(-1, len(columns))
 
 
-def _packed_codes(cells: np.ndarray, k: int, codes: np.ndarray) -> None:
+def _packed_codes(rows, k: int, codes: np.ndarray) -> None:
     """Pack (next, hist, left, right) of every destination site, t >= k, of
-    checked, time-major padded (steps, runs, width + 2) cells into the flat
-    buffer ``codes``, in (time, run, cell) order.
+    checked, time-major padded (runs, width + 2) rows into the
+    (steps - k, runs, width) buffer ``codes``, in (time, run, cell) order.
 
-    Each time row is read as one flat row of runs * (width + 2) cells, in
-    which the left and right neighbours of any inner cell lie one position
-    either side. The window and the sources are built on those whole padded
-    rows; only the inner columns reach ``codes``.
+    ``rows`` is any iterable of those rows, such as a padded stack or
+    ``eca._padded_rows``; each is read once, before the next is drawn.
+    Each row is read as one flat row of runs * (width + 2) cells, in which
+    the left and right neighbours of any inner cell lie one position either
+    side. The window and the sources are built on those whole padded rows;
+    only the inner columns reach ``codes``.
     """
-    steps, runs, padded = cells.shape
-    width = padded - 2
-    codes = codes.reshape(steps - k, runs, width)
-    rows = cells.reshape(steps, -1)
-    n = rows.shape[1]
+    _, runs, width = codes.shape
+    padded = width + 2
+    n = runs * padded
     dtype = codes.dtype.type
     window = np.zeros(n, dtype)
     inner = window[1:n - 1]
-    prev, cur = np.empty(n, dtype), np.empty(n, dtype)
-    for t in range(steps):
-        prev, cur = cur, prev
-        np.copyto(cur, rows[t], casting="unsafe")
+    part = np.empty(n, dtype)
+    source = part[:n - 2]
+    for t, row in enumerate(rows):
         # next (weight 1) and hist (weight 2) form the (k+1)-bit window
         # sum_j cells[t - j] << j of the destination's own column. The mask
         # also clears the source bits, which the last step put above it.
         window &= 2 ** k - 1
         window <<= 1
-        window |= cur
+        np.copyto(part, row.reshape(n), casting="unsafe")
+        window |= part
         if t < k:
             continue
-        # The previous row is shifted in place to the left source's weight
-        # 2^(k+1), then to the right source's 2^(k+2).
-        prev <<= dtype(k + 1)
-        inner |= prev[:n - 2]
-        prev <<= dtype(1)
-        inner |= prev[2:]
+        # The previous row is bit 1 of the window: the left neighbour's goes
+        # to weight 2^(k+1), then the right neighbour's to 2^(k+2). Neither
+        # weight is bit 1, so the first source leaves the second's bit as it
+        # was.
+        np.bitwise_and(window[:n - 2], 2, out=source)
+        source <<= dtype(k)
+        inner |= source
+        np.bitwise_and(window[2:], 2, out=source)
+        source <<= dtype(k + 1)
+        inner |= source
         codes[t - k] = window.reshape(runs, padded)[:, 1:1 + width]
 
 
@@ -162,19 +176,24 @@ def _stacks(grids, k: int) -> list[np.ndarray]:
     return stacks
 
 
-def _pack_stacks(stacks, k: int) -> np.ndarray:
-    """The codes of every destination site of checked padded stacks, in one
-    new buffer; 32-bit when the joint alphabet allows, which halves the
-    bytes the counting sort moves."""
+def _code_buffer(k: int, size: int) -> np.ndarray:
+    """A new buffer for ``size`` codes at history length k; 32-bit when the
+    joint alphabet allows, which halves the bytes the counting sort moves."""
     variables = ca_variables(k)
     mults = _radix_multipliers([v.arity for v in variables])
-    dtype = np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64
-    sizes = [(len(cells) - k) * cells.shape[1] * (cells.shape[2] - 2) for cells in stacks]
-    codes = np.empty(sum(sizes), dtype)
+    return np.empty(size, np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64)
+
+
+def _pack_stacks(stacks, k: int) -> np.ndarray:
+    """The codes of every destination site of checked padded stacks, in one
+    new buffer."""
+    shapes = [(len(cells) - k, cells.shape[1], cells.shape[2] - 2) for cells in stacks]
+    codes = _code_buffer(k, sum(map(math.prod, shapes)))
     end = 0
-    for cells, n in zip(stacks, sizes):
-        _packed_codes(cells, k, codes[end:end + n])
-        end += n
+    for cells, shape in zip(stacks, shapes):
+        part = codes[end:end + math.prod(shape)]
+        _packed_codes(cells, k, part.reshape(shape))
+        end += part.size
     return codes
 
 
@@ -192,7 +211,7 @@ def ca_distribution(grids, k: int) -> JointDistribution:
     reference to ``grids``, so a batch passed straight in is freed before
     ``_count_codes`` sorts the codes in place, which adds no row-sized
     buffer. A caller that keeps the batch, or any of its grids, keeps its
-    ring.
+    ring. ``batch_distributions`` counts a batch without its ring.
     """
     k = _check_k(k)
     codes = _pack_stacks(_stacks(grids, k), k)
@@ -200,27 +219,54 @@ def ca_distribution(grids, k: int) -> JointDistribution:
     return _count_codes(ca_variables(k), codes)
 
 
+def _check_ks(ks) -> tuple[int, ...]:
+    """``ks`` as a tuple of plain ints, once it is a nonempty sequence of
+    history lengths."""
+    if isinstance(ks, str) or not np.iterable(ks):
+        raise ValueError(f"ks must be a sequence of history lengths, got {ks!r}")
+    ks = tuple(map(_check_k, ks))
+    if not ks:
+        raise ValueError("need at least one history length")
+    return ks
+
+
+def _cut(full: JointDistribution, leading: dict, ks) -> list[JointDistribution]:
+    """The distribution of each k in ``ks`` from ``full``, counted at the
+    largest k, and ``leading``, the counts of the times before it at each
+    shorter k.
+
+    A shorter history is the low bits of a longer one (bit 0 is the
+    previous value), so each shorter k cuts the history column of the
+    distinct rows of ``full`` and sums equal rows, then adds its leading
+    count. The cuts work on distinct rows only.
+    """
+    top = history_length(full)
+    out = {top: full}
+    for k, head in leading.items():
+        variables = ca_variables(k)
+        codes = full.counts._codes
+        # Keep next and the k lowest history bits, and move the sources down.
+        cut = (codes & (2 ** (k + 1) - 1)) | (codes >> (top + 1) << (k + 1))
+        counts, _ = _grouped([v.arity for v in variables], cut, full.counts.weights)
+        out[k] = merge(JointDistribution._from_counts(variables, counts, full.total), head)
+    return [out[k] for k in ks]
+
+
 def ca_distributions(grids, ks) -> list[JointDistribution]:
     """``ca_distribution(grids, k)`` for each k in ``ks``, from one count.
 
-    The grids are packed and counted once, at the largest k. A shorter
-    history is the low bits of a longer one (bit 0 is the previous value),
-    so each shorter k cuts the history column of those distinct rows and
-    sums equal rows, then adds a count of the times before the largest k.
-    Every count equals the one ``ca_distribution`` gives.
+    The grids are packed and counted once, at the largest k; ``_cut``
+    gives each shorter k from that count and a count of the times before
+    the largest k. Every count equals the one ``ca_distribution`` gives.
 
     Row-sized buffers: the times before the largest k are counted first,
     each from its own small code buffer. Then the whole batch is packed
     from a ``Batch``'s ring or from copied stacks, and the stacks and this
     call's reference to ``grids`` are dropped, as in ``ca_distribution``:
     the counting sort of a batch passed straight in holds the code buffer
-    alone. The cuts work on distinct rows only.
+    alone. ``batch_distributions`` counts a batch without its ring.
     """
-    if isinstance(ks, str) or not np.iterable(ks):
-        raise ValueError(f"ks must be a sequence of history lengths, got {ks!r}")
-    ks = tuple(map(_check_k, ks))
-    if not ks:
-        raise ValueError("need at least one history length")
+    ks = _check_ks(ks)
     top = max(ks)
     stacks = _stacks(grids, top)
     leading = {k: _count_codes(ca_variables(k), _pack_stacks([cells[:top] for cells in stacks], k))
@@ -231,15 +277,41 @@ def ca_distributions(grids, ks) -> list[JointDistribution]:
     del stacks, grids
     full = _count_codes(ca_variables(top), codes)
     del codes
-    out = {top: full}
-    for k, head in leading.items():
-        variables = ca_variables(k)
-        codes = full.counts._codes
-        # Keep next and the k lowest history bits, and move the sources down.
-        cut = (codes & (2 ** (k + 1) - 1)) | (codes >> (top + 1) << (k + 1))
-        counts, _ = _grouped([v.arity for v in variables], cut, full.counts.weights)
-        out[k] = merge(JointDistribution._from_counts(variables, counts, full.total), head)
-    return [out[k] for k in ks]
+    return _cut(full, leading, ks)
+
+
+def batch_distributions(rule: int, width: int, steps: int, base_seed: int, runs: int,
+                        ks) -> list[JointDistribution]:
+    """``ca_distributions(run_batch(rule, width, steps, base_seed, runs), ks)``,
+    counted as the batch is simulated.
+
+    Each time row is packed into the code buffer as soon as the simulator
+    steps it, so no grid of the batch is kept. The times before the largest
+    k are counted first, for each shorter k, from the first max(ks) rows
+    stepped again from the batch's initial rows, so those rows are not
+    kept either.
+
+    Row-sized buffers: the code buffer alone, beside a few padded rows
+    while it is packed, and through its counting sort. The sorted codes
+    are freed before the cuts.
+    """
+    rule = check_rule(rule)
+    width, steps, base_seed, runs = check_batch(width, steps, base_seed, runs)
+    ks = _check_ks(ks)
+    top = _check_steps(steps, max(ks))
+    first = _initial_rows(width, base_seed, runs)
+
+    def packed(k, rows):
+        """The codes of the batch's first ``rows`` rows at history length k."""
+        codes = _code_buffer(k, (rows - k) * runs * width)
+        _packed_codes(_padded_rows(rule, first, rows), k, codes.reshape(rows - k, runs, width))
+        return codes
+
+    leading = {k: _count_codes(ca_variables(k), packed(k, top)) for k in set(ks) - {top}}
+    codes = packed(top, steps)
+    full = _count_codes(ca_variables(top), codes)
+    del codes
+    return _cut(full, leading, ks)
 
 
 def _indices(dist: JointDistribution):

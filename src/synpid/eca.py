@@ -117,11 +117,6 @@ class SpacetimeGrid:
     seed: int
     cells: np.ndarray = field(repr=False, compare=False)
 
-    def verify(self) -> bool:
-        """Re-simulate from the stored seed and compare every cell."""
-        again = run(self.rule_number, self.width, self.steps, self.seed)
-        return bool(np.array_equal(self.cells, again.cells))
-
 
 def run(rule: int, width: int, steps: int, seed: int) -> SpacetimeGrid:
     """Simulate ``steps`` rows of a width-cell ring from a seeded random row.
@@ -149,46 +144,67 @@ class Batch(tuple):
         return tuple(self), self.ring
 
 
-def run_batch(rule: int, width: int, steps: int, base_seed: int, runs: int) -> Batch:
-    """Repeat runs with the fixed seed policy: run i uses base_seed + i.
-
-    All runs advance together, one vectorized update per time step, on one
-    time-major (steps, runs, width + 2) ring whose first and last columns
-    copy the wrapped neighbors. Each step reads the previous ring row as one
-    flat row: the neighborhood index (2*left + center)*2 + right of every
-    position is built with in-place adds, and the next cell is that bit of
-    the rule number. The pad cells between runs get junk bits, which the
-    next step's wrap copy overwrites; the last row's are copied after the
-    loop, so the finished ring is a complete padded stack of the runs, the
-    one ``dynamics`` packs codes from. It is returned as the batch's
-    ``ring``, and each grid's ``cells`` is a read-only, non-contiguous
-    (steps, width) view of it.
-    """
-    rule = check_rule(rule)
-    width, steps, base_seed, runs = check_batch(width, steps, base_seed, runs)
-    rule_bits = np.uint8(rule)
-    ring = np.empty((steps, runs, width + 2), dtype=np.uint8)
+def _initial_rows(width: int, base_seed: int, runs: int) -> np.ndarray:
+    """The (runs, width) uint8 initial rows of a checked batch: row i is
+    drawn with seed base_seed + i."""
     # Each output gives eight cells, one per little-endian byte: the byte's
     # top bit, which is integers(0, 2)'s bounded draw from that byte.
     n = -(-width // 8)
     draws = np.array([x for i in range(runs) for x in _pcg64_outputs(base_seed + i, n)],
                      dtype="<u8")
-    np.right_shift(draws.view(np.uint8).reshape(runs, -1)[:, :width], 7, out=ring[0, :, 1:-1])
-    flat = ring.reshape(steps, -1)
+    return draws.view(np.uint8).reshape(runs, -1)[:, :width] >> 7
+
+
+def _padded_rows(rule: int, first: np.ndarray, steps: int):
+    """Yield the ``steps`` time rows of a batch that starts from the
+    (runs, width) rows ``first``, as read-only padded (runs, width + 2)
+    rows whose first and last columns copy each run's wrapped neighbours.
+
+    Two padded rows are kept and each step writes the older one, so a
+    yielded row is overwritten two rows later; the caller copies what it
+    keeps. Each step reads the previous row as one flat row: the
+    neighborhood index (2*left + center)*2 + right of every position is
+    built with in-place adds, and the next cell is that bit of the rule
+    number. The pad cells between runs get junk bits, which the wrap copy
+    overwrites before the row is yielded.
+    """
+    runs, width = first.shape
+    rule_bits = np.uint8(rule)
+    rows = np.empty((2, runs, width + 2), dtype=np.uint8)
+    rows[0, :, 1:-1] = first
+    flat = rows.reshape(2, -1)
+    readonly = rows.view()
+    readonly.setflags(write=False)
     hood = np.empty(flat.shape[1] - 2, dtype=np.uint8)
-    for t in range(1, steps):
-        row = ring[t - 1]
+    for t in range(steps):
+        if t:
+            prev = flat[(t - 1) % 2]
+            np.add(prev[:-2], prev[:-2], out=hood)
+            hood += prev[1:-1]
+            hood += hood
+            hood += prev[2:]
+            nxt = flat[t % 2, 1:-1]
+            np.right_shift(rule_bits, hood, out=nxt)
+            nxt &= 1
+        row = rows[t % 2]
         row[:, 0], row[:, -1] = row[:, -2], row[:, 1]
-        prev = flat[t - 1]
-        np.add(prev[:-2], prev[:-2], out=hood)
-        hood += prev[1:-1]
-        hood += hood
-        hood += prev[2:]
-        nxt = flat[t, 1:-1]
-        np.right_shift(rule_bits, hood, out=nxt)
-        nxt &= 1
-    row = ring[-1]
-    row[:, 0], row[:, -1] = row[:, -2], row[:, 1]
+        yield readonly[t % 2]
+
+
+def run_batch(rule: int, width: int, steps: int, base_seed: int, runs: int) -> Batch:
+    """Repeat runs with the fixed seed policy: run i uses base_seed + i.
+
+    All runs advance together, one vectorized update per time step, in
+    ``_padded_rows``. Its rows fill one time-major (steps, runs, width + 2)
+    ring, a complete padded stack of the runs, which is returned as the
+    batch's ``ring``; each grid's ``cells`` is a read-only, non-contiguous
+    (steps, width) view of it.
+    """
+    rule = check_rule(rule)
+    width, steps, base_seed, runs = check_batch(width, steps, base_seed, runs)
+    ring = np.empty((steps, runs, width + 2), dtype=np.uint8)
+    for t, row in enumerate(_padded_rows(rule, _initial_rows(width, base_seed, runs), steps)):
+        ring[t] = row
     ring.setflags(write=False)
     return Batch((SpacetimeGrid(rule, width, steps, int(base_seed + i), ring[:, i, 1:-1])
                   for i in range(runs)), ring)

@@ -21,8 +21,8 @@ from . import eca
 from .distributions import (JointDistribution, VariableSpec, _first_seen, _radix_multipliers,
                             count_samples)
 from .dynamics import (
-    _check_k, active_info_storage, ca_distribution, ca_distributions, check_measures, grid_sites,
-    profile, transfer_entropy, write_profile_csv, write_profile_pgm,
+    _check_k, active_info_storage, batch_distributions, check_measures, grid_sites, profile,
+    transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from .lattice import MAX_SOURCES, Antichain
 from .pid import (
@@ -80,12 +80,10 @@ def run_table1(config: ExperimentConfig, threads: int | None = None) -> dict:
 
 
 def _rule_row(rule: int, config: ExperimentConfig) -> dict:
-    """One rule's row. Its batch is passed straight to ``ca_distributions``,
-    so its grids are freed once packed, before the counting sort, and its
-    distributions on return."""
-    dist_k, dist_1 = ca_distributions(
-        eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs),
-        (config.k, 1))
+    """One rule's row. Its batch is counted as it is simulated, so no grid
+    of it is kept, and its distributions are freed on return."""
+    dist_k, dist_1 = batch_distributions(rule, config.width, config.steps, config.base_seed,
+                                         config.runs, (config.k, 1))
     dec_k = modified_information(dist_k)
     dec_1 = modified_information(dist_1)
     return {
@@ -192,9 +190,11 @@ def export_local_profiles(config: ExperimentConfig, measures, out_dir,
     """Write CSV and 16-bit PGM profiles of local measures for the one rule
     of ``config``; a config of several rules is refused.
 
-    Probabilities are pooled over the whole batch; the displayed grid is the
-    batch's first run, so every site's configuration has been counted. Its
-    sites are found once and valued for each measure in turn. Returns
+    Probabilities are pooled over the whole batch, counted as it is
+    simulated; the displayed grid is the batch's first run, simulated again,
+    so every site's configuration has been counted. Its sites are found
+    once and valued for each measure in turn. The output directory is made
+    first, so a path that cannot hold it fails before any work. Returns
     {measure: {"csv": path, "pgm": path}}. ``threads`` is accepted for
     compatibility and has no effect.
     """
@@ -202,10 +202,10 @@ def export_local_profiles(config: ExperimentConfig, measures, out_dir,
     if len(config.rules) != 1:
         raise ValueError(f"profiles are exported for one rule, got rules {list(config.rules)}")
     (rule,) = config.rules
-    grids = eca.run_batch(rule, config.width, config.steps, config.base_seed, config.runs)
-    dist_k = ca_distribution(grids, config.k)
     os.makedirs(out_dir, exist_ok=True)
-    sites = grid_sites(grids[0], config.k)
+    (dist_k,) = batch_distributions(rule, config.width, config.steps, config.base_seed,
+                                    config.runs, (config.k,))
+    sites = grid_sites(eca.run(rule, config.width, config.steps, config.base_seed), config.k)
     written = {}
     for m in measures:
         prof = profile(dist_k, sites, m)

@@ -18,12 +18,15 @@ from synpid.distributions import (
     history_length, local_mi, merge,
 )
 from synpid.dynamics import (
-    PROFILE_MEASURES, GridSites, LocalProfile, active_info_storage, ca_distribution,
-    ca_distributions, ca_samples, ca_variables, check_measures, grid_sites, local_ais,
-    local_separable, local_te, profile, transfer_entropy, write_profile_csv, write_profile_pgm,
+    PROFILE_MEASURES, GridSites, LocalProfile, active_info_storage, batch_distributions,
+    ca_distribution, ca_distributions, ca_samples, ca_variables, check_measures, grid_sites,
+    local_ais, local_separable, local_te, profile, transfer_entropy, write_profile_csv,
+    write_profile_pgm,
 )
 from synpid.eca import SpacetimeGrid, run, run_batch
-from synpid.experiments import AnalyzeConfig, ExperimentConfig, run_table1, series_distribution
+from synpid.experiments import (
+    AnalyzeConfig, ExperimentConfig, export_local_profiles, run_table1, series_distribution,
+)
 
 
 def analytic_dist(next_of, k=1):
@@ -168,6 +171,42 @@ def test_ca_distributions_equal_one_count_per_k(data):
         assert_same_distribution(fast, ca_distribution(grids, k))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_distributions_equal_the_counts_of_the_batch(data):
+    # Repeated ks in any order, and histories packed in 32 and in 64 bits.
+    ks = data.draw(st.one_of(st.sampled_from([(28, 1), (29, 3, 29)]),
+                             st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple)),
+                   label="ks")
+    rule, width = data.draw(st.integers(0, 255), label="rule"), data.draw(st.integers(3, 12))
+    steps = data.draw(st.integers(max(ks) + 1, max(ks) + 8), label="steps")
+    seed, runs = data.draw(st.integers(0, 2 ** 32 - 1)), data.draw(st.integers(1, 4), label="runs")
+    got = batch_distributions(rule, width, steps, seed, runs, ks)
+    batch = run_batch(rule, width, steps, seed, runs)
+    assert len(got) == len(ks)
+    for fast, from_ring, from_copies in zip(got, ca_distributions(batch, ks),
+                                            ca_distributions(copied(batch), ks)):
+        assert_same_distribution(fast, from_ring)
+        assert_same_distribution(fast, from_copies)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((256, 8, 6, 0, 2, (2,)), "rule number must be in [0, 255], got 256"),
+    ((30, 2, 6, 0, 2, (2,)), "width must be at least 3, got 2"),
+    ((30, 8, 6, 0, 2.0, (2,)), "runs must be an integer, got 2.0"),
+    ((30, 8, 6, 0, 2, ()), "need at least one history length"),
+    ((30, 8, 6, 0, 2, 3), "ks must be a sequence of history lengths, got 3"),
+    ((30, 8, 6, 0, 2, (2, True)), "history length k must be an integer, got True"),
+    ((30, 8, 6, 0, 2, (1, 6)), "grid with 6 steps has no destinations after a k=6 window"),
+])
+def test_batch_distributions_refuse_what_counting_the_batch_refuses(args, message):
+    *batch, ks = args
+    for count in (lambda: batch_distributions(*batch, ks),
+                  lambda: ca_distributions(run_batch(*batch), ks)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count()
+
+
 def test_ca_distributions_count_the_batch_once(monkeypatch):
     sizes = []
 
@@ -278,6 +317,58 @@ def test_a_batch_passed_straight_in_is_freed_before_its_sort(monkeypatch, count)
     traced, nbytes = max(held, key=lambda h: h[1])
     assert nbytes == 84 * 20 * 200 * 4
     assert traced <= 1.05 * nbytes
+
+
+PINNED = ExperimentConfig((30,), runs=20, width=200, steps=100, k=16)
+
+
+@pytest.mark.parametrize("count", [
+    lambda out: batch_distributions(30, 200, 100, 0, 20, (16, 1)),
+    lambda out: run_table1(PINNED),
+    lambda out: export_local_profiles(PINNED, ("local_ais",), out),
+], ids=["batch_distributions", "run_table1", "export_local_profiles"])
+def test_a_batch_counted_as_it_is_simulated_peaks_at_its_code_buffer(monkeypatch, tmp_path,
+                                                                    count):
+    # Tracing starts before the simulation, so a ring of the batch (one byte
+    # per cell, about 30% of the int32 codes here) would count at the pack;
+    # only a few padded rows may sit beside the code buffer, up to and
+    # through its sort.
+    peaks = []
+
+    def spy(variables, codes):
+        codes.sort()
+        peaks.append((tracemalloc.get_traced_memory()[1] - start, codes.nbytes))
+        return _count_codes(variables, codes)
+
+    monkeypatch.setattr(dynamics, "_count_codes", spy)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        count(tmp_path)
+    finally:
+        tracemalloc.stop()
+    peak, nbytes = max(peaks, key=lambda p: p[1])
+    assert nbytes == 84 * 20 * 200 * 4
+    assert peak <= 1.05 * nbytes
+
+
+def test_a_batch_counted_as_it_is_simulated_frees_its_codes_before_the_cuts():
+    # Rule 30's whole-call peak is its k=1 cut. The sorted code buffer is
+    # dropped before it, as ca_distributions drops it; a call that kept it
+    # would peak a whole code buffer higher. The two calls differ only in
+    # small objects, such as the batch's initial rows.
+    def peak(count):
+        tracemalloc.start()
+        try:
+            count()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    nbytes = 84 * 20 * 200 * 4
+    assert (peak(lambda: batch_distributions(30, 200, 100, 0, 20, (16, 1)))
+            <= peak(lambda: ca_distributions(run_batch(30, 200, 100, 0, 20), (16, 1)))
+            + 0.01 * nbytes)
 
 
 def test_a_batch_counts_the_same_passed_straight_in_or_held():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synpid.eca import check_rule, run, run_batch, write_csv, write_pgm
+from synpid.eca import (
+    _initial_rows, _padded_rows, check_rule, run, run_batch, write_csv, write_pgm,
+)
 from synpid.experiments import ExperimentConfig
 
 BAD_RULES = [-1, 256, 1000, 2.5, "110", None]
@@ -94,7 +96,6 @@ def test_deterministic_and_verifiable():
     a = run(110, 64, 64, 12345)
     b = run(110, 64, 64, 12345)
     assert np.array_equal(a.cells, b.cells)
-    assert a.verify()
     c = run(110, 64, 64, 12346)
     assert not np.array_equal(a.cells, c.cells)
 
@@ -145,6 +146,12 @@ def test_batch_follows_seed_policy(rule, width, steps, runs, base_seed):
     assert all(np.shares_memory(g.cells, ring[:, i]) for i, g in enumerate(batch))
     assert np.array_equal(ring[:, :, 0], ring[:, :, width])
     assert np.array_equal(ring[:, :, width + 1], ring[:, :, 1])
+    # The simulator yields those padded rows one at a time, each read-only.
+    drawn = 0
+    for t, row in enumerate(_padded_rows(rule, _initial_rows(width, base_seed, runs), steps)):
+        assert not row.flags.writeable and np.array_equal(row, ring[t])
+        drawn += 1
+    assert drawn == steps
 
 
 def test_pgm_export(tmp_path):

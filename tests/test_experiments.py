@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from support import embed_history
-from synpid import dynamics, experiments
+from synpid import dynamics, eca, experiments
 from synpid.distributions import VariableSpec, count_samples, history_length
 from synpid.dynamics import ca_distribution, profile, write_profile_csv
-from synpid.eca import Batch, run, run_batch
+from synpid.eca import run, run_batch
 from synpid.experiments import (
     AnalyzeConfig, ExperimentConfig, OR_NODE, export_local_profiles, or_demo_text,
     or_distribution, run_or_demo, run_table1, series_distribution, table1_text,
@@ -204,20 +204,24 @@ def test_export_finds_the_displayed_sites_once(monkeypatch, tmp_path):
     assert calls == [(SMALL.steps - SMALL.k) * SMALL.width]
 
 
-def test_pipelines_count_a_batch_from_its_ring(monkeypatch, tmp_path):
-    # A batch handed on as a list of its grids would be copied into padded
-    # stacks, one byte per cell, before it is counted.
-    stacks, packed = dynamics._stacks, []
+def test_pipelines_count_a_batch_as_it_is_simulated(monkeypatch, tmp_path):
+    # The pooled batch is never held as grids: neither simulated by
+    # run_batch nor copied into padded stacks. Only the displayed grid is
+    # simulated again, as one run.
+    simulate, simulated = eca.run_batch, []
 
-    def spy(grids, k):
-        out = stacks(grids, k)
-        packed.append(isinstance(grids, Batch) and np.shares_memory(out[0], grids.ring))
-        return out
+    def spy(rule, width, steps, base_seed, runs):
+        simulated.append(runs)
+        return simulate(rule, width, steps, base_seed, runs)
 
-    monkeypatch.setattr(dynamics, "_stacks", spy)
+    def copy(grids, k):
+        raise AssertionError("the pooled batch was copied into padded stacks")
+
+    monkeypatch.setattr(eca, "run_batch", spy)
+    monkeypatch.setattr(dynamics, "_stacks", copy)
     run_table1(SMALL)
     export_local_profiles(SMALL, ("local_ais",), tmp_path)
-    assert packed == [True, True]
+    assert simulated == [1]
 
 
 def test_profiles_display_the_first_pooled_run(tmp_path):
