@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .distributions import (
     _radix_multipliers, avg_mi, history_length, local_mi, merge,
 )
 from .eca import (
-    Batch, SpacetimeGrid, _initial_rows, _integer, _padded_rows, check_batch, check_rule,
+    SpacetimeGrid, _initial_rows, _integer, _padded_rows, check_batch, check_rule,
 )
 
 
@@ -113,7 +114,7 @@ def _packed_codes(rows, k: int, codes: np.ndarray) -> None:
     checked, time-major padded (runs, width + 2) rows into the
     (steps - k, runs, width) buffer ``codes``, in (time, run, cell) order.
 
-    ``rows`` is any iterable of those rows, such as a padded stack or
+    ``rows`` is any iterable of those rows, such as ``_grid_rows`` or
     ``eca._padded_rows``; each is read once, before the next is drawn.
     Each row is read as one flat row of runs * (width + 2) cells, in which
     the left and right neighbours of any inner cell lie one position either
@@ -151,72 +152,12 @@ def _packed_codes(rows, k: int, codes: np.ndarray) -> None:
         codes[t - k] = window.reshape(runs, padded)[:, 1:1 + width]
 
 
-def _stacks(grids, k: int) -> list[np.ndarray]:
-    """The grids' cells as one time-major (steps, runs, width + 2) stack per
-    shape, with a copy of each grid's last column before its first and of
-    its first after its last; each stack is checked for a history length
-    ``k``. A ``run_batch`` batch is that stack already: its ring is used
-    as it is. Any other sequence of grids is copied, one byte per cell."""
-    if isinstance(grids, Batch):
-        _check_cells(grids.ring, k)
-        return [grids.ring]
-    by_shape = {}
-    for g in grids:
-        by_shape.setdefault(g.cells.shape, []).append(g.cells)
-    if not by_shape:
-        raise ValueError("need at least one grid")
-    stacks = []
-    for (steps, width), group in by_shape.items():
-        stack = np.empty((steps, len(group), width + 2), np.result_type(*group))
-        np.stack(group, axis=1, out=stack[:, :, 1:width + 1])
-        stack[:, :, 0] = stack[:, :, width]
-        stack[:, :, width + 1] = stack[:, :, 1]
-        _check_cells(stack, k)
-        stacks.append(stack)
-    return stacks
-
-
 def _code_buffer(k: int, size: int) -> np.ndarray:
     """A new buffer for ``size`` codes at history length k; 32-bit when the
     joint alphabet allows, which halves the bytes the counting sort moves."""
     variables = ca_variables(k)
     mults = _radix_multipliers([v.arity for v in variables])
     return np.empty(size, np.int32 if mults[-1] * variables[-1].arity <= 2 ** 31 else np.int64)
-
-
-def _pack_stacks(stacks, k: int) -> np.ndarray:
-    """The codes of every destination site of checked padded stacks, in one
-    new buffer."""
-    shapes = [(len(cells) - k, cells.shape[1], cells.shape[2] - 2) for cells in stacks]
-    codes = _code_buffer(k, sum(map(math.prod, shapes)))
-    end = 0
-    for cells, shape in zip(stacks, shapes):
-        part = codes[end:end + math.prod(shape)]
-        _packed_codes(cells, k, part.reshape(shape))
-        end += part.size
-    return codes
-
-
-def ca_distribution(grids, k: int) -> JointDistribution:
-    """Pool every cell of every grid into one plug-in distribution.
-
-    Equal to ``count_samples`` over the concatenated ``ca_samples`` of the
-    grids, without building the sample matrix. Grids of one shape are
-    stacked and packed together.
-
-    Row-sized buffers: the code buffer, beside the grids while it is
-    packed. A ``run_batch`` batch is packed from its ring; any other
-    sequence of grids is copied into padded stacks (one byte per cell).
-    Once the codes are packed, this call drops the stacks and its
-    reference to ``grids``, so a batch passed straight in is freed before
-    ``_count_codes`` sorts the codes in place, which adds no row-sized
-    buffer. A caller that keeps the batch, or any of its grids, keeps its
-    ring. ``batch_distributions`` counts a batch without its ring.
-    """
-    k = _check_k(k)
-    codes = _pack_stacks(_stacks(grids, k), k)
-    del grids
-    return _count_codes(ca_variables(k), codes)
 
 
 def _check_ks(ks) -> tuple[int, ...]:
@@ -252,6 +193,98 @@ def _cut(full: JointDistribution, leading: dict, ks) -> list[JointDistribution]:
     return [out[k] for k in ks]
 
 
+def _count(sources: list, ks: tuple[int, ...]) -> list[JointDistribution]:
+    """The pooled distribution of every source at each k in checked ``ks``.
+
+    Each source is a ``((steps, runs, width), rows)`` pair: ``rows(stop)``
+    yields its first ``stop`` time rows as padded (runs, width + 2) rows,
+    for ``_packed_codes``; every source has a time from max(ks) on. The
+    times before the largest k are counted first, for each shorter k, into
+    their own small code buffers. Then every source is packed whole into
+    one code buffer and ``sources`` is emptied, so a caller that handed
+    over its only reference frees the grids before the counting sort. The
+    sorted codes are freed before ``_cut`` gives each k.
+    """
+    top = max(ks)
+
+    def packed(k, stop=None):
+        """The codes at history length k of every source's first ``stop``
+        rows, or of all its rows."""
+        shapes = [((stop or steps) - k, runs, width) for (steps, runs, width), _ in sources]
+        codes = _code_buffer(k, sum(map(math.prod, shapes)))
+        end = 0
+        for (_, rows), shape in zip(sources, shapes):
+            part = codes[end:end + math.prod(shape)]
+            _packed_codes(rows(k + shape[0]), k, part.reshape(shape))
+            end += part.size
+        return codes
+
+    leading = {k: _count_codes(ca_variables(k), packed(k, top)) for k in set(ks) - {top}}
+    codes = packed(top)
+    sources.clear()
+    full = _count_codes(ca_variables(top), codes)
+    del codes
+    return _cut(full, leading, ks)
+
+
+_BLOCK_ROWS = 8
+
+
+def _grid_rows(cells: list, stop: int):
+    """Yield the first ``stop`` time rows of same-shape (steps, width) grid
+    cells as padded (runs, width + 2) rows, one run per grid, whose first and
+    last columns copy each run's wrapped neighbours.
+
+    The rows are copied ``_BLOCK_ROWS`` at a time into one padded block,
+    which is overwritten after its last row is yielded.
+    """
+    width = cells[0].shape[1]
+    block = np.empty((min(_BLOCK_ROWS, stop), len(cells), width + 2), np.result_type(*cells))
+    for t in range(0, stop, len(block)):
+        rows = block[:min(len(block), stop - t)]
+        np.stack([c[t:t + len(rows)] for c in cells], axis=1, out=rows[:, :, 1:width + 1])
+        rows[:, :, 0] = rows[:, :, width]
+        rows[:, :, width + 1] = rows[:, :, 1]
+        yield from rows
+
+
+def _grid_sources(grids, k: int) -> list:
+    """``_count``'s sources for a sequence of grids, one per shape; each
+    grid is checked for a history length ``k``."""
+    if isinstance(grids, SpacetimeGrid) or not np.iterable(grids):
+        raise ValueError(f"grids must be a sequence of SpacetimeGrid, got {grids!r}")
+    by_shape = {}
+    for g in grids:
+        if not isinstance(g, SpacetimeGrid):
+            raise ValueError(f"grids must hold only SpacetimeGrid values, got {g!r}")
+        _check_cells(g.cells, k)
+        by_shape.setdefault(g.cells.shape, []).append(g.cells)
+    if not by_shape:
+        raise ValueError("need at least one grid")
+    return [((steps, len(group), width), partial(_grid_rows, group))
+            for (steps, width), group in by_shape.items()]
+
+
+def ca_distribution(grids, k: int) -> JointDistribution:
+    """Pool every cell of every grid into one plug-in distribution.
+
+    Equal to ``count_samples`` over the concatenated ``ca_samples`` of the
+    grids, without building the sample matrix. Grids of one shape are
+    packed together, a few time rows at a time.
+
+    Row-sized buffers: the code buffer, beside the grids while it is
+    packed. Once the codes are packed, this call lets go of ``grids``, so a
+    batch passed straight in is freed before ``_count_codes`` sorts the
+    codes in place, which adds no row-sized buffer. A caller that keeps the
+    batch, or any of its grids, keeps its cells through the sort.
+    ``batch_distributions`` counts a batch without holding its grids.
+    """
+    k = _check_k(k)
+    sources = _grid_sources(grids, k)
+    del grids
+    return _count(sources, (k,))[0]
+
+
 def ca_distributions(grids, ks) -> list[JointDistribution]:
     """``ca_distribution(grids, k)`` for each k in ``ks``, from one count.
 
@@ -259,25 +292,13 @@ def ca_distributions(grids, ks) -> list[JointDistribution]:
     gives each shorter k from that count and a count of the times before
     the largest k. Every count equals the one ``ca_distribution`` gives.
 
-    Row-sized buffers: the times before the largest k are counted first,
-    each from its own small code buffer. Then the whole batch is packed
-    from a ``Batch``'s ring or from copied stacks, and the stacks and this
-    call's reference to ``grids`` are dropped, as in ``ca_distribution``:
-    the counting sort of a batch passed straight in holds the code buffer
-    alone. ``batch_distributions`` counts a batch without its ring.
+    Row-sized buffers: as in ``ca_distribution``; the times before the
+    largest k are counted first, each from its own small code buffer.
     """
     ks = _check_ks(ks)
-    top = max(ks)
-    stacks = _stacks(grids, top)
-    leading = {k: _count_codes(ca_variables(k), _pack_stacks([cells[:top] for cells in stacks], k))
-               for k in set(ks) - {top}}
-    # The stacks and grids (a batch's ring) are freed before the sort, and
-    # the sorted codes before the cuts; all are row-sized.
-    codes = _pack_stacks(stacks, top)
-    del stacks, grids
-    full = _count_codes(ca_variables(top), codes)
-    del codes
-    return _cut(full, leading, ks)
+    sources = _grid_sources(grids, max(ks))
+    del grids
+    return _count(sources, ks)
 
 
 def batch_distributions(rule: int, width: int, steps: int, base_seed: int, runs: int,
@@ -298,20 +319,9 @@ def batch_distributions(rule: int, width: int, steps: int, base_seed: int, runs:
     rule = check_rule(rule)
     width, steps, base_seed, runs = check_batch(width, steps, base_seed, runs)
     ks = _check_ks(ks)
-    top = _check_steps(steps, max(ks))
+    _check_steps(steps, max(ks))
     first = _initial_rows(width, base_seed, runs)
-
-    def packed(k, rows):
-        """The codes of the batch's first ``rows`` rows at history length k."""
-        codes = _code_buffer(k, (rows - k) * runs * width)
-        _packed_codes(_padded_rows(rule, first, rows), k, codes.reshape(rows - k, runs, width))
-        return codes
-
-    leading = {k: _count_codes(ca_variables(k), packed(k, top)) for k in set(ks) - {top}}
-    codes = packed(top, steps)
-    full = _count_codes(ca_variables(top), codes)
-    del codes
-    return _cut(full, leading, ks)
+    return _count([((steps, runs, width), partial(_padded_rows, rule, first))], ks)
 
 
 def _indices(dist: JointDistribution):

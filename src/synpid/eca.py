@@ -127,23 +127,6 @@ def run(rule: int, width: int, steps: int, seed: int) -> SpacetimeGrid:
     return run_batch(rule, width, steps, seed, 1)[0]
 
 
-class Batch(tuple):
-    """The grids of one ``run_batch`` call; a slice of it is a plain tuple.
-
-    ``ring`` is the read-only time-major (steps, runs, width + 2) array
-    whose inner columns the grids' cells are views of; its first and last
-    columns hold each run's wrapped neighbours in every row.
-    """
-
-    def __new__(cls, grids, ring: np.ndarray):
-        batch = super().__new__(cls, grids)
-        batch.ring = ring
-        return batch
-
-    def __getnewargs__(self):
-        return tuple(self), self.ring
-
-
 def _initial_rows(width: int, base_seed: int, runs: int) -> np.ndarray:
     """The (runs, width) uint8 initial rows of a checked batch: row i is
     drawn with seed base_seed + i."""
@@ -191,23 +174,24 @@ def _padded_rows(rule: int, first: np.ndarray, steps: int):
         yield readonly[t % 2]
 
 
-def run_batch(rule: int, width: int, steps: int, base_seed: int, runs: int) -> Batch:
+def run_batch(rule: int, width: int, steps: int, base_seed: int,
+              runs: int) -> tuple[SpacetimeGrid, ...]:
     """Repeat runs with the fixed seed policy: run i uses base_seed + i.
 
     All runs advance together, one vectorized update per time step, in
-    ``_padded_rows``. Its rows fill one time-major (steps, runs, width + 2)
-    ring, a complete padded stack of the runs, which is returned as the
-    batch's ``ring``; each grid's ``cells`` is a read-only, non-contiguous
-    (steps, width) view of it.
+    ``_padded_rows``. The inner columns of its rows fill one read-only,
+    time-major (steps, runs, width) array; each grid's ``cells`` is a
+    non-contiguous (steps, width) view of it, so one grid keeps the whole
+    array alive.
     """
     rule = check_rule(rule)
     width, steps, base_seed, runs = check_batch(width, steps, base_seed, runs)
-    ring = np.empty((steps, runs, width + 2), dtype=np.uint8)
+    cells = np.empty((steps, runs, width), dtype=np.uint8)
     for t, row in enumerate(_padded_rows(rule, _initial_rows(width, base_seed, runs), steps)):
-        ring[t] = row
-    ring.setflags(write=False)
-    return Batch((SpacetimeGrid(rule, width, steps, int(base_seed + i), ring[:, i, 1:-1])
-                  for i in range(runs)), ring)
+        cells[t] = row[:, 1:-1]
+    cells.setflags(write=False)
+    return tuple(SpacetimeGrid(rule, width, steps, base_seed + i, cells[:, i])
+                 for i in range(runs))
 
 
 def write_pgm(grid: SpacetimeGrid, path) -> None:

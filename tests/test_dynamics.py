@@ -134,7 +134,7 @@ def assert_same_distribution(fast, ref):
 def test_ca_distribution_equals_counted_samples(data):
     k = data.draw(st.integers(1, 6), label="k")
     grids = draw_grids(data, k + 1)
-    # A ring of 1 or 2 cells in every example, where the stack's two wrap
+    # A ring of 1 or 2 cells in every example, where the padded rows' two wrap
     # columns copy the same cell or each other's neighbour.
     for width in data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2), label="narrow"):
         grids.append(bits_grid(data.draw(st.integers(k + 1, k + 8)), width,
@@ -184,9 +184,9 @@ def test_batch_distributions_equal_the_counts_of_the_batch(data):
     got = batch_distributions(rule, width, steps, seed, runs, ks)
     batch = run_batch(rule, width, steps, seed, runs)
     assert len(got) == len(ks)
-    for fast, from_ring, from_copies in zip(got, ca_distributions(batch, ks),
+    for fast, from_batch, from_copies in zip(got, ca_distributions(batch, ks),
                                             ca_distributions(copied(batch), ks)):
-        assert_same_distribution(fast, from_ring)
+        assert_same_distribution(fast, from_batch)
         assert_same_distribution(fast, from_copies)
 
 
@@ -233,17 +233,14 @@ def test_ring_counts_equal_copied_counts(data):
     runs = data.draw(st.integers(2, 5), label="runs")
     batch = run_batch(data.draw(st.integers(0, 255)), width, steps,
                       data.draw(st.integers(0, 2 ** 32 - 1)), runs)
-    # A batch is packed from its ring itself, and counts as its copies, any
-    # permutation of it and a pickled copy of it do.
-    assert dynamics._stacks(batch, k)[0] is batch.ring
+    # A batch counts as its copies, any permutation of it and a pickled
+    # copy of it do, and a slice of it as the copies of the slice.
     want = ca_distribution(copied(batch), k)
     assert_same_distribution(ca_distribution(batch, k), want)
     assert_same_distribution(ca_distribution(data.draw(st.permutations(batch)), k), want)
     assert_same_distribution(ca_distribution(pickle.loads(pickle.dumps(batch)), k), want)
-    # A slice of a batch is a plain tuple of its grids, so it is copied.
     lo = data.draw(st.integers(1, runs - 1), label="lo")
     part = batch[lo:data.draw(st.integers(lo + 1, runs), label="hi")]
-    assert not np.shares_memory(dynamics._stacks(part, k)[0], batch.ring)
     assert_same_distribution(ca_distribution(part, k), ca_distribution(copied(part), k))
 
 
@@ -253,10 +250,16 @@ COUNTS = pytest.mark.parametrize("count", [lambda grids: ca_distribution(grids, 
 
 
 @COUNTS
-def test_a_batch_is_counted_beside_its_ring_in_its_code_buffer(count):
-    # Neither a padded copy of the ring (30% of the int32 codes here) nor a
-    # one-byte run-start mask per code is made; rule 54 has few distinct rows.
-    grids = run_batch(54, 200, 100, 0, 20)
+@pytest.mark.parametrize("held", [
+    lambda: run_batch(54, 200, 100, 0, 20),
+    lambda: run_batch(54, 200, 100, 0, 21)[1:],
+    lambda: [run(54, 200, 100, seed) for seed in range(20)],
+], ids=["batch", "slice", "runs"])
+def test_held_grids_are_counted_in_their_code_buffer(held, count):
+    # Neither a padded copy of the grids (30% of the int32 codes here) nor
+    # a one-byte run-start mask per code is made, whether the grids are one
+    # batch, a slice of one or separate runs; rule 54 has few distinct rows.
+    grids = held()
     tracemalloc.start()
     try:
         count(grids)
@@ -268,8 +271,8 @@ def test_a_batch_is_counted_beside_its_ring_in_its_code_buffer(count):
 
 @COUNTS
 def test_the_counting_sort_holds_only_the_code_buffer(monkeypatch, count):
-    # The padded stacks (one byte per cell, about 30% of the int32 codes
-    # here) are dropped before the whole batch is sorted.
+    # Only a few padded rows of the grids are copied at a time, and they
+    # are dropped before the whole batch is sorted.
     grids = run_batch(30, 200, 100, 0, 20)
     held = []
 
@@ -298,9 +301,9 @@ def test_the_counting_sort_holds_only_the_code_buffer(monkeypatch, count):
     lambda: run_table1(ExperimentConfig((30,), runs=20, width=200, steps=100, k=16)),
 ], ids=["ca_distributions", "ca_distribution", "run_table1"])
 def test_a_batch_passed_straight_in_is_freed_before_its_sort(monkeypatch, count):
-    # Tracing starts before run_batch, so the batch's ring (one byte per
-    # cell, about 30% of the int32 codes here) is counted unless the call
-    # that packed it let it go before the sort.
+    # Tracing starts before run_batch, so the batch's cells (one byte per
+    # cell, about 30% of the int32 codes here) are counted unless the call
+    # that packed them let them go before the sort.
     held = []
 
     def spy(variables, codes):
@@ -329,7 +332,7 @@ PINNED = ExperimentConfig((30,), runs=20, width=200, steps=100, k=16)
 ], ids=["batch_distributions", "run_table1", "export_local_profiles"])
 def test_a_batch_counted_as_it_is_simulated_peaks_at_its_code_buffer(monkeypatch, tmp_path,
                                                                     count):
-    # Tracing starts before the simulation, so a ring of the batch (one byte
+    # Tracing starts before the simulation, so the batch's cells (one byte
     # per cell, about 30% of the int32 codes here) would count at the pack;
     # only a few padded rows may sit beside the code buffer, up to and
     # through its sort.
@@ -373,7 +376,7 @@ def test_a_batch_counted_as_it_is_simulated_frees_its_codes_before_the_cuts():
 
 def test_a_batch_counts_the_same_passed_straight_in_or_held():
     batch = run_batch(54, 30, 40, 5, 4)
-    ring = batch.ring.copy()
+    cells = [g.cells.copy() for g in batch]
     for k in (1, 3):
         assert_same_distribution(ca_distribution(run_batch(54, 30, 40, 5, 4), k),
                                  ca_distribution(batch, k))
@@ -381,7 +384,7 @@ def test_a_batch_counts_the_same_passed_straight_in_or_held():
                          ca_distributions(batch, (3, 1))):
         assert_same_distribution(got, want)
     # A held batch is left as it was.
-    assert np.array_equal(batch.ring, ring)
+    assert all(np.array_equal(g.cells, c) for g, c in zip(batch, cells))
 
 
 def test_ca_distributions_validation():
@@ -390,6 +393,13 @@ def test_ca_distributions_validation():
         ca_distributions([grid], ())
     with pytest.raises(ValueError, match="at least one grid"):
         ca_distributions([], (2, 1))
+    # grids is a sequence of SpacetimeGrid: a lone grid, a bare cells array
+    # or a list of cells is not.
+    for grids, bad in ((grid, grid), (3, 3), (grid.cells, grid.cells[0]),
+                       ([grid.cells], grid.cells), ([grid, "grid"], "grid")):
+        for build in (lambda: ca_distribution(grids, 2), lambda: ca_distributions(grids, (2, 1))):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                build()
     with pytest.raises(ValueError, match="k must be"):
         ca_distributions([grid], (2, 0))
     with pytest.raises(ValueError, match="no destinations"):

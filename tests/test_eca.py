@@ -127,11 +127,11 @@ def test_update_matches_independent_resimulation(rule):
 @example(rule=54, width=24, steps=2, runs=2, base_seed=2 ** 128)
 def test_batch_follows_seed_policy(rule, width, steps, runs, base_seed):
     batch = run_batch(rule, width, steps, base_seed, runs)
-    assert len(batch) == runs
+    assert type(batch) is tuple and len(batch) == runs
     for i, grid in enumerate(batch):
         assert (grid.rule_number, grid.width, grid.steps, grid.seed) == (
             rule, width, steps, base_seed + i)
-        assert grid.cells.base is batch.ring
+        assert grid.cells.base is batch[0].cells.base
         assert grid.cells.dtype == np.uint8 and not grid.cells.flags.writeable
         assert np.array_equal(grid.cells, run(rule, width, steps, base_seed + i).cells)
         rows = grid.cells.tolist()
@@ -139,17 +139,17 @@ def test_batch_follows_seed_policy(rule, width, steps, runs, base_seed):
         assert rows[0] == first.tolist()
         for t in range(1, steps):
             assert rows[t] == _oracle_step(rows[t - 1], rule)
-    # The batch is one padded ring whose pad columns, the last row's too,
-    # hold each run's wrapped neighbours.
-    ring = batch.ring
-    assert ring.shape == (steps, runs, width + 2) and not ring.flags.writeable
-    assert all(np.shares_memory(g.cells, ring[:, i]) for i, g in enumerate(batch))
-    assert np.array_equal(ring[:, :, 0], ring[:, :, width])
-    assert np.array_equal(ring[:, :, width + 1], ring[:, :, 1])
-    # The simulator yields those padded rows one at a time, each read-only.
+    # The grids' cells are views of one read-only time-major array.
+    cells = batch[0].cells.base
+    assert cells.shape == (steps, runs, width) and not cells.flags.writeable
+    # The simulator yields the batch's rows one at a time, each read-only:
+    # the inner columns are the grids' rows, and the pad columns, the last
+    # row's too, hold each run's wrapped neighbours.
     drawn = 0
     for t, row in enumerate(_padded_rows(rule, _initial_rows(width, base_seed, runs), steps)):
-        assert not row.flags.writeable and np.array_equal(row, ring[t])
+        assert not row.flags.writeable and np.array_equal(row[:, 1:-1], cells[t])
+        assert np.array_equal(row[:, 0], cells[t, :, -1])
+        assert np.array_equal(row[:, -1], cells[t, :, 0])
         drawn += 1
     assert drawn == steps
 

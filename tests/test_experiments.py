@@ -206,19 +206,19 @@ def test_export_finds_the_displayed_sites_once(monkeypatch, tmp_path):
 
 def test_pipelines_count_a_batch_as_it_is_simulated(monkeypatch, tmp_path):
     # The pooled batch is never held as grids: neither simulated by
-    # run_batch nor copied into padded stacks. Only the displayed grid is
-    # simulated again, as one run.
+    # run_batch nor read as grid rows. Only the displayed grid is simulated
+    # again, as one run.
     simulate, simulated = eca.run_batch, []
 
     def spy(rule, width, steps, base_seed, runs):
         simulated.append(runs)
         return simulate(rule, width, steps, base_seed, runs)
 
-    def copy(grids, k):
-        raise AssertionError("the pooled batch was copied into padded stacks")
+    def copy(cells, stop):
+        raise AssertionError("the pooled batch was read as grid rows")
 
     monkeypatch.setattr(eca, "run_batch", spy)
-    monkeypatch.setattr(dynamics, "_stacks", copy)
+    monkeypatch.setattr(dynamics, "_grid_rows", copy)
     run_table1(SMALL)
     export_local_profiles(SMALL, ("local_ais",), tmp_path)
     assert simulated == [1]
