@@ -7,7 +7,14 @@ order: explicit flag, then --config JSON (keys are the command's settings,
 plus seed; any other key is refused), then the default. The default seed of
 the commands that draw grids is the SYNPID_SEED environment variable, then 0.
 Exit codes: 0 success, 2 malformed flags (argparse), 1 any failure after
-flag parsing.
+flag parsing, a failed write to stdout among them.
+
+``main`` is the in-process API and returns the exit code. ``run`` is the
+process entry (``python -m synpid.cli`` and the ``synpid`` script): once
+``main`` has closed every output file and flushed stdout, it flushes both
+streams and ends the process with ``os._exit``, skipping interpreter
+teardown, so atexit hooks that other code registers do not run. Malformed
+flags and ``--help`` leave through argparse's ``SystemExit`` as usual.
 """
 
 from __future__ import annotations
@@ -329,11 +336,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func, _, settings = COMMANDS[args.command]
     try:
-        return func(**_resolve(args, settings))
+        code = func(**_resolve(args, settings))
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except Exception as exc:
         print(f"synpid: error: {exc}", file=sys.stderr)
         return 1
 
 
+def run() -> None:
+    """Run ``main`` on ``sys.argv``, flush stdout and stderr, and end the
+    process with its exit code, without interpreter teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass  # main reported the failed write and returned 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

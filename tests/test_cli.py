@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -141,6 +142,83 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     cfg.write_text("[1, 2, 3]")
     assert main(["or-demo", "--config", str(cfg)]) == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+def child_env():
+    """The environment for a CLI process started in any directory: this one
+    with the source tree first on PYTHONPATH and PYTHONUNBUFFERED dropped, so
+    stdout is block-buffered and an output left unflushed shows as missing
+    text."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env["COLUMNS"] = "80"  # argparse wraps --help to the terminal
+    return env
+
+
+SMOKE_CA = ["--runs", "2", "--width", "16", "--steps", "20", "--k", "2"]
+SERIES = "d,u\n0,1\n1,1\n1,0\n0,0\n1,1\n0,1\n1,0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ca-run", "--rule", "30", "--width", "8", "--steps", "6", "--out", "out/grid"],
+    ["table1", "--rules", "18,54", *SMOKE_CA, "--out", "out/table1.json"],
+    ["or-demo", "--out", "out/or.json"],
+    ["profile", "--rule", "54", *SMOKE_CA, "--out", "out/profile"],
+    ["analyze", "--input", "series.csv", "--destination", "d", "--sources", "u",
+     "--out", "out/analyze.json"],
+    ["analyze", "--input", "series.csv", "--destination", "d", "--sources", "u", "--k", "2"],
+    ["lattice", "--sources", "3", "--out", "out/lattice.json"],
+    ["lattice", "--sources", "4"],
+    ["lattice", "--sources", "5"],
+    ["table1", "--help"],
+    ["table1", "--runs", "0"],
+], ids=["ca-run", "table1", "or-demo", "profile", "analyze", "analyze-stdout", "lattice",
+        "lattice-stdout", "exit-1", "help", "exit-2"])
+def test_entry_forms_agree(argv, tmp_path, monkeypatch, capsys):
+    # python -m synpid.cli, the declared console script and main in process
+    # give the same exit code, streams and output bytes.
+    value = read_pyproject()["project"]["scripts"]["synpid"]
+    forms = {"module": ["-m", "synpid.cli"], "script": ["-c", CONSOLE_SCRIPT, value],
+             "main": None}
+    results = {}
+    for form, entry in forms.items():
+        cwd = tmp_path / form
+        (cwd / "out").mkdir(parents=True)
+        (cwd / "series.csv").write_text(SERIES)
+        if entry:
+            proc = subprocess.run([sys.executable, *entry, *argv], cwd=cwd, env=child_env(),
+                                  capture_output=True, text=True, timeout=60)
+            streams = proc.returncode, proc.stdout, proc.stderr
+        else:
+            monkeypatch.chdir(cwd)
+            monkeypatch.setenv("COLUMNS", "80")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help and malformed flags
+                code = exc.code
+            streams = code, *capsys.readouterr()
+        written = {p.name: p.read_bytes() for p in sorted((cwd / "out").rglob("*"))
+                   if p.is_file()}
+        results[form] = (*streams, written)
+    assert results["module"] == results["main"]
+    assert results["script"] == results["main"]
+
+
+@pytest.mark.parametrize("argv", [["lattice", "--sources", "2"],
+                                  ["table1", "--rules", "18", *SMOKE_CA]],
+                         ids=["lattice", "table1"])
+def test_a_closed_stdout_exits_1(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "synpid.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=child_env(), text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("synpid: error:"), proc.stderr
 
 
 CONFIG_HELP = "JSON file supplying any of this command's settings"
