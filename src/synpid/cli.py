@@ -25,20 +25,14 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import csv
-import io
 import json
-import re
 import sys
-import warnings
-
-import numpy as np
 
 from . import eca
 from .dynamics import PROFILE_MEASURES
 from .experiments import (
     AnalyzeConfig, ExperimentConfig, check_delta, export_local_profiles, or_demo_text,
-    run_analyze, run_or_demo, run_table1, table1_text,
+    read_series, run_analyze, run_or_demo, run_table1, table1_text,
 )
 from .lattice import build_lattice
 
@@ -196,51 +190,10 @@ def cmd_profile(seed, rule, measures, threads, out, **geometry) -> int:
     return 0
 
 
-def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    """The header row and the (rows, columns) int64 cells of a CSV file.
-
-    numpy parses the cells. When it refuses them, or would skip a blank
-    line, a line-by-line scan names the first bad line.
-    """
-    with open(path, encoding="utf-8-sig") as f:
-        text = f.read()
-    if not text:
-        raise ValueError(f"{path} is empty")
-    head, _, body = text.partition("\n")
-    header = [h.strip() for h in next(csv.reader([head]))]
-    if len(set(header)) != len(header):
-        raise ValueError(f"duplicate column names in {path}: {header}")
-    if not body:
-        return header, np.empty((0, len(header)), dtype=np.int64)
-    try:
-        if body.startswith("\n") or "\n\n" in body:
-            raise ValueError("blank line")
-        with warnings.catch_warnings():
-            # numpy 1.x reads "1.0" as an integer, with only a DeprecationWarning.
-            warnings.simplefilter("error")
-            data = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
-                              comments=None, quotechar='"', ndmin=2)
-        if data.shape[1] != len(header):
-            raise ValueError(f"{data.shape[1]} cells per row")
-        return header, data
-    except (ValueError, Warning) as exc:
-        reason = exc
-    for lineno, row in enumerate(csv.reader(io.StringIO(body)), start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-        for cell in row:
-            if not re.fullmatch(r"[+-]?[0-9]+", cell.strip()):
-                raise ValueError(f"{path}:{lineno}: non-integer cell {cell!r}")
-            if not -2 ** 63 <= int(cell) < 2 ** 63:
-                raise ValueError(f"{path}:{lineno}: cell {cell!r} is outside the int64 range")
-    raise ValueError(f"{path}: {reason}")
-
-
 def cmd_analyze(input, destination, sources, k, out) -> int:
     config = AnalyzeConfig(k, destination, sources)
     _check_out(out)
-    header, data = _read_csv(input)
-    report = {"input": input, **run_analyze(dict(zip(header, data.T)), config)}
+    report = {"input": input, **run_analyze(read_series(input), config)}
     if out:
         _write_json(report, out)
     else:

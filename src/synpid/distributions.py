@@ -346,33 +346,6 @@ def history_length(dist: JointDistribution) -> int:
 
 # -- construction -----------------------------------------------------------
 
-def count_samples(variables: Sequence[VariableSpec], samples) -> JointDistribution:
-    """Tally a stream of sample tuples into a distribution.
-
-    ``samples`` may be any iterable of tuples or a 2-D integer array with one
-    column per variable. Symbols outside a variable's alphabet are an error.
-    """
-    variables = tuple(variables)
-    arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples)
-    if arr.size == 0:
-        return JointDistribution(variables, {})
-    if arr.ndim != 2 or arr.shape[1] != len(variables):
-        raise ValueError(
-            f"samples must have one column per variable ({len(variables)}), "
-            f"got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64)
-    for i, v in enumerate(variables):
-        col = arr[:, i]
-        if col.min() < 0 or col.max() >= v.arity:
-            raise ValueError(
-                f"symbol out of range for variable {v.name!r} (arity {v.arity}): "
-                f"saw values in [{col.min()}, {col.max()}]")
-    mults = np.array(_radix_multipliers([v.arity for v in variables]), dtype=np.int64)
-    return _count_codes(variables, arr @ mults)
-
-
 # Run starts are scanned in blocks of this many sorted codes, so the scan's
 # mask is a fixed size rather than one byte per code.
 _SCAN_BLOCK = 2 ** 16

@@ -268,9 +268,9 @@ def _grid_sources(grids, k: int) -> list:
 def ca_distribution(grids, k: int) -> JointDistribution:
     """Pool every cell of every grid into one plug-in distribution.
 
-    Equal to ``count_samples`` over the concatenated ``ca_samples`` of the
-    grids, without building the sample matrix. Grids of one shape are
-    packed together, a few time rows at a time.
+    Equal to counting the concatenated ``ca_samples`` of the grids, without
+    building the sample matrix. Grids of one shape are packed together, a
+    few time rows at a time.
 
     Row-sized buffers: the code buffer, beside the grids while it is
     packed. Once the codes are packed, this call lets go of ``grids``, so a

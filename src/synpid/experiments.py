@@ -10,16 +10,19 @@ serialize with sorted keys and no timestamps.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
+import re
+import warnings
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import eca
-from .distributions import (JointDistribution, VariableSpec, _first_seen, _radix_multipliers,
-                            count_samples)
+from .distributions import (JointDistribution, VariableSpec, _count_codes, _first_seen,
+                            _radix_multipliers)
 from .dynamics import (
     _check_k, active_info_storage, batch_distributions, check_measures, grid_sites, profile,
     transfer_entropy, write_profile_csv, write_profile_pgm,
@@ -255,6 +258,61 @@ class AnalyzeConfig:
                              f"over the lattice limit of {MAX_SOURCES}")
 
 
+def read_series(path) -> dict[str, np.ndarray]:
+    """The named int64 columns of the CSV file at ``path``: a UTF-8 header
+    row of distinct names, optionally after a byte-order mark, then one row
+    of integer cells per line, each cell perhaps quoted or padded with
+    spaces. Any other line is refused with the file name and line number.
+
+    numpy parses the rows straight from the file. When it refuses them, or
+    gives fewer rows than the file has lines (it skips blank ones), a
+    line-by-line scan names the first bad line.
+    """
+    with open(path, encoding="utf-8-sig") as f:
+        head = f.readline()
+        if not head:
+            raise ValueError(f"{path} is empty")
+        header = [h.strip() for h in next(csv.reader([head.removesuffix("\n")]))]
+        if len(set(header)) != len(header):
+            raise ValueError(f"duplicate column names in {path}: {header}")
+        ends, last = 0, "\n"
+        while chunk := f.read(2 ** 16):
+            ends, last = ends + chunk.count("\n"), chunk[-1]
+    lines = ends + (last != "\n")
+    if not lines:
+        return {name: np.empty(0, dtype=np.int64) for name in header}
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.0" as an integer, with only a DeprecationWarning.
+            warnings.simplefilter("error")
+            data = np.loadtxt(path, delimiter=",", dtype=np.int64, comments=None,
+                              quotechar='"', ndmin=2, skiprows=1, encoding="utf-8-sig")
+        if data.shape[1] != len(header):
+            raise ValueError(f"{data.shape[1]} cells per row")
+    except (ValueError, Warning) as exc:
+        _scan_rows(path, len(header))
+        raise ValueError(f"{path}: {exc}") from None
+    if len(data) != lines:
+        # A skipped blank line fails the scan; a quoted cell spanning lines passes it.
+        _scan_rows(path, len(header))
+    return dict(zip(header, data.T))
+
+
+def _scan_rows(path, width: int) -> None:
+    """Refuse the first line after the header of the CSV file at ``path``
+    that is not ``width`` integer cells, naming it."""
+    with open(path, encoding="utf-8-sig") as f:
+        f.readline()
+        for lineno, row in enumerate(csv.reader(f), start=2):
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+            for cell in row:
+                if not re.fullmatch(r"[+-]?[0-9]+", cell.strip()):
+                    raise ValueError(f"{path}:{lineno}: non-integer cell {cell!r}")
+                if not -2 ** 63 <= int(cell) < 2 ** 63:
+                    raise ValueError(f"{path}:{lineno}: cell {cell!r} is outside the int64 range")
+
+
 def series_distribution(columns: Mapping,
                         config: AnalyzeConfig) -> tuple[JointDistribution, dict[str, list]]:
     """The pooled (next, hist, sources...) distribution of named integer
@@ -290,11 +348,16 @@ def series_distribution(columns: Mapping,
         VariableSpec(config.destination + "_hist", base ** k, "destination-history"),
         *(VariableSpec(name, len(alphabets[name]), "source") for name in config.sources),
     )
-    # A joint state space past 64-bit codes is refused before hist can wrap.
-    _radix_multipliers([v.arity for v in variables])
-    hist = sum(dest[k - 1 - j:n - 1 - j] * base ** j for j in range(k))
-    return count_samples(variables, np.column_stack(
-        [dest[k:], hist, *(series[name][k - 1:n - 1] for name in config.sources)])), alphabets
+    # A joint state space past 64-bit codes is refused before a code can wrap.
+    mults = _radix_multipliers([v.arity for v in variables])
+    # Each sample's code, added one digit at a time: next, the history's k
+    # digits (the value at t lowest), then each source.
+    codes = dest[k:].astype(np.int64)
+    for j in range(k):
+        codes += dest[k - 1 - j:n - 1 - j] * (mults[1] * base ** j)
+    for name, mult in zip(config.sources, mults[2:]):
+        codes += series[name][k - 1:n - 1] * mult
+    return _count_codes(variables, codes), alphabets
 
 
 def run_analyze(columns: Mapping, config: AnalyzeConfig) -> dict:

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import JointDistribution, _dot, _local_rows, _observations, history_length
-from .eca import _integer
 from .lattice import Antichain, RedundancyLattice, build_lattice, source_subset
 
 #: Specific-information gaps at or below this are treated as ties.
@@ -131,23 +130,6 @@ def _specinfo_table(dist: JointDistribution, subset: frozenset) -> np.ndarray:
     table = np.bincount(x_of, weights=terms, minlength=arity)
     table[c_x == 0] = np.nan
     return table
-
-
-def specific_information(dist: JointDistribution, x: int, subset) -> float:
-    """I_spec(X=x; A) for the joint source variable named by ``subset``.
-
-    ``subset`` is a collection of 1-based source indices. Asking about an
-    unobserved destination outcome is an error.
-    """
-    subset = source_subset(subset)
-    xi = _destination(dist)
-    x = _integer("destination outcome", x)
-    if not 0 <= x < dist.variables[xi].arity:
-        raise ValueError(f"destination outcome {x} out of range")
-    table = _specinfo_table(dist, subset)
-    if math.isnan(table[x]):
-        raise ValueError(f"destination outcome {x} has zero probability")
-    return float(table[x])
 
 
 def i_min(dist: JointDistribution, node) -> float:

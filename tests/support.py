@@ -2,7 +2,9 @@
 
 from itertools import product
 
-from synpid.distributions import JointDistribution, VariableSpec
+import numpy as np
+
+from synpid.distributions import JointDistribution, VariableSpec, _count_codes, _radix_multipliers
 
 
 def random_distribution(rng, r=2, max_arity=3):
@@ -47,6 +49,34 @@ def gate_distribution(gate, weights=None):
             w = 0.25 if weights is None else weights[(a, b)]
             counts[(fn(a, b), a, b)] = w
     return JointDistribution(variables, counts)
+
+
+def count_samples(variables, samples) -> JointDistribution:
+    """Tally a stream of sample tuples into a distribution: the reference for
+    the library's packed-code counting.
+
+    ``samples`` may be any iterable of tuples or a 2-D integer array with one
+    column per variable. Symbols outside a variable's alphabet are an error.
+    """
+    variables = tuple(variables)
+    arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples)
+    if arr.size == 0:
+        return JointDistribution(variables, {})
+    if arr.ndim != 2 or arr.shape[1] != len(variables):
+        raise ValueError(
+            f"samples must have one column per variable ({len(variables)}), "
+            f"got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
+    for i, v in enumerate(variables):
+        col = arr[:, i]
+        if col.min() < 0 or col.max() >= v.arity:
+            raise ValueError(
+                f"symbol out of range for variable {v.name!r} (arity {v.arity}): "
+                f"saw values in [{col.min()}, {col.max()}]")
+    mults = np.array(_radix_multipliers([v.arity for v in variables]), dtype=np.int64)
+    return _count_codes(variables, arr @ mults)
 
 
 def embed_history(series, k: int, t: int, base: int = 2) -> int:

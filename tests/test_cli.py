@@ -576,10 +576,11 @@ def test_analyze_refuses_a_history_past_64_bits(tmp_path, capsys, k):
     assert "joint state space too large" in capsys.readouterr().err
 
 
-def check_benchmark_bytes(workload, smoke, tmp_path, monkeypatch, capsys):
+def check_benchmark_bytes(workload, smoke, tmp_path, monkeypatch, capsys, golden=None):
     """Run one benchmark workload at seed 0 in process and compare every
     output with its golden sha256, from the benchmark's own workload
-    definition: its input, arguments and hashes."""
+    definition: its input, arguments and hashes, unless ``golden`` gives
+    the hashes."""
     path = REPO_ROOT / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -590,7 +591,7 @@ def check_benchmark_bytes(workload, smoke, tmp_path, monkeypatch, capsys):
     (tmp_path / "out").mkdir()
     assert main(workloads.WORKLOADS[workload].argv(0, "out", smoke)) == 0
     capsys.readouterr()
-    golden = workloads.golden(workload, smoke=smoke)
+    golden = golden or workloads.golden(workload, smoke=smoke)
     assert golden
     for name, digest in golden.items():
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
@@ -608,6 +609,12 @@ def test_full_scale_bytes_match_the_benchmark_golden(workload, tmp_path, monkeyp
     check_benchmark_bytes(workload, False, tmp_path, monkeypatch, capsys)
 
 
+def test_full_scale_analyze_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # The hash that analyze_r4 writes with any BLAS thread count.
+    check_benchmark_bytes("analyze_r4", False, tmp_path, monkeypatch, capsys, {
+        "analyze.json": "51b903a6778f998789231410338d54c262a05316666471eb1cb6870b2a77bec9"})
+
+
 def refuse_work(*args, **kwargs):
     raise AssertionError("worked before the output path was checked")
 
@@ -617,7 +624,7 @@ def refuse_work(*args, **kwargs):
     (["table1"], (cli, "run_table1")),
     (["or-demo"], (cli, "run_or_demo")),
     (["analyze", "--input", "series.csv", "--destination", "d", "--sources", "u"],
-     (cli, "_read_csv")),
+     (cli, "read_series")),
     (["lattice"], (cli, "build_lattice")),
 ], ids=["ca-run", "table1", "or-demo", "analyze", "lattice"])
 def test_an_output_in_a_missing_directory_fails_before_any_work(monkeypatch, tmp_path, capsys,

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from support import embed_history, random_distribution, unpack_history
+from support import count_samples, embed_history, random_distribution, unpack_history
 from synpid import distributions
 from synpid.distributions import (
     JointDistribution, Marginal, VariableSpec, _count_codes, _dot, _grouped, _radix_multipliers,
-    avg_mi, count_samples, history_length, local_mi, merge,
+    avg_mi, history_length, local_mi, merge,
 )
 from synpid.dynamics import (
     PROFILE_MEASURES, ca_distribution, ca_variables, local_ais, local_separable, local_te, profile,

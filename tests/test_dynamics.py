@@ -11,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pid_oracle
-from support import random_distribution, to_prob_table
+from support import count_samples, random_distribution, to_prob_table
 from synpid import dynamics
 from synpid.distributions import (
-    JointDistribution, VariableSpec, _count_codes, _first_seen, avg_mi, count_samples,
+    JointDistribution, VariableSpec, _count_codes, _first_seen, avg_mi,
     history_length, local_mi, merge,
 )
 from synpid.dynamics import (

@@ -2,20 +2,21 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from support import embed_history
+from support import count_samples, embed_history
 from synpid import dynamics, eca, experiments
-from synpid.distributions import VariableSpec, count_samples, history_length
+from synpid.distributions import VariableSpec, history_length
 from synpid.dynamics import ca_distribution, profile, write_profile_csv
 from synpid.eca import run, run_batch
 from synpid.experiments import (
     AnalyzeConfig, ExperimentConfig, OR_NODE, export_local_profiles, or_demo_text,
-    or_distribution, run_or_demo, run_table1, series_distribution, table1_text,
+    or_distribution, read_series, run_or_demo, run_table1, series_distribution, table1_text,
 )
 from synpid.pid import i_min, modified_information
 
@@ -323,3 +324,48 @@ def test_series_distribution_refuses_unequal_columns(lengths):
     columns = {"d": np.arange(lengths[0]) % 2, "s": np.arange(lengths[1]) % 3}
     with pytest.raises(ValueError, match=r"equal lengths, got \[%d, %d\]" % lengths):
         series_distribution(columns, AnalyzeConfig(1, "d", ("s",)))
+
+
+SERIES_ROWS = 100_000
+
+
+@pytest.fixture(scope="module")
+def long_series(tmp_path_factory):
+    """SERIES_ROWS rows of four columns over {0..3}, and their CSV file."""
+    data = np.random.default_rng(0).integers(0, 4, size=(SERIES_ROWS, 4))
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    np.savetxt(path, data, fmt="%d", delimiter=",", header="d,s1,s2,s3", comments="")
+    return data, path
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory tracemalloc traced during it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_series_parses_straight_from_the_file(long_series):
+    # The columns are 32 bytes a row. Reading the whole text, its body and
+    # a StringIO of it before parsing peaked at ~85.
+    data, path = long_series
+    read_series(path)  # the first parse imports and caches what loadtxt uses
+    columns, peak = traced_peak(lambda: read_series(path))
+    assert list(columns) == ["d", "s1", "s2", "s3"]
+    assert np.array_equal(np.column_stack(list(columns.values())), data)
+    assert peak <= 48 * SERIES_ROWS
+
+
+def test_series_distribution_counts_one_code_buffer(long_series):
+    # A sample matrix, its int64 copy and its codes peaked at ~130 bytes a
+    # row; one code buffer is summed column by column and counted in place.
+    # The peak is now in _first_seen, beside the earlier columns' labels.
+    data, _ = long_series
+    columns = dict(zip(["d", "s1", "s2", "s3"], data.T))
+    config = AnalyzeConfig(3, "d", ("s1", "s2", "s3"))
+    (dist, _), peak = traced_peak(lambda: series_distribution(columns, config))
+    assert dist.total == SERIES_ROWS - 3
+    assert peak <= 80 * SERIES_ROWS

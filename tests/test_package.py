@@ -124,10 +124,10 @@ needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2,
                                     reason="OpenBLAS runs one thread on one CPU")
 AVG_MI = """
 import numpy as np
-from synpid.distributions import VariableSpec, avg_mi, count_samples
-spec = [VariableSpec("x", 4, "destination-next"), VariableSpec("h", 64), VariableSpec("s", 64)]
+from synpid.distributions import VariableSpec, _count_codes, avg_mi
+spec = (VariableSpec("x", 4, "destination-next"), VariableSpec("h", 64), VariableSpec("s", 64))
 samples = np.random.default_rng(0).integers(0, [4, 64, 64], size=(60_000, 3))
-dist = count_samples(spec, samples)
+dist = _count_codes(spec, samples @ np.array([1, 4, 4 * 64]))
 assert len(dist) > 10_000
 print(avg_mi(dist, (0,), (2,), (1,)).hex())
 """
@@ -143,11 +143,11 @@ def test_avg_mi_bits_ignore_the_blas_thread_count():
 # over them has more than 10,000 terms.
 I_MIN = """
 import numpy as np
-from synpid.distributions import VariableSpec, count_samples
+from synpid.distributions import VariableSpec, _count_codes
 from synpid.pid import i_min
-spec = [VariableSpec("x", 12_000, "destination-next"), VariableSpec("a", 4), VariableSpec("b", 4)]
+spec = (VariableSpec("x", 12_000, "destination-next"), VariableSpec("a", 4), VariableSpec("b", 4))
 samples = np.random.default_rng(0).integers(0, [12_000, 4, 4], size=(60_000, 3))
-dist = count_samples(spec, samples)
+dist = _count_codes(spec, samples @ np.array([1, 12_000, 12_000 * 4]))
 assert len(dist.marginal_counts((0,))) > 10_000
 print(i_min(dist, [{1}, {2}]).hex())
 """

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import pid_oracle
-from support import gate_distribution, random_distribution, to_prob_table
+from support import count_samples, gate_distribution, random_distribution, to_prob_table
 from synpid import pid
 from synpid.distributions import (
-    JointDistribution, VariableSpec, avg_mi, count_samples, local_mi,
+    JointDistribution, VariableSpec, avg_mi, local_mi,
 )
 from synpid.dynamics import ca_distribution, ca_variables
 from synpid.eca import run_batch
@@ -19,7 +19,6 @@ from synpid.lattice import Antichain, RedundancyLattice, build_lattice
 from synpid.pid import (
     TIE_TOLERANCE, _specinfo_table, argmin_table, decomposition_report,
     i_min, local_i_min, modified_information, partial_terms,
-    specific_information,
 )
 
 BOTTOM2 = Antichain([{1}, {2}])
@@ -42,10 +41,10 @@ def xor_dynamics():
 
 def test_specific_information_or_gate_frozen():
     d = gate_distribution("or")
-    assert specific_information(d, 1, {1}) == pytest.approx(OR_SPEC_X1_A1, abs=1e-12)
-    assert specific_information(d, 1, {2}) == pytest.approx(OR_SPEC_X1_A1, abs=1e-12)
-    assert specific_information(d, 0, {1}) == pytest.approx(1.0, abs=1e-12)
-    assert specific_information(d, 0, {1, 2}) == pytest.approx(2.0, abs=1e-12)
+    assert _specinfo_table(d, frozenset({1}))[1] == pytest.approx(OR_SPEC_X1_A1, abs=1e-12)
+    assert _specinfo_table(d, frozenset({2}))[1] == pytest.approx(OR_SPEC_X1_A1, abs=1e-12)
+    assert _specinfo_table(d, frozenset({1}))[0] == pytest.approx(1.0, abs=1e-12)
+    assert _specinfo_table(d, frozenset({1, 2}))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_specific_information_matches_oracle():
@@ -53,14 +52,12 @@ def test_specific_information_matches_oracle():
     for _ in range(30):
         dist = random_distribution(rng, r=2)
         table = to_prob_table(dist)
-        for x in range(dist.variables[0].arity):
-            for subset, pos in [({1}, (1,)), ({2}, (2,)), ({1, 2}, (1, 2))]:
-                expect = pid_oracle.specific_info(table, x, pos)
-                try:
-                    got = specific_information(dist, x, subset)
-                except ValueError:
+        for subset, pos in [({1}, (1,)), ({2}, (2,)), ({1, 2}, (1, 2))]:
+            for x, got in enumerate(_specinfo_table(dist, frozenset(subset)).tolist()):
+                if math.isnan(got):
                     assert (x,) not in dist.marginal_counts((0,))
                     continue
+                expect = pid_oracle.specific_info(table, x, pos)
                 assert got == pytest.approx(expect, abs=1e-10)
 
 
@@ -69,10 +66,8 @@ def test_specific_information_averages_to_mi():
     rng = np.random.default_rng(9)
     for _ in range(20):
         dist = random_distribution(rng, r=2)
-        marg = dist.marginal_counts((0,))
-        mean = sum(
-            c / dist.total * specific_information(dist, x, {1, 2})
-            for (x,), c in marg.items())
+        table = _specinfo_table(dist, frozenset({1, 2}))
+        mean = sum(c / dist.total * table[x] for (x,), c in dist.marginal_counts((0,)).items())
         assert mean == pytest.approx(avg_mi(dist, (0,), (1, 2)), abs=1e-10)
 
 
@@ -147,32 +142,9 @@ def test_pid_refuses_an_empty_distribution():
     dist = count_samples(ca_variables(2), np.empty((0, 4), np.int64))
     for measure in (lambda: modified_information(dist), lambda: i_min(dist, BOTTOM2),
                     lambda: argmin_table(dist, BOTTOM2),
-                    lambda: specific_information(dist, 0, {1})):
+                    lambda: _specinfo_table(dist, frozenset({1}))):
         with pytest.raises(ValueError, match="^empty distribution$"):
             measure()
-
-
-def test_specific_information_errors():
-    d = gate_distribution("xor")
-    with pytest.raises(ValueError, match="nonempty"):
-        specific_information(d, 0, set())
-    with pytest.raises(ValueError, match="out of range"):
-        specific_information(d, 5, {1})
-    with pytest.raises(ValueError, match="out of range"):
-        specific_information(d, 0, {9})
-    with pytest.raises(ValueError, match="must be integers"):
-        specific_information(d, 0, {1.5})
-    with pytest.raises(ValueError, match="must be integers"):
-        specific_information(d, 0, [True, 2])
-    for x in (0.5, 1.0, True):
-        with pytest.raises(ValueError, match=f"destination outcome must be an integer, got {x}"):
-            specific_information(or_distribution(0.0), x, {1})
-    assert specific_information(d, np.int64(1), {1}) == specific_information(d, 1, {1})
-    lopsided = JointDistribution(
-        (VariableSpec("x", 2, "destination-next"), VariableSpec("a1", 2)),
-        {(0, 0): 1, (0, 1): 1})
-    with pytest.raises(ValueError, match="zero probability"):
-        specific_information(lopsided, 1, {1})
 
 
 # -- expected minimum specific information ----------------------------------
@@ -256,7 +228,7 @@ def test_argmin_tilt_resolves_ties():
     assert plus[0][1] == 0   # A1 is the weaker predictor
     assert minus[0][1] == 1  # tilting the other way flips it
     chosen = BOTTOM2.subsets[plus[0][1]]
-    assert specific_information(or_distribution(1e-6), 1, chosen) == pytest.approx(
+    assert _specinfo_table(or_distribution(1e-6), chosen)[1] == pytest.approx(
         OR_SPEC_X1_A1, abs=1e-4)
 
 
