@@ -14,10 +14,10 @@ when asked for. Counts are integers on every empirical path; analytically
 constructed distributions (exact gate tables, tilted families) may carry
 real-valued weights instead, with the same invariant that the stored total
 equals the sum of counts. ``counts`` and ``marginal_counts`` are read-only
-mapping views. Every reduction goes through one memoized group-by in code
-order, so nothing derived can go stale and results do not depend on
-insertion order or merge order. That is what makes repeated runs
-byte-identical.
+``Marginal`` views of such arrays. Every reduction goes through one
+memoized group-by in code order, so nothing derived can go stale and
+results do not depend on insertion order or merge order. That is what
+makes repeated runs byte-identical.
 
 A destination's history is one symbol: the k most recent values of its
 series, packed with the most recent value in the lowest digit,
@@ -72,14 +72,14 @@ def _radix_multipliers(arities: Sequence[int]) -> list[int]:
     return mults
 
 
-class Marginal(Mapping):
-    """Read-only {sample tuple: count} view over two read-only arrays.
+class Marginal:
+    """Read-only counts of sample tuples, held in two read-only arrays.
 
     Built from the sorted, distinct packed codes of the tuples (first column
     in the lowest digit) and their counts, ``weights``. ``column(j)`` decodes
     one column; ``symbols``, the tuples as an (m, ncols) matrix in code
     order, is decoded on first use and kept. ``index`` finds many tuples
-    with one binary search.
+    with one binary search; ``len`` is the number of distinct tuples.
     """
 
     def __init__(self, arities: Sequence[int], codes: np.ndarray, weights: np.ndarray):
@@ -134,8 +134,8 @@ class Marginal(Mapping):
 
     def index(self, rows) -> np.ndarray:
         """Position of each row of an (m, ncols) symbol matrix; -1 if unobserved,
-        not whole or not a number (as in a dict: 1.0 finds 1, 0.5 and "1" nothing).
-        An object array is judged row by row, as ``get(tuple(row))`` would.
+        not whole or not a number (1.0 finds 1; 0.5 and "1" find nothing).
+        An object array is judged row by row: a foreign symbol fails its row only.
         Rows that are not such a matrix are refused."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.arities):
@@ -157,15 +157,6 @@ class Marginal(Mapping):
         pos = np.searchsorted(self._codes, codes).clip(max=len(self._codes) - 1)
         hit = ((rows >= 0) & (rows < self.arities)).all(axis=1) & (self._codes[pos] == codes)
         return np.where(hit, pos, -1)
-
-    def __getitem__(self, key):
-        pos = self.index([key])[0] if np.shape(key) == self.arities.shape else -1
-        if pos < 0:
-            raise KeyError(key)
-        return self.weights[pos].item()
-
-    def __iter__(self):
-        return map(tuple, self.symbols.tolist())
 
     def __len__(self):
         return len(self.weights)

@@ -24,8 +24,8 @@ from . import eca
 from .distributions import (JointDistribution, VariableSpec, _count_codes, _first_seen,
                             _radix_multipliers)
 from .dynamics import (
-    _check_k, active_info_storage, batch_distributions, check_measures, grid_sites, profile,
-    transfer_entropy, write_profile_csv, write_profile_pgm,
+    _check_k, _check_steps, active_info_storage, batch_distributions, check_measures,
+    grid_sites, profile, transfer_entropy, write_profile_csv, write_profile_pgm,
 )
 from .lattice import MAX_SOURCES, Antichain
 from .pid import (
@@ -48,14 +48,11 @@ class ExperimentConfig:
         object.__setattr__(self, "rules", tuple(map(eca.check_rule, self.rules)))
         if not self.rules:
             raise ValueError("need at least one rule")
-        object.__setattr__(self, "k", _check_k(self.k))
         object.__setattr__(self, "base_seed", eca._integer("base_seed", self.base_seed))
         width, steps, _, runs = eca.check_batch(self.width, self.steps, self.base_seed, self.runs)
-        for name, value in (("width", width), ("steps", steps), ("runs", runs)):
+        for name, value in (("width", width), ("steps", steps), ("runs", runs),
+                            ("k", _check_steps(steps, self.k))):
             object.__setattr__(self, name, value)
-        if self.steps <= self.k:
-            raise ValueError(
-                f"steps={self.steps} leaves no destinations after a k={self.k} window")
 
     def seeds(self) -> tuple[int, ...]:
         return tuple(self.base_seed + i for i in range(self.runs))
@@ -154,13 +151,14 @@ def run_or_demo(delta: float) -> dict:
     choice, tied = argmin_table(dist, OR_NODE)
     observed = [(a1 | a2, a1, a2) for a1 in (0, 1) for a2 in (0, 1)]
     local = local_i_min(dist, OR_NODE, observed).tolist()
+    probability = dist.counts.weights[dist.counts.index(observed)].tolist()
     rows = [{
         "a1": a1, "a2": a2, "x": x,
-        "probability": float(dist.counts[(x, a1, a2)]),
+        "probability": p,
         "chosen_source": f"A{min(OR_NODE.subsets[choice[x]])}",
         "local_value": value,
         "tied": bool(tied[x]),
-    } for (x, a1, a2), value in zip(observed, local)]
+    } for (x, a1, a2), p, value in zip(observed, probability, local)]
     return {
         "format": "synpid-or-demo",
         "version": 1,

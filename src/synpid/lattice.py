@@ -10,7 +10,8 @@ The order is computed on up-sets: with the 2^r subsets of {1..r} numbered
 by bitmask (source i is bit i-1), bit t of a node's up-set mask is set when
 subset t contains one of its members, and beta <= alpha exactly when
 up(alpha) & ~up(beta) == 0. One broadcast comparison of the masks gives the
-whole order; the covering pairs are derived from it when first read.
+whole order, once per r, and ``below`` holds it. The covering pairs are
+reduced from ``below`` when first read.
 """
 
 from __future__ import annotations
@@ -95,11 +96,6 @@ class Antichain:
         return f"Antichain({self.label})"
 
 
-def below_or_equal(beta, alpha) -> bool:
-    """beta precedes alpha: every subset in alpha shrinks to one in beta."""
-    return all(any(b <= a for b in beta) for a in alpha)
-
-
 def enumerate_antichains(r: int) -> list[Antichain]:
     """Every antichain of nonempty subsets of {1..r}, by pruned recursion."""
     if r < 1:
@@ -139,8 +135,8 @@ class RedundancyLattice:
     """Antichain nodes in a fixed topological order, plus order structure.
 
     ``below[i]`` lists the indices of every node strictly below node i;
-    ``covers``, computed on first read, holds the ascending (lower, upper)
-    index pairs of the transitive reduction.
+    ``covers``, reduced from ``below`` on first read, holds the ascending
+    (lower, upper) index pairs of the transitive reduction.
     """
 
     r: int
@@ -160,7 +156,9 @@ class RedundancyLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        lt = _strictly_below(self.nodes, self.r)
+        lt = np.zeros((len(self.nodes),) * 2, dtype=bool)
+        for i, downs in enumerate(self.below):
+            lt[list(downs), i] = True
         # lo covers hi when nothing lies strictly between them.
         lo, hi = np.nonzero(lt & ~(lt @ lt))
         return tuple(zip(lo.tolist(), hi.tolist()))

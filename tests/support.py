@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 
 from synpid.distributions import JointDistribution, VariableSpec, _count_codes, _radix_multipliers
+from synpid.eca import SpacetimeGrid, _padded_rows
 
 
 def random_distribution(rng, r=2, max_arity=3):
@@ -25,9 +26,18 @@ def random_distribution(rng, r=2, max_arity=3):
     return JointDistribution(variables, counts)
 
 
+def count_dict(marginal):
+    """A counts view as a plain {sample tuple: count} dict, in code order.
+
+    Integer counts come out as ints and real weights as floats, so the dict
+    compares, hashes and passes to ``JointDistribution`` like any other.
+    """
+    return dict(zip(map(tuple, marginal.symbols.tolist()), marginal.weights.tolist()))
+
+
 def to_prob_table(dist):
     """Plain {tuple: probability} view for the brute-force oracle."""
-    return {k: c / dist.total for k, c in dist.counts.items()}
+    return {k: c / dist.total for k, c in count_dict(dist.counts).items()}
 
 
 def gate_distribution(gate, weights=None):
@@ -108,3 +118,13 @@ def unpack_history(symbol: int, k: int, base: int = 2) -> tuple[int, ...]:
         out.append(symbol % base)
         symbol //= base
     return tuple(out)
+
+
+def simulate_rows(rule: int, first, steps: int) -> tuple[SpacetimeGrid, ...]:
+    """One grid per row of the (runs, width) bits ``first``: ``rule`` run
+    for ``steps`` rows from that row, stepped by the library's own loop."""
+    first = np.asarray(first, dtype=np.uint8)
+    # Each yielded row is overwritten two rows later, so it is copied at once.
+    cells = np.stack([row[:, 1:-1].copy() for row in _padded_rows(rule, first, steps)])
+    return tuple(SpacetimeGrid(rule, first.shape[1], steps, i, cells[:, i])
+                 for i in range(len(first)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pid_oracle
-from support import gate_distribution, random_distribution, to_prob_table
+from support import count_dict, gate_distribution, random_distribution, to_prob_table
 from synpid.distributions import JointDistribution, avg_mi, local_mi
 from synpid.dynamics import (
     active_info_storage, ca_distribution, local_ais, local_separable,
@@ -179,7 +179,7 @@ def test_c6_lattice_and_measure_invariants():
         assert i_min(dist, [{2}, {1}]) == both
         swapped = JointDistribution(
             (dist.variables[0], dist.variables[2], dist.variables[1]),
-            {(x, b, a): c for (x, a, b), c in dist.counts.items()})
+            {(x, b, a): c for (x, a, b), c in count_dict(dist.counts).items()})
         assert i_min(swapped, [{1}]) == pytest.approx(a2, abs=1e-12)
         assert i_min(swapped, [{1}, {2}]) == pytest.approx(both, abs=1e-12)
         # monotonicity: extra subsets cannot raise the minimum, supersets
@@ -211,7 +211,7 @@ def test_c7_local_averages_reconcile():
     n = dist.total
 
     def wmean(fn):
-        return math.fsum(c / n * fn(obs) for obs, c in dist.counts.items())
+        return math.fsum(c / n * fn(obs) for obs, c in count_dict(dist.counts).items())
 
     assert wmean(lambda o: local_ais(dist, o[1], o[0])) == pytest.approx(
         active_info_storage(dist), abs=1e-10)
@@ -231,7 +231,7 @@ def test_c7_local_averages_reconcile():
                      or_distribution(1e-3)):
         mean = math.fsum(
             c / tie_free.total * local_i_min(tie_free, OR_NODE, obs)
-            for obs, c in tie_free.counts.items())
+            for obs, c in count_dict(tie_free.counts).items())
         assert mean == pytest.approx(i_min(tie_free, OR_NODE), abs=1e-10)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pid_oracle
-from support import count_samples, random_distribution, to_prob_table
+from support import count_dict, count_samples, random_distribution, to_prob_table
 from synpid import dynamics
 from synpid.distributions import (
     JointDistribution, VariableSpec, _count_codes, _first_seen, avg_mi,
@@ -92,7 +92,7 @@ def test_ca_distribution_pools_runs():
     g2 = run(110, 6, 8, seed=1)
     pooled = ca_distribution([g1, g2], 2)
     merged = merge(ca_distribution([g1], 2), ca_distribution([g2], 2))
-    assert pooled.counts == merged.counts
+    assert count_dict(pooled.counts) == count_dict(merged.counts)
     assert pooled.total == 2 * 6 * 6
     with pytest.raises(ValueError, match="at least one grid"):
         ca_distribution([], 2)
@@ -447,7 +447,7 @@ def test_ca_distribution_keeps_the_radix_guard():
     grid = run(54, 5, 64, seed=0)
     # (next, hist, left, right) spans 2 ** (k + 3) states: k=58 packs, k=59 does not.
     ref = count_samples(ca_variables(58), ca_samples(grid, 58))
-    assert ca_distribution([grid], 58).counts == ref.counts
+    assert count_dict(ca_distribution([grid], 58).counts) == count_dict(ref.counts)
     for build in (lambda: ca_distribution([grid], 59),
                   lambda: count_samples(ca_variables(59), ca_samples(grid, 59))):
         with pytest.raises(ValueError, match="too large to pack into 64-bit codes"):
@@ -592,7 +592,7 @@ def test_local_ais_sign_structure():
     # would be misinformative; here every observation is consistent.
     grid = run(51, 5, 41, seed=3)
     dist = ca_distribution([grid], 1)
-    for obs in dist.counts:
+    for obs in count_dict(dist.counts):
         assert local_ais(dist, obs[1], obs[0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -600,12 +600,12 @@ def test_local_values_average_to_globals():
     grid = run(110, 25, 30, seed=13)
     dist = ca_distribution([grid], 2)
     n = dist.total
-    ais = sum(c / n * local_ais(dist, o[1], o[0]) for o, c in dist.counts.items())
+    ais = sum(c / n * local_ais(dist, o[1], o[0]) for o, c in count_dict(dist.counts).items())
     assert ais == pytest.approx(active_info_storage(dist), abs=1e-10)
-    te = sum(c / n * local_te(dist, "left", (), o) for o, c in dist.counts.items())
+    te = sum(c / n * local_te(dist, "left", (), o) for o, c in count_dict(dist.counts).items())
     assert te == pytest.approx(transfer_entropy(dist, "left"), abs=1e-10)
     cte = sum(c / n * local_te(dist, "left", ("right",), o)
-              for o, c in dist.counts.items())
+              for o, c in count_dict(dist.counts).items())
     assert cte == pytest.approx(
         transfer_entropy(dist, "left", ("right",)), abs=1e-10)
 
@@ -613,7 +613,7 @@ def test_local_values_average_to_globals():
 def test_local_separable_is_the_sum_of_parts():
     grid = run(54, 20, 25, seed=15)
     dist = ca_distribution([grid], 2)
-    for obs in list(dist.counts)[:10]:
+    for obs in list(count_dict(dist.counts))[:10]:
         expect = (local_ais(dist, obs[1], obs[0])
                   + local_te(dist, "left", (), obs)
                   + local_te(dist, "right", (), obs))
@@ -629,8 +629,8 @@ def test_local_te_validates_observation():
 
 
 def loop_local_mi(dist, obs, xs, ys, cond=()):
-    """Reference local MI per row, from sums over the counts mapping."""
-    items = list(dist.counts.items())
+    """Reference local MI per row, from sums over a plain dict of the counts."""
+    items = list(count_dict(dist.counts).items())
 
     def count(row, cols):
         return sum(c for key, c in items if all(key[i] == row[i] for i in cols))
@@ -646,8 +646,8 @@ def test_matrix_local_values_match_dict_loop(seed):
     rng = np.random.default_rng(seed)
     # All arities 2, so the layout reads as (next, hist, left, right) at k=1.
     dist = JointDistribution(ca_variables(1),
-                             random_distribution(rng, r=3, max_arity=2).counts)
-    rows = np.array(list(dist.counts))
+                             count_dict(random_distribution(rng, r=3, max_arity=2).counts))
+    rows = np.array(list(count_dict(dist.counts)))
     obs = rows[rng.integers(0, len(rows), size=2 * len(rows))]
     close = dict(rtol=0, atol=1e-12)
 
@@ -848,8 +848,8 @@ def test_profile_refuses_another_layout():
     # The same cells with the sources swapped, with one source, and as a
     # series analysis whose history is named after its destination.
     variables = ca_variables(2)
-    swapped = JointDistribution(variables[:2] + variables[:1:-1], dist.counts)
-    one = JointDistribution(variables[:3], dist.marginal_counts((0, 1, 2)))
+    swapped = JointDistribution(variables[:2] + variables[:1:-1], count_dict(dist.counts))
+    one = JointDistribution(variables[:3], count_dict(dist.marginal_counts((0, 1, 2))))
     columns = {"next": grids[0].cells[:, 0], "left": grids[0].cells[:, -1],
                "right": grids[0].cells[:, 1]}
     series, _ = series_distribution(columns, AnalyzeConfig(2, "next", ("left", "right")))

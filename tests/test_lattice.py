@@ -5,9 +5,13 @@ import pytest
 
 import pid_oracle
 from synpid.lattice import (
-    Antichain, _build_lattice, below_or_equal, build_lattice,
-    enumerate_antichains, subset_label,
+    Antichain, _build_lattice, build_lattice, enumerate_antichains, subset_label,
 )
+
+
+def oracle_leq(beta, alpha):
+    """beta <= alpha by the brute-force reference, on two lattice nodes."""
+    return pid_oracle.leq([set(s) for s in beta], [set(s) for s in alpha])
 
 
 def test_node_counts():
@@ -18,7 +22,7 @@ def test_node_counts():
 
 
 def test_enumeration_matches_oracle():
-    for r in (1, 2, 3):
+    for r in (1, 2, 3, 4):
         ours = {tuple(node.subsets) for node in enumerate_antichains(r)}
         theirs = {
             tuple(sorted((tuple(sorted(s)) for s in ac),
@@ -30,12 +34,12 @@ def test_enumeration_matches_oracle():
 
 
 def test_order_matches_oracle():
-    for r in (2, 3):
-        nodes = enumerate_antichains(r)
-        for a, b in itertools.product(nodes, repeat=2):
-            oracle = pid_oracle.leq(
-                [set(s) for s in a.subsets], [set(s) for s in b.subsets])
-            assert below_or_equal(a, b) == oracle
+    # Every pair of nodes: j is in below[i] exactly when the oracle puts
+    # node j below node i and the two differ.
+    for r in (1, 2, 3, 4):
+        lat = build_lattice(r)
+        for (j, a), (i, b) in itertools.product(enumerate(lat.nodes), repeat=2):
+            assert (j in lat.below[i]) == (a != b and oracle_leq(a, b)), (r, a, b)
 
 
 def test_r2_is_a_diamond():
@@ -64,15 +68,15 @@ def test_topological_consistency():
         for i, downs in enumerate(lat.below):
             assert all(j < i for j in downs)
             for j in downs:
-                assert below_or_equal(lat.nodes[j], lat.nodes[i])
+                assert oracle_leq(lat.nodes[j], lat.nodes[i])
                 assert lat.nodes[j] != lat.nodes[i]
         # below is the full strict down-set, not just the covers
         for i, node in enumerate(lat.nodes):
             expected = tuple(
                 j for j in range(len(lat.nodes))
                 if j != i
-                and below_or_equal(lat.nodes[j], node)
-                and not below_or_equal(node, lat.nodes[j]))
+                and oracle_leq(lat.nodes[j], node)
+                and not oracle_leq(node, lat.nodes[j]))
             assert lat.below[i] == expected
 
 
@@ -99,15 +103,18 @@ def test_covers_are_computed_on_first_read():
 
 
 def test_bottom_and_top():
-    for r in (1, 2, 3):
+    for r in (1, 2, 3, 4):
         lat = build_lattice(r)
         full = frozenset(range(1, r + 1))
         assert lat.top.subsets == (full,)
         assert lat.bottom.subsets == tuple(
             frozenset({i}) for i in range(1, r + 1))
         for node in lat.nodes:
-            assert below_or_equal(lat.bottom, node)
-            assert below_or_equal(node, lat.top)
+            assert oracle_leq(lat.bottom, node)
+            assert oracle_leq(node, lat.top)
+        # below agrees: nothing is under the bottom, everything else under the top.
+        assert lat.below[0] == ()
+        assert lat.below[-1] == tuple(range(len(lat.nodes) - 1))
 
 
 def test_antichain_canonical_order_and_label():
